@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ling_tree import LingTree, NodeKind, TreeNode, iter_nodes
+from .ling_tree import LingTree, NodeKind, iter_nodes
 
 
 class EmbeddingError(ValueError):
@@ -92,21 +92,15 @@ def lookup(table: EmbeddingTable, token: str) -> np.ndarray:
 
 @dataclass
 class LeafEmbeddings:
-    """One vector per word leaf plus the count of out-of-vocabulary leaves."""
+    """One row per word leaf, in document order, plus the count of
+    out-of-vocabulary leaves (which get the zero vector)."""
 
-    vectors: dict[TreeNode, np.ndarray]
+    vectors: np.ndarray  # (leaves, dim)
     oov: int = 0
 
 
 def embed_leaves(table: EmbeddingTable, tree: LingTree) -> LeafEmbeddings:
-    out: dict[TreeNode, np.ndarray] = {}
-    oov = 0
-    for node in iter_nodes(tree.root):
-        if node.kind is not NodeKind.WORD:
-            continue
-        vec = table.get(node.label)
-        if vec is None:
-            vec = np.zeros(table.dim)
-            oov += 1
-        out[node] = vec
-    return LeafEmbeddings(out, oov)
+    found = [table.get(n.label) for n in iter_nodes(tree.root) if n.kind is NodeKind.WORD]
+    zero = np.zeros(table.dim)
+    vectors = np.array([zero if vec is None else vec for vec in found]).reshape(-1, table.dim)
+    return LeafEmbeddings(vectors, sum(vec is None for vec in found))

@@ -8,6 +8,11 @@ vector at the root, which a two-logit softmax head classifies.
 Three sharing modes decide which nodes reuse which GRU parameters (a single
 shared pair, one pair per linguistic level, or one pair per parent label),
 and three ablations replace parts of the tree walk with plain averaging.
+
+A tree is first compiled into a Schedule: the rows of one node-vector
+matrix, groups of internal nodes that share a height, a registry key and a
+child count, and the ablation's mean-pools. Each group runs as one batched
+Bi-GRU call; the backward pass replays the same groups in reverse.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ import numpy as np
 
 from . import nn
 from .embed import EmbeddingTable, embed_leaves
-from .ling_tree import Level, LingTree, NodeKind, TreeNode, edu_nodes, iter_nodes, post_order
+from .ling_tree import Level, LingTree, NodeKind, TreeNode, iter_nodes, post_order
 
 
 class SharingMode(enum.Enum):
@@ -135,6 +140,20 @@ def init_model(
     return ModelParams(d, mode, ablation, vocab, registry, clf)
 
 
+def _aggregator_key(mode: SharingMode, keys, parent: TreeNode, child: TreeNode) -> str:
+    if mode is SharingMode.UNIFIED:
+        return UNIFIED_KEY
+    if mode is SharingMode.LEVEL_SPECIFIC:
+        return DISCOURSE_KEY if child.level is Level.DISCOURSE else SYNTAX_KEY
+    if parent.kind is NodeKind.RR:
+        return parent.label if parent.label in keys else UNK_RR
+    if parent.kind is NodeKind.EDU:
+        label = parent.children[0].label
+    else:
+        label = parent.label
+    return label if label in keys else UNK_SYNTAX
+
+
 def select_aggregator(params: ModelParams, parent: TreeNode, child: TreeNode) -> str:
     """Registry key for aggregating ``child`` (and its siblings) under ``parent``.
 
@@ -143,24 +162,82 @@ def select_aggregator(params: ModelParams, parent: TreeNode, child: TreeNode) ->
     leading constituency root. Labels unseen at training time fall back to
     the matching UNK entry.
     """
-    if params.mode is SharingMode.UNIFIED:
-        return UNIFIED_KEY
-    if params.mode is SharingMode.LEVEL_SPECIFIC:
-        return DISCOURSE_KEY if child.level is Level.DISCOURSE else SYNTAX_KEY
-    if parent.kind is NodeKind.RR:
-        return parent.label if parent.label in params.registry else UNK_RR
-    if parent.kind is NodeKind.EDU:
-        label = parent.children[0].label
-    else:
-        label = parent.label
-    return label if label in params.registry else UNK_SYNTAX
+    return _aggregator_key(params.mode, params.registry, parent, child)
 
 
-@dataclass
-class NodeTrace:
+@dataclass(frozen=True)
+class Group:
+    """Internal nodes of one height with the same registry key and child
+    count: one batched Bi-GRU call."""
+
     key: str
-    fwd: nn.GruTrace
-    bwd: nn.GruTrace
+    parents: np.ndarray   # (B,) rows
+    children: np.ndarray  # (B, k) rows, in document order
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """One tree compiled for a sharing mode and an ablation. Rows of the
+    node matrix are the tree's nodes in post-order."""
+
+    size: int
+    words: np.ndarray  # rows of the word leaves, in document order
+    word_means: list[tuple[int, list[int]]]  # (row, its word rows): a mean, not a Bi-GRU
+    groups: list[Group]  # by ascending height
+    document: np.ndarray  # rows whose mean is the document vector
+
+
+# Per ablation: the node kinds embedded by a Bi-GRU over their children, the
+# kinds that average the words below them, and the kind the document
+# averages (None: the document is the root).
+_ABLATION_PLANS = {
+    AblationMode.FULL: ({NodeKind.RR, NodeKind.EDU, NodeKind.SYNTAX}, set(), None),
+    AblationMode.NO_DISCOURSE: ({NodeKind.EDU, NodeKind.SYNTAX}, set(), NodeKind.EDU),
+    AblationMode.NO_SYNTAX: ({NodeKind.RR}, {NodeKind.EDU}, None),
+    AblationMode.NO_STRUCTURE: (set(), set(), NodeKind.WORD),
+}
+
+
+def compile_tree(
+    tree: LingTree, mode: SharingMode, ablation: AblationMode, vocab: AttributeVocab
+) -> Schedule:
+    """The schedule that encode_document and backward both run for ``tree``."""
+    gru_kinds, mean_kinds, doc_kind = _ABLATION_PLANS[ablation]
+    keys = set(registry_keys(mode, vocab))
+    nodes = post_order(tree.root)
+    row = {node: i for i, node in enumerate(nodes)}
+    # Heights count Bi-GRU nodes only, so under no_syntax the RR nodes
+    # batch by discourse depth alone.
+    height = [0] * len(nodes)
+    batches: dict[tuple[int, str, int], tuple[list[int], list[int]]] = {}
+    means = []
+    for i, node in enumerate(nodes):
+        if node.kind in mean_kinds:
+            means.append((i, [row[n] for n in iter_nodes(node) if n.kind is NodeKind.WORD]))
+        if node.kind not in gru_kinds:
+            continue
+        kids = [row[c] for c in node.children]
+        height[i] = 1 + max(height[c] for c in kids)
+        key = _aggregator_key(mode, keys, node, node.children[0])
+        parents, children = batches.setdefault((height[i], key, len(kids)), ([], []))
+        parents.append(i)
+        children.extend(kids)
+    # A stable sort by height keeps groups of one height in first-seen order.
+    groups = [
+        Group(key, np.array(parents, dtype=np.intp), np.array(children, dtype=np.intp).reshape(-1, k))
+        for (_, key, k), (parents, children) in sorted(batches.items(), key=lambda item: item[0][0])
+    ]
+    if doc_kind is None:
+        document = [len(nodes) - 1]
+    else:
+        document = [i for i, node in enumerate(nodes) if node.kind is doc_kind]
+    return Schedule(
+        size=len(nodes),
+        words=np.array([i for i, n in enumerate(nodes) if n.kind is NodeKind.WORD], dtype=np.intp),
+        word_means=means,
+        groups=groups,
+        document=np.array(document, dtype=np.intp),
+    )
 
 
 @dataclass
@@ -168,9 +245,9 @@ class DocumentEncoding:
     """Document vector plus everything the backward pass needs."""
 
     h_doc: np.ndarray
-    tree: LingTree
-    node_x: dict[TreeNode, np.ndarray]
-    traces: dict[TreeNode, NodeTrace]
+    schedule: Schedule
+    vectors: np.ndarray  # the node matrix, rows as in the schedule
+    traces: list[tuple[nn.GruTrace, nn.GruTrace]]  # (forward, backward) per group
     oov: int = 0
 
 
@@ -178,45 +255,26 @@ def encode_document(params: ModelParams, tree: LingTree, table: EmbeddingTable) 
     """Embed the document bottom-up under the model's sharing mode and ablation."""
     if table.dim != params.d:
         raise DimMismatchError(f"embedding table dim {table.dim} != model dim {params.d}")
+    schedule = compile_tree(tree, params.mode, params.ablation, params.vocab)
     leaves = embed_leaves(table, tree)
-    node_x: dict[TreeNode, np.ndarray] = dict(leaves.vectors)
-    traces: dict[TreeNode, NodeTrace] = {}
-
-    def aggregate(node: TreeNode) -> None:
-        key = select_aggregator(params, node, node.children[0])
-        pair = params.registry[key]
-        xs = np.stack([node_x[c] for c in node.children])
+    vectors = np.zeros((schedule.size, params.d))
+    vectors[schedule.words] = leaves.vectors
+    for i, words in schedule.word_means:
+        vectors[i] = vectors[words].mean(axis=0)
+    hd = params.d // 2
+    traces = []
+    for group in schedule.groups:
+        pair = params.registry[group.key]
+        xs = vectors[group.children]
         fwd = nn.gru_forward(pair.fwd, xs)
-        bwd = nn.gru_forward(pair.bwd, xs[::-1])
+        bwd = nn.gru_forward(pair.bwd, xs[:, ::-1])
         # Mean over positions of [fwd_i (+) bwd_i]; the mean is order-free,
         # so each half is just that direction's average hidden state.
-        node_x[node] = np.concatenate([fwd.h.mean(axis=0), bwd.h.mean(axis=0)])
-        traces[node] = NodeTrace(key, fwd, bwd)
-
-    ablation = params.ablation
-    if ablation is AblationMode.NO_STRUCTURE:
-        words = [node_x[n] for n in iter_nodes(tree.root) if n.kind is NodeKind.WORD]
-        h_doc = np.mean(words, axis=0)
-    elif ablation is AblationMode.NO_DISCOURSE:
-        for node in post_order(tree.root):
-            if node.kind in (NodeKind.SYNTAX, NodeKind.EDU):
-                aggregate(node)
-        edus = edu_nodes(tree)
-        h_doc = np.mean([node_x[e] for e in edus], axis=0)
-    elif ablation is AblationMode.NO_SYNTAX:
-        for edu in edu_nodes(tree):
-            words = [node_x[n] for n in iter_nodes(edu) if n.kind is NodeKind.WORD]
-            node_x[edu] = np.mean(words, axis=0)
-        for node in post_order(tree.root):
-            if node.kind is NodeKind.RR:
-                aggregate(node)
-        h_doc = node_x[tree.root]
-    else:
-        for node in post_order(tree.root):
-            if node.kind is not NodeKind.WORD:
-                aggregate(node)
-        h_doc = node_x[tree.root]
-    return DocumentEncoding(h_doc, tree, node_x, traces, leaves.oov)
+        vectors[group.parents, :hd] = fwd.h.mean(axis=1)
+        vectors[group.parents, hd:] = bwd.h.mean(axis=1)
+        traces.append((fwd, bwd))
+    h_doc = vectors[schedule.document].mean(axis=0)
+    return DocumentEncoding(h_doc, schedule, vectors, traces, leaves.oov)
 
 
 def predict(params: ModelParams, enc: DocumentEncoding) -> float:
@@ -253,52 +311,33 @@ def _add_gru(acc: nn.GruParams, grads: nn.GruParams) -> None:
 def backward(params: ModelParams, enc: DocumentEncoding, y: int) -> ModelParams:
     """Gradients of the document's cross-entropy loss w.r.t. all parameters.
 
-    Walks the tree in reverse post-order so contributions of a registry key
-    reused at several nodes accumulate in a fixed order. Word-embedding
+    Replays the schedule's groups in reverse, so contributions of a registry
+    key used by several groups accumulate in a fixed order. Word-embedding
     gradients are dropped (embeddings are frozen). The result reuses the
     ModelParams container, holding gradients instead of weights.
     """
+    schedule = enc.schedule
+    if len(enc.traces) != len(schedule.groups):
+        raise MissingTraceError(
+            f"{len(enc.traces)} forward traces for {len(schedule.groups)} schedule groups"
+        )
     grads = zeros_like_model(params)
     dw, db, dh = nn.softmax_ce_backward(params.classifier, enc.h_doc, y)
     grads.classifier.w += dw
     grads.classifier.b += db
 
-    ablation = params.ablation
-    if ablation is AblationMode.NO_STRUCTURE:
-        return grads
-
     hd = params.d // 2
-    pending: dict[TreeNode, np.ndarray] = {}
-    if ablation is AblationMode.NO_DISCOURSE:
-        edus = edu_nodes(enc.tree)
-        share = dh / len(edus)
-        for edu in edus:
-            pending[edu] = share
-    else:
-        pending[enc.tree.root] = dh
-
-    for node in reversed(post_order(enc.tree.root)):
-        grad = pending.pop(node, None)
-        if grad is None or node.kind is NodeKind.WORD:
-            continue
-        trace = enc.traces.get(node)
-        if trace is None:
-            if ablation is AblationMode.NO_SYNTAX and node.kind is NodeKind.EDU:
-                continue  # EDU vector was a word average; below is frozen
-            raise MissingTraceError(f"no forward trace for {node.kind.value} node {node.label!r}")
-        k = len(node.children)
-        up_fwd = np.tile(grad[:hd] / k, (k, 1))
-        up_bwd = np.tile(grad[hd:] / k, (k, 1))
-        pair = params.registry[trace.key]
-        acc = grads.registry[trace.key]
-        g_fwd, dx_fwd = nn.gru_backward(pair.fwd, trace.fwd, up_fwd)
-        g_bwd, dx_bwd = nn.gru_backward(pair.bwd, trace.bwd, up_bwd[::-1])
+    d_vectors = np.zeros_like(enc.vectors)
+    d_vectors[schedule.document] = dh / len(schedule.document)
+    for group, (fwd, bwd) in zip(reversed(schedule.groups), reversed(enc.traces)):
+        up = d_vectors[group.parents] / group.children.shape[1]
+        pair = params.registry[group.key]
+        acc = grads.registry[group.key]
+        g_fwd, dx_fwd = nn.gru_backward(pair.fwd, fwd, np.broadcast_to(up[:, None, :hd], fwd.h.shape))
+        g_bwd, dx_bwd = nn.gru_backward(pair.bwd, bwd, np.broadcast_to(up[:, None, hd:], bwd.h.shape))
         _add_gru(acc.fwd, g_fwd)
         _add_gru(acc.bwd, g_bwd)
-        dx_bwd = dx_bwd[::-1]  # back to original child order
-        for idx, child in enumerate(node.children):
-            if child.kind is not NodeKind.WORD:
-                pending[child] = dx_fwd[idx] + dx_bwd[idx]
+        d_vectors[group.children] += dx_fwd + dx_bwd[:, ::-1]
     return grads
 
 
@@ -374,6 +413,8 @@ def _gru_from_lists(doc: dict, d: int) -> nn.GruParams:
         arr = np.array(doc[name], dtype=np.float64)
         if arr.shape != shape:
             raise CorruptCheckpointError(f"matrix {name} has shape {arr.shape}, expected {shape}")
+        if not np.isfinite(arr).all():
+            raise CorruptCheckpointError(f"matrix {name} holds a non-finite value")
         mats[name] = arr
     return nn.GruParams(mats["W_r"], mats["W_z"], mats["W_h"],
                         mats["U_r"], mats["U_z"], mats["U_h"])
@@ -435,6 +476,8 @@ def load_model(path) -> ModelParams:
         b = np.array(doc["classifier"]["b"], dtype=np.float64)
         if w.shape != (2, d) or b.shape != (2,):
             raise CorruptCheckpointError(f"classifier shapes {w.shape}, {b.shape} do not match d={d}")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise CorruptCheckpointError("classifier holds a non-finite value")
         clf = nn.ClassifierParams(w, b)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, (CorruptCheckpointError, VersionMismatchError)):

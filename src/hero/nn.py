@@ -9,6 +9,12 @@ The GRU over a sequence x_1..x_T (each of width d, hidden width d/2):
     h_i = (1 - z_i) * h_{i-1} + z_i * c_i,      h_0 = 0
 
 There are no bias terms; the six matrices are the only learnable tensors.
+
+The GRU kernels run a batch of B equal-length sequences at once, as
+(B, T, d) arrays. The forward kernel computes each row's matrix products on
+its own, so a sequence's result is bit-identical whatever else shares its
+batch; a single GEMM over the batch would make the last bits of a row
+depend on the other rows.
 """
 
 from __future__ import annotations
@@ -26,11 +32,18 @@ class ShapeMismatchError(ValueError):
     pass
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp may overflow for very negative inputs; the result still saturates
-    # correctly to 0.0, so just silence the warning.
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """0.5 * (1 + tanh(x / 2)): unlike 1 / (1 + exp(-x)) it cannot overflow."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    return out
+
+
+def _rowwise(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w.T with every row of x multiplied on its own (a stacked matmul)."""
+    return np.matmul(x[..., None, :], w.T)[..., 0, :]
 
 
 @dataclass
@@ -84,46 +97,45 @@ class GruParams:
 
 @dataclass
 class GruTrace:
-    """Stacked per-step activations kept for backprop; row i is step i+1."""
+    """Per-step activations of a batch, kept for backprop; [b, i] is step i+1
+    of sequence b."""
 
-    inputs: np.ndarray  # (T, d)
-    r: np.ndarray       # (T, d/2)
+    inputs: np.ndarray  # (B, T, d)
+    r: np.ndarray       # (B, T, d/2)
     z: np.ndarray
     hhat: np.ndarray
     h: np.ndarray
 
     def __len__(self) -> int:
-        return self.h.shape[0]
-
-    @property
-    def last_h(self) -> np.ndarray:
-        return self.h[-1]
+        """Cell evaluations: B * T."""
+        return self.h.shape[0] * self.h.shape[1]
 
 
 def gru_forward(params: GruParams, inputs) -> GruTrace:
-    """Run the GRU over a sequence of d-wide vectors, keeping all activations."""
+    """Run the GRU over B sequences of T d-wide vectors, keeping all activations."""
     x = np.ascontiguousarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ShapeMismatchError(f"inputs must be a non-empty (T, d) array, got {x.shape}")
-    if x.shape[1] != params.input_dim:
-        raise ShapeMismatchError(f"input width {x.shape[1]} != parameter width {params.input_dim}")
-    steps, hd = x.shape[0], params.hidden_dim
-    # The input contributions do not depend on the recurrence.
-    wx_r = x @ params.w_r.T
-    wx_z = x @ params.w_z.T
-    wx_h = x @ params.w_h.T
-    r = np.empty((steps, hd))
-    z = np.empty((steps, hd))
-    hhat = np.empty((steps, hd))
-    h = np.empty((steps, hd))
-    h_prev = np.zeros(hd)
+    if x.ndim != 3 or x.shape[0] == 0 or x.shape[1] == 0:
+        raise ShapeMismatchError(f"inputs must be a non-empty (B, T, d) array, got {x.shape}")
+    if x.shape[2] != params.input_dim:
+        raise ShapeMismatchError(f"input width {x.shape[2]} != parameter width {params.input_dim}")
+    batch, steps, hd = x.shape[0], x.shape[1], params.hidden_dim
+    # The input contributions do not depend on the recurrence. The buffer
+    # holds pre-activations and is turned into [r, z, hhat] in place.
+    gates = _rowwise(x, np.concatenate([params.w_r, params.w_z, params.w_h]))
+    u_rz = np.concatenate([params.u_r, params.u_z])
+    h = np.empty((batch, steps, hd))
     for i in range(steps):
-        r_i = sigmoid(wx_r[i] + params.u_r @ h_prev)
-        z_i = sigmoid(wx_z[i] + params.u_z @ h_prev)
-        c_i = np.tanh(wx_h[i] + params.u_h @ (h_prev * r_i))
-        h_prev = (1.0 - z_i) * h_prev + z_i * c_i
-        r[i], z[i], hhat[i], h[i] = r_i, z_i, c_i, h_prev
-    return GruTrace(x, r, z, hhat, h)
+        a_rz, a_h, h_i = gates[:, i, :2 * hd], gates[:, i, 2 * hd:], h[:, i]
+        if i:  # h_0 = 0, so the first step has no recurrent terms
+            a_rz += _rowwise(h[:, i - 1], u_rz)
+        r_i, z_i = sigmoid(a_rz, out=a_rz)[:, :hd], a_rz[:, hd:]
+        if i:
+            a_h += _rowwise(h[:, i - 1] * r_i, params.u_h)
+        c_i = np.tanh(a_h, out=a_h)
+        np.multiply(z_i, c_i, out=h_i)
+        if i:
+            h_i += (1.0 - z_i) * h[:, i - 1]
+    return GruTrace(x, gates[..., :hd], gates[..., hd:2 * hd], gates[..., 2 * hd:], h)
 
 
 def gru_backward(
@@ -131,44 +143,42 @@ def gru_backward(
 ) -> tuple[GruParams, np.ndarray]:
     """Exact reverse-mode pass given an upstream gradient for every h_i.
 
-    Returns gradients for the six matrices (packed in a GruParams) and a
-    (T, d) array of gradients w.r.t. the inputs.
+    Returns gradients for the six matrices (packed in a GruParams), each
+    summed over the batch, and a (B, T, d) array of gradients w.r.t. the
+    inputs.
     """
     gh = np.asarray(grad_h, dtype=np.float64)
     if gh.shape != trace.h.shape:
         raise ShapeMismatchError(f"grad_h shape {gh.shape} != trace shape {trace.h.shape}")
-    steps, hd = gh.shape
-    h_prev_rows = np.vstack([np.zeros((1, hd)), trace.h[:-1]])
-    da_r = np.empty((steps, hd))
-    da_z = np.empty((steps, hd))
-    da_h = np.empty((steps, hd))
-    carry = np.zeros(hd)
+    batch, steps, hd = gh.shape
+    u_rz = np.concatenate([params.u_r, params.u_z])
+    da = np.empty((batch, steps, 3 * hd))  # pre-activation gradients [r, z, hhat]
+    g = gh[:, -1]
     for i in range(steps - 1, -1, -1):
-        g = gh[i] + carry
-        h_prev = h_prev_rows[i]
-        r_i, z_i, c_i = trace.r[i], trace.z[i], trace.hhat[i]
-        dc = g * z_i
-        dz = g * (c_i - h_prev)
-        dh_prev = g * (1.0 - z_i)
-        dah = dc * (1.0 - c_i * c_i)
-        dgated = params.u_h.T @ dah  # gradient w.r.t. h_prev * r
-        dh_prev += dgated * r_i
-        dr = dgated * h_prev
-        dar = dr * r_i * (1.0 - r_i)
-        daz = dz * z_i * (1.0 - z_i)
-        dh_prev += params.u_r.T @ dar + params.u_z.T @ daz
-        da_r[i], da_z[i], da_h[i] = dar, daz, dah
-        carry = dh_prev
+        r_i, z_i, c_i = trace.r[:, i], trace.z[:, i], trace.hhat[:, i]
+        da[:, i, 2 * hd:] = dah = g * z_i * (1.0 - c_i * c_i)
+        if i == 0:  # h_0 = 0 is a constant: the reset gate gets no gradient
+            da[:, 0, :hd] = 0.0
+            da[:, 0, hd:2 * hd] = g * c_i * z_i * (1.0 - z_i)
+            break
+        h_prev = trace.h[:, i - 1]
+        da[:, i, hd:2 * hd] = g * (c_i - h_prev) * z_i * (1.0 - z_i)
+        dgated = dah @ params.u_h  # gradient w.r.t. h_prev * r
+        da[:, i, :hd] = dgated * h_prev * r_i * (1.0 - r_i)
+        g = gh[:, i - 1] + (g * (1.0 - z_i) + dgated * r_i + da[:, i, :2 * hd] @ u_rz)
+    rows = batch * steps
+    dw = da.reshape(rows, 3 * hd).T @ trace.inputs.reshape(rows, -1)
+    # h_prev = 0 at the first step, so only later steps reach the U matrices.
+    later = da[:, 1:].reshape(-1, 3 * hd)
+    h_prev = trace.h[:, :-1].reshape(-1, hd)
+    du_rz = later[:, :2 * hd].T @ h_prev
     grads = GruParams(
-        w_r=da_r.T @ trace.inputs,
-        w_z=da_z.T @ trace.inputs,
-        w_h=da_h.T @ trace.inputs,
-        u_r=da_r.T @ h_prev_rows,
-        u_z=da_z.T @ h_prev_rows,
-        u_h=da_h.T @ (h_prev_rows * trace.r),
+        w_r=dw[:hd], w_z=dw[hd:2 * hd], w_h=dw[2 * hd:],
+        u_r=du_rz[:hd], u_z=du_rz[hd:],
+        u_h=later[:, 2 * hd:].T @ (h_prev * trace.r[:, 1:].reshape(-1, hd)),
     )
-    dx = da_r @ params.w_r + da_z @ params.w_z + da_h @ params.w_h
-    return grads, dx
+    dx = da.reshape(rows, 3 * hd) @ np.concatenate([params.w_r, params.w_z, params.w_h])
+    return grads, dx.reshape(batch, steps, -1)
 
 
 @dataclass

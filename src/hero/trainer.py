@@ -250,15 +250,17 @@ def _rank_auc(labels, scores) -> float | None:
 def compute_metrics(labels, scores, threshold: float = 0.5) -> MetricsReport:
     """Metrics from gold labels and fake-probabilities.
 
-    Predictions use ``score >= threshold``. Macro-F1 averages the two
-    per-class F1 values (0 when a class has an empty denominator); micro-F1
-    pools counts over both classes, which for single-label binary data
-    equals accuracy.
+    Predictions use ``score >= threshold``; a NaN score, which has no rank,
+    raises ValueError. Macro-F1 averages the two per-class F1 values (0 when
+    a class has an empty denominator); micro-F1 pools counts over both
+    classes, which for single-label binary data equals accuracy.
     """
     if len(labels) == 0:
         raise EmptyEvalSetError("no documents to evaluate")
     if len(labels) != len(scores):
         raise ValueError("labels and scores differ in length")
+    if any(math.isnan(s) for s in scores):
+        raise ValueError("scores contain NaN, which has no rank")
     tp = fp = tn = fn = 0
     for y, s in zip(labels, scores):
         pred = 1 if s >= threshold else 0

@@ -159,6 +159,18 @@ def test_corrupt_model_is_io_error(workspace, tmp_path, capsys):
     ]) == 2
 
 
+def test_non_finite_model_is_io_error(workspace, tmp_path, capsys):
+    doc = json.loads(workspace["model"].read_text())
+    doc["classifier"]["W"][0][0] = float("nan")
+    bad = tmp_path / "nan_model.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert run([
+        "predict", "--model", str(bad), "--embeddings", str(workspace["emb"]),
+        "--tree", str(workspace["tree"]),
+    ]) == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numeric_failure_exit_code(workspace, tmp_path, capsys):
     emb = tmp_path / "huge.txt"

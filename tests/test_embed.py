@@ -5,7 +5,7 @@ from hero.embed import (
     DimMismatchError, EmbeddingParseError, EmbeddingTable, EmptyFileError,
     embed_leaves, load_table, lookup,
 )
-from hero.ling_tree import parse_sexpr
+from hero.ling_tree import leaf_words, parse_sexpr
 from hero.synthetic import random_embedding_table, random_tree
 
 
@@ -92,14 +92,14 @@ class TestEmbedLeaves:
         res = embed_leaves(table, tree)
         assert len(res.vectors) == 2
         assert res.oov == 0
+        np.testing.assert_array_equal(res.vectors, [[1.0, 2.0], [3.0, 4.0]])  # document order
 
     def test_all_oov_counts_leaves(self):
         table = EmbeddingTable(2, {"unrelated": np.array([9.0, 9.0])})
         tree = parse_sexpr("(EDU (S (NP (NNP Obama)) (VP (VBD spoke))))")
         res = embed_leaves(table, tree)
         assert res.oov == 2
-        for vec in res.vectors.values():
-            np.testing.assert_array_equal(vec, [0.0, 0.0])
+        np.testing.assert_array_equal(res.vectors, np.zeros((2, 2)))
 
     def test_generated_tree_vectors_match_generator_table(self):
         rng = np.random.default_rng(12)
@@ -109,5 +109,5 @@ class TestEmbedLeaves:
         res = embed_leaves(table, gen.tree)
         assert len(res.vectors) == len(gen.words)
         assert res.oov == 0
-        for node, vec in res.vectors.items():
-            np.testing.assert_array_equal(vec, table.vectors[node.label])
+        for word, vec in zip(leaf_words(gen.tree), res.vectors, strict=True):
+            np.testing.assert_array_equal(vec, table.vectors[word])

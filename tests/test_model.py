@@ -6,13 +6,13 @@ import pytest
 
 from hero import nn
 from hero.embed import EmbeddingTable
-from hero.ling_tree import parse_sexpr
+from hero.ling_tree import LingTree, NodeKind, TreeNode, edu_nodes, leaf_words, parse_sexpr, post_order
 from hero.model import (
     AblationMode, AttributeVocab, CorruptCheckpointError,
     DimMismatchError, DocumentEncoding, MissingTraceError,
     SharingMode, VersionMismatchError,
     DISCOURSE_KEY, SYNTAX_KEY, UNIFIED_KEY, UNK_RR, UNK_SYNTAX,
-    backward, copy_model, encode_document, gradient_check_model, init_model,
+    backward, compile_tree, copy_model, encode_document, gradient_check_model, init_model,
     load_model, param_count, params_to_vec, predict, registry_keys,
     save_model, select_aggregator, vec_to_params, zeros_like_model,
 )
@@ -20,6 +20,11 @@ from hero.synthetic import gradcheck_fixture, random_embedding_table, random_tre
 from reference import encode_reference
 
 TWO_EDU = "(NS-elaboration (EDU (S (NP (NNP a)) (VP (VBZ runs)))) (EDU (NP (DT the) (NN end))))"
+
+
+def row_of(tree, node):
+    """A node's row in the encoder's node matrix: its post-order index."""
+    return post_order(tree.root).index(node)
 
 
 def make_model(mode, ablation=AblationMode.FULL, d=8, seed=0, trees=(), random_classifier=True):
@@ -101,12 +106,12 @@ class TestEncode:
         table = random_embedding_table(rng, ["word"], 8)
         enc = encode_document(m, tree, table)
         pair = m.registry[UNIFIED_KEY]
-        x_word = table.vectors["word"][None, :]
+        x_word = table.vectors["word"][None, None, :]
         fwd = nn.gru_forward(pair.fwd, x_word)
         bwd = nn.gru_forward(pair.bwd, x_word)
         pos_node = tree.root.children[0]
         np.testing.assert_array_equal(
-            enc.node_x[pos_node], np.concatenate([fwd.h[0], bwd.h[0]])
+            enc.vectors[row_of(tree, pos_node)], np.concatenate([fwd.h[0, 0], bwd.h[0, 0]])
         )
 
     def test_matches_reference_on_three_edu_tree(self):
@@ -135,7 +140,7 @@ class TestEncode:
         rng = np.random.default_rng(3)
         table = random_embedding_table(rng, ["a", "runs"], 8)
         enc = encode_document(m, tree, table)
-        np.testing.assert_array_equal(enc.h_doc, enc.node_x[tree.root])
+        np.testing.assert_array_equal(enc.h_doc, enc.vectors[row_of(tree, tree.root)])
 
     def test_no_discourse_on_single_edu_matches_full(self):
         tree = parse_sexpr("(EDU (S (NP (NNP a)) (VP (VBZ runs))))")
@@ -182,18 +187,99 @@ class TestModeNesting:
             assert np.array_equal(h_unified, h_attr)
 
 
+def reversed_edus(tree):
+    """The same discourse skeleton with the EDUs in reverse document order."""
+    edus = iter(edu_nodes(tree)[::-1])
+
+    def rebuild(node):
+        if node.kind is NodeKind.EDU:
+            return next(edus)
+        return TreeNode(node.label, node.kind, tuple(rebuild(c) for c in node.children))
+
+    return LingTree(rebuild(tree.root))
+
+
+def reversed_root_children(tree):
+    root = tree.root
+    return LingTree(TreeNode(root.label, root.kind, root.children[::-1]))
+
+
+class TestStructureSensitivity:
+    """Word order inside the tree must reach h_doc: the batched encoder may
+    not scramble child order or GRU direction. Every variant also matches
+    the oracle, so the difference is the right one."""
+
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    @pytest.mark.parametrize("permute", [reversed_edus, reversed_root_children])
+    def test_reordering_changes_h_doc(self, mode, permute):
+        rng = np.random.default_rng(30)
+        gen = random_tree(rng, n_edus=4)
+        other = permute(gen.tree)
+        assert other.root.kind is NodeKind.RR and len(gen.tree.root.children) > 1
+        table = random_embedding_table(rng, gen.words, 8)
+        m = make_model(mode, trees=[gen.tree], seed=31)
+        h = encode_document(m, gen.tree, table).h_doc
+        h_other = encode_document(m, other, table).h_doc
+        assert np.max(np.abs(h - h_other)) > 1e-6
+        for tree, got in ((gen.tree, h), (other, h_other)):
+            np.testing.assert_allclose(got, encode_reference(m, tree, table), atol=1e-10)
+
+
+# Height 1 holds POS nodes under six labels; height 2 holds NP nodes with
+# one, two and three children and VP nodes with one; the EDUs sit at
+# heights 3 and 5 under the RR nodes.
+MIXED = (
+    "(NS-elaboration"
+    " (EDU (S (NP (DT the) (NN cat)) (VP (VBZ sits)) (PP (IN on) (NP (DT a) (JJ red) (NN mat)))))"
+    " (NN-joint (EDU (NP (NNS dogs))) (EDU (VP (VBZ barks)))))"
+)
+
+
+def internal_heights(tree):
+    height, out = {}, {}
+    for node in post_order(tree.root):
+        if node.kind is NodeKind.WORD:
+            height[node] = 0
+            continue
+        height[node] = 1 + max(height[c] for c in node.children)
+        out.setdefault(height[node], []).append(node)
+    return out
+
+
+class TestMixedGroups:
+    def test_fixture_mixes_counts_and_labels_within_a_height(self):
+        tree = parse_sexpr(MIXED)
+        by_height = internal_heights(tree)
+        assert len({len(n.children) for n in by_height[2]}) > 1
+        assert len({n.label for n in by_height[1]}) > 1
+        m = make_model(SharingMode.ATTRIBUTE_SPECIFIC, trees=[tree])
+        schedule = compile_tree(tree, m.mode, m.ablation, m.vocab)
+        assert sum(len(g.parents) for g in schedule.groups) == sum(map(len, by_height.values()))
+        assert len(schedule.groups) > len(by_height)
+
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    def test_matches_reference_and_gradcheck(self, mode):
+        tree = parse_sexpr(MIXED)
+        rng = np.random.default_rng(32)
+        table = random_embedding_table(rng, leaf_words(tree), 4)
+        m = make_model(mode, d=4, trees=[tree], seed=33)
+        enc = encode_document(m, tree, table)
+        np.testing.assert_allclose(enc.h_doc, encode_reference(m, tree, table), atol=1e-10)
+        assert gradient_check_model(m, tree, table, y=1) < 1e-4
+
+
 class TestPredict:
     def test_zero_classifier_is_half(self):
         tree = parse_sexpr(TWO_EDU)
         m = make_model(SharingMode.UNIFIED, trees=[tree], random_classifier=False)
-        enc = DocumentEncoding(np.zeros(8), tree, {}, {})
+        enc = DocumentEncoding(np.zeros(8), None, None, [])
         assert predict(m, enc) == 0.5
 
     def test_bias_only_logits(self):
         tree = parse_sexpr(TWO_EDU)
         m = make_model(SharingMode.UNIFIED, trees=[tree], random_classifier=False)
         m.classifier.b[:] = [0.0, 2.0]
-        enc = DocumentEncoding(np.zeros(8), tree, {}, {})
+        enc = DocumentEncoding(np.zeros(8), None, None, [])
         assert predict(m, enc) == pytest.approx(1.0 / (1.0 + math.exp(-2.0)), abs=1e-6)
 
     def test_probability_in_open_interval(self):
@@ -350,6 +436,21 @@ class TestCheckpoint:
         path = tmp_path / "other.json"
         path.write_text('{"hello": 1}')
         with pytest.raises(CorruptCheckpointError):
+            load_model(path)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [("classifier", "W"), ("classifier", "b"), ("registry", "NP", "fwd", "U_z")])
+    def test_non_finite_weight_rejected(self, tmp_path, where, value):
+        _, _, path = self.make(tmp_path)
+        doc = json.loads(path.read_text())
+        matrix = doc
+        for name in where:
+            matrix = matrix[name]
+        if isinstance(matrix[0], list):
+            matrix = matrix[0]
+        matrix[-1] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptCheckpointError, match="non-finite"):
             load_model(path)
 
     def test_registry_key_mismatch(self, tmp_path):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from hero.nn import (
     AdamState, ClassifierParams, GruParams, ShapeMismatchError,
     adam_step, finite_diff_check, gru_backward, gru_forward,
-    softmax_ce, softmax_ce_backward,
+    sigmoid, softmax_ce, softmax_ce_backward,
 )
 from reference import adam_reference, gru_sequence
 
@@ -26,33 +27,33 @@ class TestGruForward:
     def test_zero_params_fix_point(self):
         rng = np.random.default_rng(0)
         params = GruParams.zeros(6)
-        trace = gru_forward(params, rng.uniform(-2, 2, (4, 6)))
-        np.testing.assert_array_equal(trace.h, np.zeros((4, 3)))
+        trace = gru_forward(params, rng.uniform(-2, 2, (2, 4, 6)))
+        np.testing.assert_array_equal(trace.h, np.zeros((2, 4, 3)))
 
     def test_zero_input_zero_u_gives_half_gates(self):
         rng = np.random.default_rng(1)
         params = GruParams.zeros(6)
         for m in (params.w_r, params.w_z, params.w_h):
             m[...] = rng.uniform(-1, 1, m.shape)
-        trace = gru_forward(params, np.zeros((1, 6)))
-        np.testing.assert_allclose(trace.r[0], 0.5)
-        np.testing.assert_allclose(trace.z[0], 0.5)
-        np.testing.assert_array_equal(trace.h[0], np.zeros(3))
+        trace = gru_forward(params, np.zeros((1, 1, 6)))
+        np.testing.assert_allclose(trace.r[0, 0], 0.5)
+        np.testing.assert_allclose(trace.z[0, 0], 0.5)
+        np.testing.assert_array_equal(trace.h[0, 0], np.zeros(3))
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(2)
         params = GruParams.init(4, rng)
         inputs = rng.uniform(-1, 1, (3, 4))
-        trace = gru_forward(params, inputs)
+        trace = gru_forward(params, inputs[None])
         expected = gru_sequence(
             tuple(m.tolist() for m in params.matrices()), inputs.tolist()
         )
-        np.testing.assert_allclose(trace.h, expected, atol=1e-12)
+        np.testing.assert_allclose(trace.h[0], expected, atol=1e-12)
 
     def test_pure_and_deterministic(self):
         rng = np.random.default_rng(3)
         params = GruParams.init(8, rng)
-        inputs = rng.uniform(-1, 1, (5, 8))
+        inputs = rng.uniform(-1, 1, (2, 5, 8))
         a = gru_forward(params, inputs)
         b = gru_forward(params, inputs)
         assert np.array_equal(a.h, b.h)
@@ -60,9 +61,13 @@ class TestGruForward:
     def test_shape_errors(self):
         params = GruParams.zeros(6)
         with pytest.raises(ShapeMismatchError):
-            gru_forward(params, np.zeros((2, 5)))
+            gru_forward(params, np.zeros((1, 2, 5)))
         with pytest.raises(ShapeMismatchError):
-            gru_forward(params, np.zeros((0, 6)))
+            gru_forward(params, np.zeros((1, 0, 6)))
+        with pytest.raises(ShapeMismatchError):
+            gru_forward(params, np.zeros((0, 2, 6)))
+        with pytest.raises(ShapeMismatchError):
+            gru_forward(params, np.zeros((2, 6)))
 
 
 def gru_loss_and_grads(params, inputs, weights):
@@ -77,18 +82,18 @@ class TestGruBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(4)
         params = GruParams.init(6, rng)
-        trace = gru_forward(params, rng.uniform(-1, 1, (3, 6)))
-        grads, dx = gru_backward(params, trace, np.zeros((3, 3)))
+        trace = gru_forward(params, rng.uniform(-1, 1, (2, 3, 6)))
+        grads, dx = gru_backward(params, trace, np.zeros((2, 3, 3)))
         for m in grads.matrices():
             np.testing.assert_array_equal(m, np.zeros_like(m))
-        np.testing.assert_array_equal(dx, np.zeros((3, 6)))
+        np.testing.assert_array_equal(dx, np.zeros((2, 3, 6)))
 
     @pytest.mark.parametrize("d,steps,bound", [(2, 1, 1e-6), (8, 5, 1e-4)])
     def test_param_grads_match_finite_differences(self, d, steps, bound):
         rng = np.random.default_rng(5)
         params = GruParams.init(d, rng)
-        inputs = rng.uniform(-1, 1, (steps, d))
-        weights = rng.uniform(-1, 1, (steps, d // 2))
+        inputs = rng.uniform(-1, 1, (1, steps, d))
+        weights = rng.uniform(-1, 1, (1, steps, d // 2))
         _, grads, _ = gru_loss_and_grads(params, inputs, weights)
 
         work = params.copy()
@@ -103,12 +108,12 @@ class TestGruBackward:
     def test_input_grads_match_finite_differences(self):
         rng = np.random.default_rng(6)
         params = GruParams.init(6, rng)
-        inputs = rng.uniform(-1, 1, (4, 6))
-        weights = rng.uniform(-1, 1, (4, 3))
+        inputs = rng.uniform(-1, 1, (1, 4, 6))
+        weights = rng.uniform(-1, 1, (1, 4, 3))
         _, _, dx = gru_loss_and_grads(params, inputs, weights)
 
         def f(vec):
-            return float((gru_forward(params, vec.reshape(4, 6)).h * weights).sum())
+            return float((gru_forward(params, vec.reshape(1, 4, 6)).h * weights).sum())
 
         err = finite_diff_check(f, inputs.ravel(), dx.ravel())
         assert err < 1e-6
@@ -116,9 +121,43 @@ class TestGruBackward:
     def test_grad_h_shape_checked(self):
         rng = np.random.default_rng(7)
         params = GruParams.init(6, rng)
-        trace = gru_forward(params, rng.uniform(-1, 1, (3, 6)))
+        trace = gru_forward(params, rng.uniform(-1, 1, (1, 3, 6)))
         with pytest.raises(ShapeMismatchError):
-            gru_backward(params, trace, np.zeros((2, 3)))
+            gru_backward(params, trace, np.zeros((1, 2, 3)))
+
+
+class TestGruBatch:
+    def test_rows_are_bit_identical_to_single_runs(self):
+        rng = np.random.default_rng(20)
+        params = GruParams.init(100, rng)
+        inputs = rng.uniform(-1, 1, (7, 3, 100))
+        batch = gru_forward(params, inputs)
+        assert len(batch) == 7 * 3
+        for b in range(7):
+            alone = gru_forward(params, inputs[b:b + 1])
+            np.testing.assert_array_equal(batch.h[b], alone.h[0])
+
+    def test_backward_sums_per_sequence_gradients(self):
+        rng = np.random.default_rng(21)
+        params = GruParams.init(8, rng)
+        inputs = rng.uniform(-1, 1, (4, 3, 8))
+        weights = rng.uniform(-1, 1, (4, 3, 4))
+        _, grads, dx = gru_loss_and_grads(params, inputs, weights)
+        total = [np.zeros_like(m) for m in params.matrices()]
+        for b in range(4):
+            _, g, dx_b = gru_loss_and_grads(params, inputs[b:b + 1], weights[b:b + 1])
+            for acc, m in zip(total, g.matrices()):
+                acc += m
+            np.testing.assert_allclose(dx[b], dx_b[0], atol=1e-14)
+        for got, want in zip(grads.matrices(), total):
+            np.testing.assert_allclose(got, want, atol=1e-13)
+
+
+def test_sigmoid_saturates_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = sigmoid(np.array([-1000.0, 0.0, 1000.0]))
+    np.testing.assert_array_equal(out, [0.0, 0.5, 1.0])
 
 
 class TestSoftmaxCe:

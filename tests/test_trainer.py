@@ -74,6 +74,11 @@ class TestMetrics:
         with pytest.raises(EmptyEvalSetError):
             compute_metrics([], [])
 
+    @pytest.mark.parametrize("scores", [[0.9, math.nan, 0.2, 0.1], [math.nan, 0.9, 0.2, 0.1]])
+    def test_nan_score_rejected(self, scores):
+        with pytest.raises(ValueError, match="NaN"):
+            compute_metrics([1, 0, 1, 0], scores)
+
     def test_matches_quadratic_reference(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
