@@ -19,7 +19,8 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -99,12 +100,45 @@ class BiGruParams:
 
 @dataclass
 class ModelParams:
+    """Every learnable weight lives in ``flat``, one float64 vector (zeros
+    when not given). ``registry`` and ``classifier`` are views into it, laid
+    out in registry-key order, each key's ``fwd`` then ``bwd`` GRU as
+    w_r w_z w_h u_r u_z u_h, then the classifier's W and b; a write through
+    either side is seen by the other."""
+
     d: int
     mode: SharingMode
     ablation: AblationMode
     vocab: AttributeVocab
-    registry: dict[str, BiGruParams]
-    classifier: nn.ClassifierParams
+    flat: np.ndarray | None = None
+    registry: dict[str, BiGruParams] = field(init=False)
+    classifier: nn.ClassifierParams = field(init=False)
+
+    def __post_init__(self):
+        keys = registry_keys(self.mode, self.vocab)
+        hd = self.d // 2
+        gru_shapes = [(hd, self.d)] * 3 + [(hd, hd)] * 3
+        size = 2 * len(keys) * 3 * hd * (self.d + hd) + 2 * self.d + 2
+        if self.flat is None:
+            self.flat = np.zeros(size)
+        if self.flat.shape != (size,) or self.flat.dtype != np.float64 or not self.flat.flags.c_contiguous:
+            raise nn.ShapeMismatchError(
+                f"flat parameters must be a contiguous float64 vector of {size}, "
+                f"got {self.flat.dtype} {self.flat.shape}"
+            )
+        offset = 0
+
+        def take(shape):
+            nonlocal offset
+            n = math.prod(shape)
+            offset += n
+            return self.flat[offset - n:offset].reshape(shape)
+
+        def gru():
+            return nn.GruParams(*(take(shape) for shape in gru_shapes))
+
+        self.registry = {key: BiGruParams(gru(), gru()) for key in keys}
+        self.classifier = nn.ClassifierParams(take((2, self.d)), take((2,)))
 
 
 def registry_keys(mode: SharingMode, vocab: AttributeVocab) -> list[str]:
@@ -132,12 +166,16 @@ def init_model(
         vocab = AttributeVocab()
     if rng is None:
         rng = np.random.default_rng(seed)
-    registry = {
-        key: BiGruParams(nn.GruParams.init(d, rng), nn.GruParams.init(d, rng))
-        for key in registry_keys(mode, vocab)
-    }
-    clf = nn.ClassifierParams.init(d, rng) if random_classifier else nn.ClassifierParams.zeros(d)
-    return ModelParams(d, mode, ablation, vocab, registry, clf)
+    params = ModelParams(d, mode, ablation, vocab)
+    for pair in params.registry.values():
+        for gru in (pair.fwd, pair.bwd):
+            for view, drawn in zip(gru.matrices(), nn.GruParams.init(d, rng).matrices()):
+                view[...] = drawn
+    if random_classifier:
+        clf = nn.ClassifierParams.init(d, rng)
+        params.classifier.w[...] = clf.w
+        params.classifier.b[...] = clf.b
+    return params
 
 
 def _aggregator_key(mode: SharingMode, keys, parent: TreeNode, child: TreeNode) -> str:
@@ -173,6 +211,10 @@ class Group:
     key: str
     parents: np.ndarray   # (B,) rows
     children: np.ndarray  # (B, k) rows, in document order
+    # Whether any child is itself a Bi-GRU node, i.e. the group is above
+    # height 1. Otherwise every child is a frozen word or a word mean, and
+    # the backward pass skips the children's gradient.
+    input_grad: bool
 
 
 @dataclass(frozen=True)
@@ -224,8 +266,8 @@ def compile_tree(
         children.extend(kids)
     # A stable sort by height keeps groups of one height in first-seen order.
     groups = [
-        Group(key, np.array(parents, dtype=np.intp), np.array(children, dtype=np.intp).reshape(-1, k))
-        for (_, key, k), (parents, children) in sorted(batches.items(), key=lambda item: item[0][0])
+        Group(key, np.array(parents, dtype=np.intp), np.array(children, dtype=np.intp).reshape(-1, k), h > 1)
+        for (h, key, k), (parents, children) in sorted(batches.items(), key=lambda item: item[0][0])
     ]
     if doc_kind is None:
         document = [len(nodes) - 1]
@@ -283,45 +325,35 @@ def predict(params: ModelParams, enc: DocumentEncoding) -> float:
     return p_fake
 
 
-def zeros_like_model(params: ModelParams) -> ModelParams:
-    """A parameter container of the same shape filled with zeros."""
-    registry = {
-        key: BiGruParams(nn.GruParams.zeros(params.d), nn.GruParams.zeros(params.d))
-        for key in params.registry
-    }
-    return ModelParams(
-        params.d, params.mode, params.ablation, params.vocab,
-        registry, nn.ClassifierParams.zeros(params.d),
-    )
-
-
 def copy_model(params: ModelParams) -> ModelParams:
-    registry = {key: pair.copy() for key, pair in params.registry.items()}
-    return ModelParams(
-        params.d, params.mode, params.ablation, params.vocab,
-        registry, params.classifier.copy(),
-    )
+    """An independent copy: a new flat buffer with its own views."""
+    return replace(params, flat=params.flat.copy())
 
 
-def _add_gru(acc: nn.GruParams, grads: nn.GruParams) -> None:
-    for a, g in zip(acc.matrices(), grads.matrices()):
-        a += g
-
-
-def backward(params: ModelParams, enc: DocumentEncoding, y: int) -> ModelParams:
+def backward(
+    params: ModelParams, enc: DocumentEncoding, y: int, out: ModelParams | None = None
+) -> ModelParams:
     """Gradients of the document's cross-entropy loss w.r.t. all parameters.
 
     Replays the schedule's groups in reverse, so contributions of a registry
     key used by several groups accumulate in a fixed order. Word-embedding
-    gradients are dropped (embeddings are frozen). The result reuses the
-    ModelParams container, holding gradients instead of weights.
+    gradients are dropped (embeddings are frozen). The result is a
+    ModelParams of the model's layout holding gradients instead of weights:
+    ``out``, zeroed and refilled, when given (a trainer reuses one buffer
+    across steps), else a new one.
     """
     schedule = enc.schedule
     if len(enc.traces) != len(schedule.groups):
         raise MissingTraceError(
             f"{len(enc.traces)} forward traces for {len(schedule.groups)} schedule groups"
         )
-    grads = zeros_like_model(params)
+    if out is None:
+        grads = replace(params, flat=np.zeros_like(params.flat))
+    elif out.flat.shape != params.flat.shape:
+        raise nn.ShapeMismatchError(f"gradient buffer {out.flat.shape} vs parameters {params.flat.shape}")
+    else:
+        grads = out
+        grads.flat.fill(0.0)
     dw, db, dh = nn.softmax_ce_backward(params.classifier, enc.h_doc, y)
     grads.classifier.w += dw
     grads.classifier.b += db
@@ -333,41 +365,19 @@ def backward(params: ModelParams, enc: DocumentEncoding, y: int) -> ModelParams:
         up = d_vectors[group.parents] / group.children.shape[1]
         pair = params.registry[group.key]
         acc = grads.registry[group.key]
-        g_fwd, dx_fwd = nn.gru_backward(pair.fwd, fwd, np.broadcast_to(up[:, None, :hd], fwd.h.shape))
-        g_bwd, dx_bwd = nn.gru_backward(pair.bwd, bwd, np.broadcast_to(up[:, None, hd:], bwd.h.shape))
-        _add_gru(acc.fwd, g_fwd)
-        _add_gru(acc.bwd, g_bwd)
-        d_vectors[group.children] += dx_fwd + dx_bwd[:, ::-1]
+        g_fwd, dx_fwd = nn.gru_backward(
+            pair.fwd, fwd, np.broadcast_to(up[:, None, :hd], fwd.h.shape), group.input_grad)
+        g_bwd, dx_bwd = nn.gru_backward(
+            pair.bwd, bwd, np.broadcast_to(up[:, None, hd:], bwd.h.shape), group.input_grad)
+        for a, g in zip(acc.fwd.matrices() + acc.bwd.matrices(), g_fwd.matrices() + g_bwd.matrices()):
+            a += g
+        if group.input_grad:
+            d_vectors[group.children] += dx_fwd + dx_bwd[:, ::-1]
     return grads
 
 
-def _param_arrays(params: ModelParams):
-    """All learnable tensors in a fixed, documented order."""
-    for key in params.registry:
-        pair = params.registry[key]
-        for gru in (pair.fwd, pair.bwd):
-            yield from gru.matrices()
-    yield params.classifier.w
-    yield params.classifier.b
-
-
 def param_count(params: ModelParams) -> int:
-    return sum(a.size for a in _param_arrays(params))
-
-
-def params_to_vec(params: ModelParams) -> np.ndarray:
-    return np.concatenate([a.ravel() for a in _param_arrays(params)])
-
-
-def vec_to_params(params: ModelParams, vec: np.ndarray) -> None:
-    """Write a flat vector back into the model's tensors, in place."""
-    vec = np.asarray(vec, dtype=np.float64)
-    if vec.size != param_count(params):
-        raise nn.ShapeMismatchError(f"vector size {vec.size} != parameter count {param_count(params)}")
-    offset = 0
-    for a in _param_arrays(params):
-        a[...] = vec[offset:offset + a.size].reshape(a.shape)
-        offset += a.size
+    return params.flat.size
 
 
 def gradient_check_model(
@@ -389,12 +399,12 @@ def gradient_check_model(
     work = copy_model(params)
 
     def loss_at(vec: np.ndarray) -> float:
-        vec_to_params(work, vec)
+        work.flat[...] = vec
         e = encode_document(work, tree, table)
         _, loss = nn.softmax_ce(work.classifier, e.h_doc, y)
         return loss
 
-    return nn.finite_diff_check(loss_at, params_to_vec(params), params_to_vec(grads), step)
+    return nn.finite_diff_check(loss_at, params.flat, grads.flat, step)
 
 
 def _gru_to_lists(gru: nn.GruParams) -> dict:
@@ -404,20 +414,15 @@ def _gru_to_lists(gru: nn.GruParams) -> dict:
     }
 
 
-def _gru_from_lists(doc: dict, d: int) -> nn.GruParams:
-    hd = d // 2
-    shapes = {"W_r": (hd, d), "W_z": (hd, d), "W_h": (hd, d),
-              "U_r": (hd, hd), "U_z": (hd, hd), "U_h": (hd, hd)}
-    mats = {}
-    for name, shape in shapes.items():
+def _gru_from_lists(doc: dict, gru: nn.GruParams) -> None:
+    """Check the six stored matrices and copy them into ``gru``'s views."""
+    for name, view in zip(("W_r", "W_z", "W_h", "U_r", "U_z", "U_h"), gru.matrices()):
         arr = np.array(doc[name], dtype=np.float64)
-        if arr.shape != shape:
-            raise CorruptCheckpointError(f"matrix {name} has shape {arr.shape}, expected {shape}")
+        if arr.shape != view.shape:
+            raise CorruptCheckpointError(f"matrix {name} has shape {arr.shape}, expected {view.shape}")
         if not np.isfinite(arr).all():
             raise CorruptCheckpointError(f"matrix {name} holds a non-finite value")
-        mats[name] = arr
-    return nn.GruParams(mats["W_r"], mats["W_z"], mats["W_h"],
-                        mats["U_r"], mats["U_z"], mats["U_h"])
+        view[...] = arr
 
 
 def save_model(params: ModelParams, path) -> None:
@@ -459,6 +464,8 @@ def load_model(path) -> ModelParams:
         mode = SharingMode(doc["mode"])
         ablation = AblationMode(doc["ablation"])
         d = int(doc["d"])
+        if d <= 0 or d % 2:
+            raise CorruptCheckpointError(f"embedding width must be a positive even integer, got {d}")
         vocab = AttributeVocab(
             tuple(doc["attribute_vocab"]["syntax"]),
             tuple(doc["attribute_vocab"]["rr"]),
@@ -467,20 +474,20 @@ def load_model(path) -> ModelParams:
         stored = doc["registry"]
         if sorted(stored) != sorted(expected):
             raise CorruptCheckpointError("registry keys do not match mode and vocabulary")
-        registry = {
-            key: BiGruParams(_gru_from_lists(stored[key]["fwd"], d),
-                             _gru_from_lists(stored[key]["bwd"], d))
-            for key in expected
-        }
+        params = ModelParams(d, mode, ablation, vocab)
+        for key, pair in params.registry.items():
+            _gru_from_lists(stored[key]["fwd"], pair.fwd)
+            _gru_from_lists(stored[key]["bwd"], pair.bwd)
         w = np.array(doc["classifier"]["W"], dtype=np.float64)
         b = np.array(doc["classifier"]["b"], dtype=np.float64)
         if w.shape != (2, d) or b.shape != (2,):
             raise CorruptCheckpointError(f"classifier shapes {w.shape}, {b.shape} do not match d={d}")
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise CorruptCheckpointError("classifier holds a non-finite value")
-        clf = nn.ClassifierParams(w, b)
+        params.classifier.w[...] = w
+        params.classifier.b[...] = b
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, (CorruptCheckpointError, VersionMismatchError)):
             raise
         raise CorruptCheckpointError(f"malformed checkpoint {path}: {exc}") from exc
-    return ModelParams(d, mode, ablation, vocab, registry, clf)
+    return params

@@ -20,7 +20,7 @@ depend on the other rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -139,13 +139,13 @@ def gru_forward(params: GruParams, inputs) -> GruTrace:
 
 
 def gru_backward(
-    params: GruParams, trace: GruTrace, grad_h
-) -> tuple[GruParams, np.ndarray]:
+    params: GruParams, trace: GruTrace, grad_h, input_grad: bool = True
+) -> tuple[GruParams, np.ndarray | None]:
     """Exact reverse-mode pass given an upstream gradient for every h_i.
 
     Returns gradients for the six matrices (packed in a GruParams), each
     summed over the batch, and a (B, T, d) array of gradients w.r.t. the
-    inputs.
+    inputs, or None without ``input_grad`` (inputs that are constants).
     """
     gh = np.asarray(grad_h, dtype=np.float64)
     if gh.shape != trace.h.shape:
@@ -177,6 +177,8 @@ def gru_backward(
         u_r=du_rz[:hd], u_z=du_rz[hd:],
         u_h=later[:, 2 * hd:].T @ (h_prev * trace.r[:, 1:].reshape(-1, hd)),
     )
+    if not input_grad:
+        return grads, None
     dx = da.reshape(rows, 3 * hd) @ np.concatenate([params.w_r, params.w_z, params.w_h])
     return grads, dx.reshape(batch, steps, -1)
 
@@ -229,9 +231,15 @@ def softmax_ce_backward(
     return np.outer(dlogits, h), dlogits, clf.w.T @ dlogits
 
 
+# Elements per slice of an Adam step: the slice of each operand and the two
+# scratch slices stay in cache between the step's elementwise operations.
+ADAM_BLOCK = 16384
+
+
 @dataclass
 class AdamState:
-    """Moment accumulators for one flat parameter vector."""
+    """Moment accumulators for one flat parameter vector, plus the scratch
+    that adam_step reuses from step to step."""
 
     lr: float
     beta1: float = 0.9
@@ -240,25 +248,57 @@ class AdamState:
     t: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
+    scratch: np.ndarray | None = field(default=None, repr=False)
 
 
-def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:
-    """One bias-corrected Adam update; returns the new parameter vector."""
-    p = np.asarray(params, dtype=np.float64)
+def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> None:
+    """One bias-corrected Adam update of ``params``, in place.
+
+    ``params`` must be a contiguous float64 array; the moments live in
+    ``state``. The vector is updated slice by slice, each slice with the
+    elementwise operations, in the order, of
+
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        params -= lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
+
+    so the result is bit-identical to evaluating those whole-vector
+    expressions, without allocating full-size temporaries.
+    """
+    if not (isinstance(params, np.ndarray) and params.dtype == np.float64
+            and params.flags.c_contiguous and params.flags.writeable):
+        raise TypeError("params must be a writeable, contiguous float64 array")
     g = np.asarray(grads, dtype=np.float64)
-    if p.shape != g.shape:
-        raise ShapeMismatchError(f"params {p.shape} vs grads {g.shape}")
+    if params.shape != g.shape:
+        raise ShapeMismatchError(f"params {params.shape} vs grads {g.shape}")
+    p, g = params.reshape(-1), g.reshape(-1)
     if state.m is None:
         state.m = np.zeros_like(p)
         state.v = np.zeros_like(p)
+        state.scratch = np.empty((2, min(ADAM_BLOCK, p.size)))
     elif state.m.shape != p.shape:
         raise ShapeMismatchError(f"moment shape {state.m.shape} vs params {p.shape}")
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    return p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
+    for start in range(0, p.size, ADAM_BLOCK):
+        cut = slice(start, start + ADAM_BLOCK)
+        m, v, gs, ps = state.m[cut], state.v[cut], g[cut], p[cut]
+        a, b = state.scratch[:, :ps.size]
+        m *= b1
+        np.multiply(gs, 1.0 - b1, out=a)
+        m += a
+        v *= b2
+        np.multiply(gs, 1.0 - b2, out=a)
+        a *= gs
+        v += a
+        np.divide(v, c2, out=a)  # sqrt(v_hat) + eps
+        np.sqrt(a, out=a)
+        a += eps
+        np.divide(m, c1, out=b)  # lr * m_hat
+        b *= lr
+        b /= a
+        ps -= b
 
 
 def finite_diff_check(

@@ -20,7 +20,7 @@ from .embed import EmbeddingTable
 from .ling_tree import LingTree, TreeError, parse_sexpr
 from .model import (
     AblationMode, AttributeVocab, ModelParams, SharingMode,
-    backward, copy_model, encode_document, init_model, params_to_vec, vec_to_params,
+    backward, copy_model, encode_document, init_model,
 )
 
 
@@ -349,13 +349,14 @@ def train(split: Split, config: TrainConfig, table: EmbeddingTable) -> tuple[Mod
     else:
         vocab = AttributeVocab()
     params = init_model(config.d, config.mode, config.ablation, vocab, rng=rng)
-    vec = params_to_vec(params)
     adam = nn.AdamState(lr=config.lr)
+    grads: ModelParams | None = None
 
     logs: list[EpochLog] = []
     best_epoch = 0
     best_score = -math.inf
-    best_params = copy_model(params)
+    # max_epochs >= 1 and scores are never NaN, so epoch 1 always sets it.
+    best_params: ModelParams | None = None
     for epoch in range(1, config.max_epochs + 1):
         if config.shuffle:
             order = rng.permutation(len(split.train))
@@ -368,9 +369,8 @@ def train(split: Split, config: TrainConfig, table: EmbeddingTable) -> tuple[Mod
             _, loss = nn.softmax_ce(params.classifier, enc.h_doc, doc.y)
             if not math.isfinite(loss) or not np.all(np.isfinite(enc.h_doc)):
                 raise NonFiniteLossError(epoch, doc.doc_id, f"loss={loss!r}")
-            grads = backward(params, enc, doc.y)
-            vec = nn.adam_step(adam, vec, params_to_vec(grads))
-            vec_to_params(params, vec)
+            grads = backward(params, enc, doc.y, out=grads)
+            nn.adam_step(adam, params.flat, grads.flat)
             total_loss += loss
         val = evaluate(params, split.val, table)
         logs.append(EpochLog(epoch, total_loss / len(split.train), val))

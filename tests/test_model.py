@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +10,12 @@ from hero.embed import EmbeddingTable
 from hero.ling_tree import LingTree, NodeKind, TreeNode, edu_nodes, leaf_words, parse_sexpr, post_order
 from hero.model import (
     AblationMode, AttributeVocab, CorruptCheckpointError,
-    DimMismatchError, DocumentEncoding, MissingTraceError,
+    DimMismatchError, DocumentEncoding, MissingTraceError, ModelParams,
     SharingMode, VersionMismatchError,
     DISCOURSE_KEY, SYNTAX_KEY, UNIFIED_KEY, UNK_RR, UNK_SYNTAX,
     backward, compile_tree, copy_model, encode_document, gradient_check_model, init_model,
-    load_model, param_count, params_to_vec, predict, registry_keys,
-    save_model, select_aggregator, vec_to_params, zeros_like_model,
+    load_model, param_count, predict, registry_keys,
+    save_model, select_aggregator,
 )
 from hero.synthetic import gradcheck_fixture, random_embedding_table, random_tree
 from reference import encode_reference
@@ -82,7 +83,7 @@ class TestRegistry:
         tree = parse_sexpr(TWO_EDU)
         a = make_model(SharingMode.ATTRIBUTE_SPECIFIC, trees=[tree], seed=5)
         b = make_model(SharingMode.ATTRIBUTE_SPECIFIC, trees=[tree], seed=5)
-        assert np.array_equal(params_to_vec(a), params_to_vec(b))
+        assert np.array_equal(a.flat, b.flat)
 
     def test_odd_dims_rejected(self):
         with pytest.raises(DimMismatchError):
@@ -93,7 +94,7 @@ class TestEncode:
     def test_zero_params_zero_document(self):
         tree = parse_sexpr(TWO_EDU)
         m = make_model(SharingMode.UNIFIED, trees=[tree], random_classifier=False)
-        vec_to_params(m, np.zeros(param_count(m)))
+        m.flat[...] = 0.0
         rng = np.random.default_rng(0)
         table = random_embedding_table(rng, ["a", "runs", "the", "end"], 8)
         enc = encode_document(m, tree, table)
@@ -352,6 +353,38 @@ class TestBackward:
                 shared = getattr(g_shared.registry["NP"], attr).matrices()[m_idx]
                 np.testing.assert_allclose(shared, total, atol=1e-12)
 
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    @pytest.mark.parametrize("ablation", list(AblationMode))
+    def test_skipped_input_gradients_leave_parameter_gradients_bit_identical(self, mode, ablation):
+        rng = np.random.default_rng(14)
+        gen, table = gradcheck_fixture(rng, 8)
+        m = make_model(mode, ablation, trees=[gen.tree], seed=8)
+        enc = encode_document(m, gen.tree, table)
+        skipped = [g for g in enc.schedule.groups if not g.input_grad]
+        if ablation is not AblationMode.NO_STRUCTURE:
+            assert skipped
+        gru_rows = {i for g in enc.schedule.groups for i in g.parents}
+        for g in enc.schedule.groups:
+            # The children's gradient is needed iff some child is a Bi-GRU node.
+            assert g.input_grad == any(c in gru_rows for c in g.children.ravel())
+        grads = backward(m, enc, 0)
+        enc.schedule = replace(enc.schedule, groups=[replace(g, input_grad=True) for g in enc.schedule.groups])
+        assert np.array_equal(backward(m, enc, 0).flat, grads.flat)
+
+    def test_reused_gradient_buffer_equals_a_fresh_one(self):
+        rng = np.random.default_rng(15)
+        first, table = gradcheck_fixture(rng, 8)
+        second = random_tree(rng, n_edus=2, vocab=tuple(first.words))
+        m = make_model(SharingMode.ATTRIBUTE_SPECIFIC, trees=[first.tree, second.tree], seed=5)
+        buf = backward(m, encode_document(m, first.tree, table), 1)
+        fresh = backward(m, encode_document(m, second.tree, table), 0)
+        reused = backward(m, encode_document(m, second.tree, table), 0, out=buf)
+        assert reused is buf
+        assert np.array_equal(reused.flat, fresh.flat)
+        other = make_model(SharingMode.UNIFIED)
+        with pytest.raises(nn.ShapeMismatchError):
+            backward(m, encode_document(m, first.tree, table), 1, out=other)
+
     def test_missing_trace_raises(self):
         tree = parse_sexpr(TWO_EDU)
         rng = np.random.default_rng(11)
@@ -408,7 +441,7 @@ class TestCheckpoint:
         h_before = encode_document(m, tree, table).h_doc
         h_after = encode_document(loaded, tree, table).h_doc
         assert np.array_equal(h_before, h_after)
-        assert np.array_equal(params_to_vec(m), params_to_vec(loaded))
+        assert np.array_equal(m.flat, loaded.flat)
         assert loaded.mode is m.mode and loaded.ablation is m.ablation
 
     def test_save_is_deterministic(self, tmp_path):
@@ -453,6 +486,15 @@ class TestCheckpoint:
         with pytest.raises(CorruptCheckpointError, match="non-finite"):
             load_model(path)
 
+    @pytest.mark.parametrize("d", [0, -8, 7])
+    def test_bad_width_rejected(self, tmp_path, d):
+        _, _, path = self.make(tmp_path)
+        doc = json.loads(path.read_text())
+        doc["d"] = d
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptCheckpointError):
+            load_model(path)
+
     def test_registry_key_mismatch(self, tmp_path):
         _, _, path = self.make(tmp_path)
         doc = json.loads(path.read_text())
@@ -462,15 +504,56 @@ class TestCheckpoint:
             load_model(path)
 
 
-def test_zeros_like_and_vec_round_trip():
-    tree = parse_sexpr(TWO_EDU)
-    m = make_model(SharingMode.LEVEL_SPECIFIC, trees=[tree], seed=2)
-    z = zeros_like_model(m)
-    assert param_count(z) == param_count(m)
-    assert np.abs(params_to_vec(z)).max() == 0.0
-    vec = params_to_vec(m)
-    c = copy_model(m)
-    vec_to_params(c, np.zeros_like(vec))
-    assert np.abs(params_to_vec(c)).max() == 0.0
-    vec_to_params(c, vec)
-    assert np.array_equal(params_to_vec(c), vec)
+def layout_views(m):
+    """The registry and classifier views in the documented flat order."""
+    for pair in m.registry.values():
+        for gru in (pair.fwd, pair.bwd):
+            yield from gru.matrices()
+    yield m.classifier.w
+    yield m.classifier.b
+
+
+class TestFlatLayout:
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    @pytest.mark.parametrize("random_classifier", [False, True])
+    def test_init_equals_sequential_per_matrix_draws(self, mode, random_classifier):
+        tree = parse_sexpr(TWO_EDU)
+        m = make_model(mode, trees=[tree], seed=4, random_classifier=random_classifier)
+        rng = np.random.default_rng(4)
+        drawn = [mat for _ in range(2 * len(m.registry)) for mat in nn.GruParams.init(8, rng).matrices()]
+        clf = nn.ClassifierParams.init(8, rng) if random_classifier else nn.ClassifierParams.zeros(8)
+        expected = np.concatenate([a.ravel() for a in (*drawn, clf.w, clf.b)])
+        assert m.flat.dtype == np.float64
+        assert np.array_equal(m.flat, expected)
+
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    def test_writes_to_flat_are_seen_through_the_views(self, mode):
+        tree = parse_sexpr(TWO_EDU)
+        m = make_model(mode, trees=[tree], seed=6)
+        views = list(layout_views(m))
+        assert all(np.shares_memory(v, m.flat) for v in views)
+        assert sum(v.size for v in views) == param_count(m) == m.flat.size
+        m.flat[...] = np.arange(m.flat.size, dtype=np.float64)
+        assert np.array_equal(np.concatenate([v.ravel() for v in views]), m.flat)
+        m.classifier.b[1] = -1.0
+        assert m.flat[-1] == -1.0
+
+    def test_copy_and_load_own_their_buffers(self, tmp_path):
+        tree = parse_sexpr(TWO_EDU)
+        m = make_model(SharingMode.LEVEL_SPECIFIC, trees=[tree], seed=2)
+        vec = m.flat.copy()
+        path = tmp_path / "model.json"
+        save_model(m, path)
+        for other in (copy_model(m), load_model(path)):
+            assert np.array_equal(other.flat, vec)
+            assert not np.shares_memory(other.flat, m.flat)
+            other.flat[...] = 0.0
+            assert all(np.abs(v).max() == 0.0 for v in layout_views(other))
+            assert np.array_equal(m.flat, vec)
+            other.flat[...] = vec
+            assert np.array_equal(other.flat, vec)
+
+    def test_wrong_flat_size_rejected(self):
+        m = make_model(SharingMode.UNIFIED)
+        with pytest.raises(nn.ShapeMismatchError):
+            ModelParams(m.d, m.mode, m.ablation, m.vocab, np.zeros(m.flat.size - 1))

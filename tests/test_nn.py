@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from hero.nn import (
-    AdamState, ClassifierParams, GruParams, ShapeMismatchError,
+    ADAM_BLOCK, AdamState, ClassifierParams, GruParams, ShapeMismatchError,
     adam_step, finite_diff_check, gru_backward, gru_forward,
     sigmoid, softmax_ce, softmax_ce_backward,
 )
@@ -118,6 +119,17 @@ class TestGruBackward:
         err = finite_diff_check(f, inputs.ravel(), dx.ravel())
         assert err < 1e-6
 
+    def test_without_input_grad_param_grads_are_bit_identical(self):
+        rng = np.random.default_rng(8)
+        params = GruParams.init(6, rng)
+        trace = gru_forward(params, rng.uniform(-1, 1, (3, 4, 6)))
+        upstream = rng.uniform(-1, 1, (3, 4, 3))
+        grads, dx = gru_backward(params, trace, upstream)
+        only, none = gru_backward(params, trace, upstream, input_grad=False)
+        assert dx.shape == (3, 4, 6) and none is None
+        for a, b in zip(grads.matrices(), only.matrices()):
+            np.testing.assert_array_equal(a, b)
+
     def test_grad_h_shape_checked(self):
         rng = np.random.default_rng(7)
         params = GruParams.init(6, rng)
@@ -216,15 +228,16 @@ class TestAdam:
         params = rng.normal(size=12)
         grads = rng.choice([-1.0, 1.0], size=12) * rng.uniform(0.1, 2.0, 12)
         state = AdamState(lr=0.001)
-        updated = adam_step(state, params, grads)
-        np.testing.assert_allclose(updated - params, -0.001 * np.sign(grads), rtol=1e-4)
+        before = params.copy()
+        adam_step(state, params, grads)
+        np.testing.assert_allclose(params - before, -0.001 * np.sign(grads), rtol=1e-4)
         assert state.t == 1
 
     def test_zero_gradient_freezes_params_and_moments(self):
         state = AdamState(lr=0.01)
         params = np.array([1.0, -2.0])
-        updated = adam_step(state, params, np.zeros(2))
-        np.testing.assert_array_equal(updated, params)
+        adam_step(state, params, np.zeros(2))
+        np.testing.assert_array_equal(params, [1.0, -2.0])
         np.testing.assert_array_equal(state.m, np.zeros(2))
         np.testing.assert_array_equal(state.v, np.zeros(2))
         assert state.t == 1
@@ -236,7 +249,7 @@ class TestAdam:
         grad_history = []
         for _ in range(3):
             grad_history.append(2.0 * w[0])
-            w = adam_step(state, w, np.array([2.0 * w[0]]))
+            adam_step(state, w, np.array([2.0 * w[0]]))
             seen.append(w[0])
         expected = adam_reference(grad_history, lr=0.1, w0=1.0)
         np.testing.assert_allclose(seen, expected, atol=1e-12)
@@ -245,13 +258,54 @@ class TestAdam:
     def test_lr_zero_is_identity(self):
         state = AdamState(lr=0.0)
         params = np.array([3.0, -1.0])
-        updated = adam_step(state, params, np.array([5.0, -7.0]))
-        np.testing.assert_array_equal(updated, params)
+        adam_step(state, params, np.array([5.0, -7.0]))
+        np.testing.assert_array_equal(params, [3.0, -1.0])
 
     def test_shape_mismatch(self):
         state = AdamState(lr=0.1)
         with pytest.raises(ShapeMismatchError):
             adam_step(state, np.zeros(3), np.zeros(4))
+
+    @pytest.mark.parametrize("params", [
+        [1.0, 2.0], np.zeros(4, dtype=np.float32), np.zeros(8)[::2], np.broadcast_to(0.0, (4,)),
+    ])
+    def test_params_must_be_updatable_in_place(self, params):
+        with pytest.raises(TypeError):
+            adam_step(AdamState(lr=0.1), params, np.zeros(len(params)))
+
+    def test_equals_out_of_place_formula_bit_for_bit(self):
+        # Several slices plus a short last one; mostly-zero gradients, as
+        # for registry keys a document does not use.
+        rng = np.random.default_rng(3)
+        n = 2 * ADAM_BLOCK + 1234
+        params = rng.normal(size=n)
+        state = AdamState(lr=0.003)
+        p, m, v = params.copy(), np.zeros(n), np.zeros(n)
+        for t in range(1, 6):
+            g = np.where(rng.random(n) < 0.1, rng.normal(size=n), 0.0)
+            adam_step(state, params, g)
+            m = 0.9 * m + (1.0 - 0.9) * g
+            v = 0.999 * v + (1.0 - 0.999) * g * g
+            m_hat = m / (1.0 - 0.9 ** t)
+            v_hat = v / (1.0 - 0.999 ** t)
+            p = p - 0.003 * m_hat / (np.sqrt(v_hat) + 1e-8)
+            assert np.array_equal(params, p)
+            assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+
+    def test_step_allocates_less_than_one_parameter_vector(self):
+        n = 1_000_000
+        rng = np.random.default_rng(4)
+        params, grads = rng.normal(size=n), rng.normal(size=n)
+        state = AdamState(lr=0.001)
+        adam_step(state, params, grads)  # allocates the moments and scratch
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            adam_step(state, params, grads)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < params.nbytes, f"peak {peak} bytes"
 
 
 class TestFiniteDiffCheck:

@@ -1,12 +1,13 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from hero.embed import EmbeddingTable
 from hero.ling_tree import parse_sexpr
-from hero.model import AblationMode, SharingMode, params_to_vec, save_model
+from hero.model import AblationMode, SharingMode, save_model
 from hero.synthetic import marker_corpus
 from hero.trainer import (
     ConfigError, DatasetError, EmptyEvalSetError, LabeledDocument,
@@ -207,7 +208,7 @@ class TestTrain:
         params, report = train(split, cfg, table)
         fresh_cfg = TrainConfig(lr=0.0, max_epochs=1, seed=0, d=8)
         fresh, _ = train(split, fresh_cfg, table)
-        assert np.array_equal(params_to_vec(params), params_to_vec(fresh))
+        assert np.array_equal(params.flat, fresh.flat)
         losses = [log.train_loss for log in report.epochs]
         assert losses == [pytest.approx(losses[0], abs=1e-12)] * 3
 
@@ -244,6 +245,16 @@ class TestTrain:
         ]
         first_best = max(range(len(scores)), key=lambda i: (scores[i], -i)) + 1
         assert report.best_epoch == first_best
+
+    def test_best_epoch_snapshot_is_not_the_live_buffer(self):
+        # Training goes on past the best epoch; a snapshot that aliased the
+        # trained parameters would return the last epoch's weights instead.
+        split, table = quick_corpus(seed=2)
+        cfg = TrainConfig(lr=0.05, max_epochs=4, seed=2, d=8)
+        params, report = train(split, cfg, table)
+        assert report.best_epoch < cfg.max_epochs
+        stopped, _ = train(split, replace(cfg, max_epochs=report.best_epoch), table)
+        assert np.array_equal(params.flat, stopped.flat)
 
     def test_dim_mismatch_between_table_and_config(self):
         from hero.model import DimMismatchError
