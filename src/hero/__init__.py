@@ -1,9 +1,9 @@
 """Recursive neural document classification over hierarchical linguistic trees."""
 
-from .embed import EmbeddingTable, embed_leaves, load_table, lookup
+from .embed import EmbeddingTable, embed_leaves, load_table
 from .ling_tree import (
-    DiscourseView, Level, LingTree, NodeKind, TreeNode,
-    derive_views, leaf_words, parse_sexpr, serialize_sexpr, tree_equal,
+    Level, LingTree, NodeKind, TreeNode,
+    leaf_words, parse_sexpr, serialize_sexpr, tree_equal,
 )
 from .model import (
     AblationMode, AttributeVocab, DocumentEncoding, ModelParams, SharingMode,

@@ -22,7 +22,7 @@ from .embed import EmbeddingError, load_table
 from .ling_tree import TreeError, parse_sexpr
 from .model import (
     AblationMode, AttributeVocab, SharingMode,
-    CorruptCheckpointError, DimMismatchError, VersionMismatchError,
+    CorruptCheckpointError, VersionMismatchError,
     gradient_check_model, init_model, load_model, save_model,
 )
 from .stats import StatsError
@@ -197,8 +197,7 @@ def run(argv=None) -> int:
         return 3
     except (DatasetError, TreeError, EmbeddingError, ConfigError,
             CorruptCheckpointError, VersionMismatchError, StatsError,
-            TooFewDocumentsError, EmptyEvalSetError, DimMismatchError,
-            nn.ShapeMismatchError) as exc:
+            TooFewDocumentsError, EmptyEvalSetError, nn.ShapeMismatchError) as exc:
         _log(f"error: {exc}")
         return 2
     except OSError as exc:
@@ -208,7 +207,3 @@ def run(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(run())
-
-
-def main(argv=None) -> int:
-    return run(argv)

@@ -18,8 +18,11 @@ class EmbeddingError(ValueError):
 
 
 class DimMismatchError(EmbeddingError):
-    def __init__(self, line_no: int, expected: int, got: int):
-        super().__init__(f"line {line_no}: expected {expected} values, got {got}")
+    """A vector width that disagrees with the expected one: a table line
+    (``line_no`` set), a table against a model, or an invalid model width."""
+
+    def __init__(self, message: str, line_no: int | None = None):
+        super().__init__(message)
         self.line_no = line_no
 
 
@@ -67,7 +70,9 @@ def load_table(path, expected_dim: int) -> EmbeddingTable:
             parts = line.split()
             token, values = parts[0], parts[1:]
             if len(values) != expected_dim:
-                raise DimMismatchError(line_no, expected_dim, len(values))
+                raise DimMismatchError(
+                    f"line {line_no}: expected {expected_dim} values, got {len(values)}", line_no
+                )
             try:
                 vec = np.array(values, dtype=np.float64)
             except ValueError as exc:
@@ -80,14 +85,6 @@ def load_table(path, expected_dim: int) -> EmbeddingTable:
     if not vectors:
         raise EmptyFileError(f"no vectors in {path}")
     return EmbeddingTable(expected_dim, vectors, duplicates)
-
-
-def lookup(table: EmbeddingTable, token: str) -> np.ndarray:
-    """Total lookup: exact match, lowercased fallback, else the zero vector."""
-    vec = table.get(token)
-    if vec is None:
-        return np.zeros(table.dim)
-    return vec
 
 
 @dataclass

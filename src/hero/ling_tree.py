@@ -15,6 +15,7 @@ inside tokens and are kept verbatim, so serialization round-trips exactly.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -69,22 +70,11 @@ class TreeNode:
             return Level.DISCOURSE
         return Level.SYNTAX
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
 
 @dataclass(eq=False)
 class LingTree:
     root: TreeNode
     doc_id: str = ""
-
-
-@dataclass(eq=False)
-class DiscourseView:
-    """The tree pruned to RR and EDU nodes; EDUs become the leaves."""
-
-    root: TreeNode
 
 
 # Which child kinds each internal kind may carry.
@@ -121,23 +111,8 @@ def _check_children(label: str, kind: NodeKind, children: tuple[TreeNode, ...]) 
             )
 
 
-def _tokenize(text: str) -> list[str]:
-    tokens: list[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in "()":
-            tokens.append(ch)
-            i += 1
-        elif ch.isspace():
-            i += 1
-        else:
-            j = i
-            while j < n and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
+# A token is a parenthesis or a maximal run of anything else but whitespace.
+_tokenize = re.compile(r"[()]|[^\s()]+").findall
 
 
 def parse_sexpr(text: str, doc_id: str = "") -> LingTree:
@@ -255,24 +230,6 @@ def leaf_words(tree: LingTree) -> list[str]:
 def edu_nodes(tree: LingTree) -> list[TreeNode]:
     """EDU nodes in document order."""
     return [n for n in iter_nodes(tree.root) if n.kind is NodeKind.EDU]
-
-
-def derive_views(tree: LingTree) -> tuple[DiscourseView, list[tuple[TreeNode, ...]]]:
-    """Split the tree into its discourse skeleton and per-EDU syntax forests.
-
-    The discourse view is a pruned copy whose EDU nodes are childless; the
-    second element lists, in document order, each EDU's syntax children
-    (normally a single constituency root per EDU).
-    """
-
-    def prune(node: TreeNode) -> TreeNode:
-        if node.kind is NodeKind.EDU:
-            return TreeNode(node.label, NodeKind.EDU, ())
-        return TreeNode(node.label, NodeKind.RR, tuple(prune(c) for c in node.children))
-
-    view = DiscourseView(prune(tree.root))
-    subtrees = [edu.children for edu in edu_nodes(tree)]
-    return view, subtrees
 
 
 def tree_equal(a: TreeNode, b: TreeNode) -> bool:

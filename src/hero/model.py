@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import nn
-from .embed import EmbeddingTable, embed_leaves
+from .embed import DimMismatchError, EmbeddingTable, embed_leaves
 from .ling_tree import Level, LingTree, NodeKind, TreeNode, iter_nodes, post_order
 
 
@@ -49,10 +49,6 @@ UNK_SYNTAX = "UNK_SYNTAX"
 UNK_RR = "UNK_RR"
 
 CHECKPOINT_VERSION = 1
-
-
-class DimMismatchError(ValueError):
-    pass
 
 
 class MissingTraceError(ValueError):

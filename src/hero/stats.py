@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .ling_tree import LingTree, NodeKind, derive_views, iter_nodes
+from .ling_tree import LingTree, NodeKind
 
 
 class StatsError(ValueError):
@@ -33,48 +33,6 @@ class SingleClassCorpusError(StatsError):
 
 
 KIND_ORDER = ("RR", "EDU", "SYNTAX", "WORD")
-
-_SCALAR_FIELDS = (
-    "node_count", "leaf_count", "depth", "max_width", "avg_width",
-    "avg_leaf_depth", "avg_children", "max_children",
-    "discourse_size", "discourse_max_width", "discourse_depth",
-    "syntax_size_mean", "syntax_size_max",
-    "syntax_width_mean", "syntax_width_max",
-    "syntax_depth_mean", "syntax_depth_max",
-)
-
-
-@dataclass
-class ShapeStats:
-    """Size, widths and depths of a tree (or forest rooted at depth 0)."""
-
-    size: int
-    max_width: int
-    depth: int
-    avg_width: float
-    avg_leaf_depth: float
-
-
-def shape_stats(roots) -> ShapeStats:
-    per_depth: dict[int, int] = {}
-    leaf_depths: list[int] = []
-    stack = [(root, 0) for root in roots]
-    while stack:
-        node, depth = stack.pop()
-        per_depth[depth] = per_depth.get(depth, 0) + 1
-        if node.children:
-            stack.extend((c, depth + 1) for c in node.children)
-        else:
-            leaf_depths.append(depth)
-    size = sum(per_depth.values())
-    max_depth = max(per_depth)
-    return ShapeStats(
-        size=size,
-        max_width=max(per_depth.values()),
-        depth=max_depth,
-        avg_width=size / (max_depth + 1),
-        avg_leaf_depth=sum(leaf_depths) / len(leaf_depths),
-    )
 
 
 @dataclass
@@ -108,7 +66,11 @@ class TreeStats:
 
     def as_numbers(self) -> dict[str, float]:
         """Flat numeric view used to line statistics up across a corpus."""
-        out = {name: float(getattr(self, name)) for name in _SCALAR_FIELDS}
+        out = {}
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if not isinstance(value, dict):
+                out[field.name] = float(value)
         for kind in KIND_ORDER:
             out[f"kind_prop:{kind}"] = self.kind_proportions[kind]
         for label, value in self.label_proportions.items():
@@ -117,40 +79,67 @@ class TreeStats:
 
 
 def compute_tree_stats(tree: LingTree) -> TreeStats:
-    kind_counts = {kind: 0 for kind in KIND_ORDER}
+    """Measure the whole tree, its discourse skeleton and each EDU's syntax
+    forest in one pre-order walk.
+
+    RR and EDU nodes sit above every syntax node, so a discourse node's depth
+    in the tree is its depth in the skeleton, whose leaves are the EDUs. Each
+    walk entry carries the node-per-depth counts of the EDU forest it lies in
+    (None on the discourse level); a forest's roots are its shallowest nodes.
+    """
+    kind_counts = dict.fromkeys(KIND_ORDER, 0)
     label_counts: dict[str, int] = {}
-    child_counts: list[int] = []
-    for node in iter_nodes(tree.root):
+    widths: dict[int, int] = {}
+    discourse_widths: dict[int, int] = {}
+    forests: list[dict[int, int]] = []
+    internal = child_total = max_children = leaf_depth_total = 0
+    stack: list[tuple] = [(tree.root, 0, None)]
+    while stack:
+        node, depth, forest = stack.pop()
         kind_counts[node.kind.value] += 1
         key = "WORD" if node.kind is NodeKind.WORD else node.label
         label_counts[key] = label_counts.get(key, 0) + 1
-        if node.children:
-            child_counts.append(len(node.children))
+        widths[depth] = widths.get(depth, 0) + 1
+        if forest is not None:
+            forest[depth] = forest.get(depth, 0) + 1
+        else:
+            discourse_widths[depth] = discourse_widths.get(depth, 0) + 1
+            if node.kind is NodeKind.EDU:
+                forest = {}
+                forests.append(forest)
+        n_children = len(node.children)
+        if n_children:
+            internal += 1
+            child_total += n_children
+            max_children = max(max_children, n_children)
+            stack.extend((child, depth + 1, forest) for child in reversed(node.children))
+        else:
+            leaf_depth_total += depth
     total = sum(kind_counts.values())
-    whole = shape_stats([tree.root])
-    view, subtrees = derive_views(tree)
-    discourse = shape_stats([view.root])
-    per_edu = [shape_stats(forest) for forest in subtrees]
+    max_depth = max(widths)
+    sizes = [sum(f.values()) for f in forests]
+    forest_widths = [max(f.values()) for f in forests]
+    forest_depths = [max(f) - min(f) for f in forests]
     return TreeStats(
         node_count=total,
         leaf_count=kind_counts["WORD"],
-        depth=whole.depth,
-        max_width=whole.max_width,
-        avg_width=whole.avg_width,
-        avg_leaf_depth=whole.avg_leaf_depth,
-        avg_children=sum(child_counts) / len(child_counts),
-        max_children=max(child_counts),
+        depth=max_depth,
+        max_width=max(widths.values()),
+        avg_width=total / (max_depth + 1),
+        avg_leaf_depth=leaf_depth_total / (total - internal),
+        avg_children=child_total / internal,
+        max_children=max_children,
         kind_proportions={k: v / total for k, v in kind_counts.items()},
         label_proportions={k: v / total for k, v in label_counts.items()},
-        discourse_size=discourse.size,
-        discourse_max_width=discourse.max_width,
-        discourse_depth=discourse.depth,
-        syntax_size_mean=sum(s.size for s in per_edu) / len(per_edu),
-        syntax_size_max=max(s.size for s in per_edu),
-        syntax_width_mean=sum(s.max_width for s in per_edu) / len(per_edu),
-        syntax_width_max=max(s.max_width for s in per_edu),
-        syntax_depth_mean=sum(s.depth for s in per_edu) / len(per_edu),
-        syntax_depth_max=max(s.depth for s in per_edu),
+        discourse_size=sum(discourse_widths.values()),
+        discourse_max_width=max(discourse_widths.values()),
+        discourse_depth=max(discourse_widths),
+        syntax_size_mean=sum(sizes) / len(forests),
+        syntax_size_max=max(sizes),
+        syntax_width_mean=sum(forest_widths) / len(forests),
+        syntax_width_max=max(forest_widths),
+        syntax_depth_mean=sum(forest_depths) / len(forests),
+        syntax_depth_max=max(forest_depths),
     )
 
 

@@ -82,7 +82,8 @@ def scan_dataset(path) -> tuple[list[LabeledDocument], list[tuple[int, str]]]:
             if not isinstance(doc_id, str) or not doc_id:
                 problems.append((line_no, "field 'id' must be a non-empty string"))
                 continue
-            if label not in (0, 1):
+            # bool and float compare equal to 0 and 1; only JSON integers count.
+            if type(label) is not int or label not in (0, 1):
                 problems.append((line_no, f"field 'label' must be 0 or 1, got {label!r}"))
                 continue
             if not isinstance(tree_text, str):
@@ -93,7 +94,7 @@ def scan_dataset(path) -> tuple[list[LabeledDocument], list[tuple[int, str]]]:
             except TreeError as exc:
                 problems.append((line_no, f"field 'tree': {exc}"))
                 continue
-            docs.append(LabeledDocument(doc_id, tree, int(label)))
+            docs.append(LabeledDocument(doc_id, tree, label))
     return docs, problems
 
 
@@ -126,8 +127,8 @@ class TrainConfig:
     shuffle: bool = True
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ConfigError(f"lr must be non-negative, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ConfigError(f"lr must be finite and non-negative, got {self.lr}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.d <= 0 or self.d % 2:
@@ -247,13 +248,16 @@ def _rank_auc(labels, scores) -> float | None:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def compute_metrics(labels, scores, threshold: float = 0.5) -> MetricsReport:
+DECISION_THRESHOLD = 0.5
+
+
+def compute_metrics(labels, scores) -> MetricsReport:
     """Metrics from gold labels and fake-probabilities.
 
-    Predictions use ``score >= threshold``; a NaN score, which has no rank,
-    raises ValueError. Macro-F1 averages the two per-class F1 values (0 when
-    a class has an empty denominator); micro-F1 pools counts over both
-    classes, which for single-label binary data equals accuracy.
+    Predictions use ``score >= DECISION_THRESHOLD``; a NaN score, which has
+    no rank, raises ValueError. Macro-F1 averages the two per-class F1 values
+    (0 when a class has an empty denominator); micro-F1 pools counts over
+    both classes, which for single-label binary data is accuracy.
     """
     if len(labels) == 0:
         raise EmptyEvalSetError("no documents to evaluate")
@@ -263,7 +267,7 @@ def compute_metrics(labels, scores, threshold: float = 0.5) -> MetricsReport:
         raise ValueError("scores contain NaN, which has no rank")
     tp = fp = tn = fn = 0
     for y, s in zip(labels, scores):
-        pred = 1 if s >= threshold else 0
+        pred = 1 if s >= DECISION_THRESHOLD else 0
         if y == 1 and pred == 1:
             tp += 1
         elif y == 0 and pred == 1:
@@ -275,10 +279,7 @@ def compute_metrics(labels, scores, threshold: float = 0.5) -> MetricsReport:
     f1_fake = 2 * tp / (2 * tp + fp + fn) if (2 * tp + fp + fn) else 0.0
     f1_true = 2 * tn / (2 * tn + fn + fp) if (2 * tn + fn + fp) else 0.0
     macro = (f1_fake + f1_true) / 2.0
-    pooled_tp = tp + tn
-    pooled_fp = fp + fn
-    pooled_fn = fn + fp
-    micro = 2 * pooled_tp / (2 * pooled_tp + pooled_fp + pooled_fn) if (tp + fp + tn + fn) else 0.0
+    micro = (tp + tn) / len(labels)
     return MetricsReport(macro, micro, _rank_auc(labels, scores), tp, fp, tn, fn)
 
 

@@ -133,6 +133,84 @@ def _edus(node):
     return out
 
 
+def tree_stats_reference(tree):
+    """Recursive tree statistics; must agree with hero.stats.compute_tree_stats.
+
+    Returns every TreeStats field by name. The whole tree, a pruned copy of
+    the discourse skeleton (EDUs made childless) and each EDU's syntax forest
+    are measured separately, each by its own recursion.
+    """
+    from hero.ling_tree import NodeKind, TreeNode
+
+    def pre_order(node):
+        out = [node]
+        for child in node.children:
+            out.extend(pre_order(child))
+        return out
+
+    def count_levels(node, depth, per_depth, leaf_depths):
+        per_depth[depth] = per_depth.get(depth, 0) + 1
+        if not node.children:
+            leaf_depths.append(depth)
+        for child in node.children:
+            count_levels(child, depth + 1, per_depth, leaf_depths)
+
+    def shape(roots):
+        per_depth, leaf_depths = {}, []
+        for root in roots:
+            count_levels(root, 0, per_depth, leaf_depths)
+        size = sum(per_depth.values())
+        depth = max(per_depth)
+        return {
+            "size": size, "max_width": max(per_depth.values()), "depth": depth,
+            "avg_width": size / (depth + 1),
+            "avg_leaf_depth": sum(leaf_depths) / len(leaf_depths),
+        }
+
+    def prune(node):
+        if node.kind is NodeKind.EDU:
+            return TreeNode(node.label, node.kind, ())
+        return TreeNode(node.label, node.kind, tuple(prune(c) for c in node.children))
+
+    nodes = pre_order(tree.root)
+    total = len(nodes)
+    kinds = {kind: 0 for kind in ("RR", "EDU", "SYNTAX", "WORD")}
+    labels = {}
+    for node in nodes:
+        kinds[node.kind.value] += 1
+        key = "WORD" if node.kind is NodeKind.WORD else node.label
+        labels[key] = labels.get(key, 0) + 1
+    child_counts = [len(n.children) for n in nodes if n.children]
+    whole = shape([tree.root])
+    discourse = shape([prune(tree.root)])
+    forests = [shape(edu.children) for edu in _edus(tree.root)]
+
+    def mean(key):
+        return sum(f[key] for f in forests) / len(forests)
+
+    return {
+        "node_count": total,
+        "leaf_count": kinds["WORD"],
+        "depth": whole["depth"],
+        "max_width": whole["max_width"],
+        "avg_width": whole["avg_width"],
+        "avg_leaf_depth": whole["avg_leaf_depth"],
+        "avg_children": sum(child_counts) / len(child_counts),
+        "max_children": max(child_counts),
+        "kind_proportions": {k: v / total for k, v in kinds.items()},
+        "label_proportions": {k: v / total for k, v in labels.items()},
+        "discourse_size": discourse["size"],
+        "discourse_max_width": discourse["max_width"],
+        "discourse_depth": discourse["depth"],
+        "syntax_size_mean": mean("size"),
+        "syntax_size_max": max(f["size"] for f in forests),
+        "syntax_width_mean": mean("max_width"),
+        "syntax_width_max": max(f["max_width"] for f in forests),
+        "syntax_depth_mean": mean("depth"),
+        "syntax_depth_max": max(f["depth"] for f in forests),
+    }
+
+
 def adam_reference(grads_in_order, lr, beta1=0.9, beta2=0.999, eps=1e-8, w0=0.0):
     """Scalar Adam on one weight given the gradient at each step."""
     w, m, v = w0, 0.0, 0.0

@@ -145,6 +145,32 @@ def test_stats_file_outputs(workspace, tmp_path):
     assert rows and "p_value" in rows[0]
 
 
+def test_validate_flags_non_integer_labels(tmp_path, capsys):
+    data = tmp_path / "labels.jsonl"
+    data.write_text(
+        '{"id": "a", "label": true, "tree": "(EDU (NNP x))"}\n'
+        '{"id": "b", "label": 0.0, "tree": "(EDU (NNP x))"}\n',
+        encoding="utf-8",
+    )
+    assert run(["validate", "--data", str(data)]) == 1
+    captured = capsys.readouterr()
+    assert "line 1" in captured.err and "line 2" in captured.err
+    assert "0 valid, 2 invalid" in captured.out
+
+
+@pytest.mark.parametrize("lr", ["nan", "inf"])
+def test_non_finite_lr_is_config_error(workspace, tmp_path, capsys, lr):
+    config = tmp_path / "c.cfg"
+    config.write_text(CONFIG + f"lr={lr}\n", encoding="utf-8")
+    code = run([
+        "train", "--data", str(workspace["data"]), "--embeddings", str(workspace["emb"]),
+        "--config", str(config),
+        "--out", str(tmp_path / "m.json"), "--report", str(tmp_path / "r.json"),
+    ])
+    assert code == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_missing_file_is_io_error(capsys):
     assert run(["validate", "--data", "/nonexistent/data.jsonl"]) == 2
     assert run(["eval", "--model", "/nonexistent/m.json", "--data", "x", "--embeddings", "y"]) == 2

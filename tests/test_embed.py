@@ -3,7 +3,7 @@ import pytest
 
 from hero.embed import (
     DimMismatchError, EmbeddingParseError, EmbeddingTable, EmptyFileError,
-    embed_leaves, load_table, lookup,
+    embed_leaves, load_table,
 )
 from hero.ling_tree import leaf_words, parse_sexpr
 from hero.synthetic import random_embedding_table, random_tree
@@ -28,6 +28,12 @@ class TestLoadTable:
         with pytest.raises(DimMismatchError) as err:
             load_table(path, 100)
         assert err.value.line_no == 2
+        assert str(err.value) == "line 2: expected 100 values, got 99"
+
+    def test_one_dim_mismatch_class_for_tables_and_models(self):
+        from hero import model
+
+        assert model.DimMismatchError is DimMismatchError
 
     def test_parse_error(self, tmp_path):
         path = write_vectors(tmp_path / "v.txt", ["cat 1 2 3", "dog 4 x 6"])
@@ -76,13 +82,16 @@ class TestLookup:
         return EmbeddingTable(2, {"obama": np.array([1.0, 2.0]), "Lab": np.array([3.0, 4.0])})
 
     def test_exact_hit(self, table):
-        np.testing.assert_array_equal(lookup(table, "Lab"), [3.0, 4.0])
+        np.testing.assert_array_equal(table.get("Lab"), [3.0, 4.0])
 
     def test_lowercase_fallback(self, table):
-        np.testing.assert_array_equal(lookup(table, "Obama"), [1.0, 2.0])
+        np.testing.assert_array_equal(table.get("Obama"), [1.0, 2.0])
 
     def test_miss_is_zero_vector(self, table):
-        np.testing.assert_array_equal(lookup(table, "wuhan"), [0.0, 0.0])
+        assert table.get("wuhan") is None
+        res = embed_leaves(table, parse_sexpr("(EDU (NP (NNP Obama) (NNP wuhan)))"))
+        np.testing.assert_array_equal(res.vectors, [[1.0, 2.0], [0.0, 0.0]])
+        assert res.oov == 1
 
 
 class TestEmbedLeaves:

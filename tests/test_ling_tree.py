@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 
 from hero.ling_tree import (
     EmptyNodeError, KindViolationError, Level, NodeKind,
-    UnbalancedParensError, UnknownRRPrefixError,
-    derive_views, edu_nodes, iter_nodes, leaf_words,
+    UnbalancedParensError, UnknownRRPrefixError, _tokenize,
+    edu_nodes, iter_nodes, leaf_words,
     parse_sexpr, serialize_sexpr, tree_equal, validate_tree,
 )
 from hero.synthetic import random_tree
@@ -95,6 +97,20 @@ class TestParse:
         with pytest.raises(UnknownRRPrefixError):
             parse_sexpr("(SS-elaboration (EDU (NNP x)) (EDU (NNP y)))")
 
+    def test_tokens_split_on_whitespace_and_parentheses_only(self):
+        wrong = []
+        for code in range(sys.maxunicode + 1):
+            c = chr(code)
+            if c in "()":
+                expected = ["a", c, "b"]
+            elif c.isspace():
+                expected = ["a", "b"]
+            else:
+                expected = ["a" + c + "b"]
+            if _tokenize("a" + c + "b") != expected:
+                wrong.append(hex(code))
+        assert wrong == []
+
     def test_tokens_with_escapes_are_verbatim(self):
         tree = parse_sexpr("(EDU (NNP -LRB-))")
         assert leaf_words(tree) == ["-LRB-"]
@@ -118,39 +134,6 @@ class TestSerialize:
             again = parse_sexpr(text)
             assert tree_equal(gen.tree.root, again.root)
             assert serialize_sexpr(again) == text
-
-
-class TestViews:
-    def test_single_edu_degenerate(self):
-        view, subtrees = derive_views(parse_sexpr(MINIMAL))
-        assert sum(1 for _ in iter_nodes(view.root)) == 1
-        assert len(subtrees) == 1
-
-    def test_two_edu_shape(self):
-        view, subtrees = derive_views(parse_sexpr(FIG_SHAPED))
-        assert sum(1 for _ in iter_nodes(view.root)) == 3
-        assert len(subtrees) == 2
-
-    def test_counting_on_generated_tree(self):
-        rng = np.random.default_rng(3)
-        gen = random_tree(rng, n_edus=10)
-        view, subtrees = derive_views(gen.tree)
-        view_leaves = [n for n in iter_nodes(view.root) if not n.children]
-        assert len(view_leaves) == 10
-        assert len(subtrees) == 10
-
-    def test_view_plus_syntax_counts_match_full_tree(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            gen = random_tree(rng)
-            view, _ = derive_views(gen.tree)
-            view_count = sum(1 for _ in iter_nodes(view.root))
-            syntax_words = sum(
-                1 for n in iter_nodes(gen.tree.root)
-                if n.kind in (NodeKind.SYNTAX, NodeKind.WORD)
-            )
-            total = sum(1 for _ in iter_nodes(gen.tree.root))
-            assert view_count + syntax_words == total
 
 
 class TestLeafWords:

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from hero.ling_tree import parse_sexpr
+from hero.ling_tree import NodeKind, iter_nodes, parse_sexpr
 from hero.stats import (
     SingleClassCorpusError, TooFewSamplesError, ZeroVarianceError,
     compare_groups, compute_tree_stats, corpus_report,
@@ -11,8 +12,9 @@ from hero.stats import (
 )
 from hero.synthetic import random_tree
 from hero.trainer import LabeledDocument
-from reference import t_two_sided_p_reference
+from reference import t_two_sided_p_reference, tree_stats_reference
 
+MINIMAL = "(EDU (S (NP (NNP Obama)) (VP (VBD spoke))))"
 FIG_SHAPED = "(NS-elaboration (EDU (NP (NNP X))) (EDU (NP (NNP Y))))"
 
 
@@ -64,6 +66,69 @@ class TestTreeStats:
         assert ts.discourse_max_width == 3
         assert ts.avg_width == pytest.approx(10 / 4)
         assert ts.avg_leaf_depth == 3.0
+
+    def test_numbers_list_scalars_then_kinds_then_labels(self):
+        numbers = compute_tree_stats(parse_sexpr(FIG_SHAPED)).as_numbers()
+        assert list(numbers) == [
+            "node_count", "leaf_count", "depth", "max_width", "avg_width",
+            "avg_leaf_depth", "avg_children", "max_children",
+            "discourse_size", "discourse_max_width", "discourse_depth",
+            "syntax_size_mean", "syntax_size_max",
+            "syntax_width_mean", "syntax_width_max",
+            "syntax_depth_mean", "syntax_depth_max",
+            "kind_prop:RR", "kind_prop:EDU", "kind_prop:SYNTAX", "kind_prop:WORD",
+            "label_prop:NS-elaboration", "label_prop:EDU", "label_prop:NP",
+            "label_prop:NNP", "label_prop:WORD",
+        ]
+
+
+def assert_matches_reference(tree):
+    ts = compute_tree_stats(tree)
+    ref = tree_stats_reference(tree)
+    assert dataclasses.asdict(ts) == ref
+    assert list(ts.kind_proportions) == list(ref["kind_proportions"])
+    assert list(ts.label_proportions) == list(ref["label_proportions"])
+
+
+class TestAgainstReference:
+    def test_seeded_random_trees(self):
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            gen = random_tree(
+                rng, n_edus=int(rng.integers(1, 13)), rr_arity=(2, 4),
+                max_branch=int(rng.integers(2, 5)),
+            )
+            assert_matches_reference(gen.tree)
+
+    @pytest.mark.parametrize("text", [MINIMAL, FIG_SHAPED])
+    def test_fixed_trees(self, text):
+        assert_matches_reference(parse_sexpr(text))
+
+
+class TestDiscourseAndSyntaxShape:
+    def test_single_edu_degenerate(self):
+        ts = compute_tree_stats(parse_sexpr(MINIMAL))
+        assert ts.discourse_size == 1
+        assert ts.discourse_depth == 0
+        assert ts.syntax_size_max == ts.node_count - 1
+
+    def test_edu_count_matches_generator(self):
+        rng = np.random.default_rng(3)
+        for n_edus in (1, 2, 10):
+            gen = random_tree(rng, n_edus=n_edus)
+            ts = compute_tree_stats(gen.tree)
+            assert ts.kind_proportions["EDU"] == n_edus / ts.node_count
+
+    def test_discourse_plus_syntax_counts_match_full_tree(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            gen = random_tree(rng)
+            ts = compute_tree_stats(gen.tree)
+            syntax_words = sum(
+                1 for n in iter_nodes(gen.tree.root)
+                if n.kind in (NodeKind.SYNTAX, NodeKind.WORD)
+            )
+            assert ts.discourse_size + syntax_words == ts.node_count
 
 
 class TestIncompleteBeta:

@@ -157,7 +157,8 @@ class TestConfig:
         assert cfg.mode is SharingMode.UNIFIED
 
     @pytest.mark.parametrize(
-        "text", ["lr=-1", "d=7", "max_epochs=0", "mode=giant", "whatever=1", "lr 0.1", "shuffle=maybe"]
+        "text", ["lr=-1", "lr=nan", "lr=inf", "d=7", "max_epochs=0", "mode=giant", "whatever=1",
+                 "lr 0.1", "shuffle=maybe"]
     )
     def test_rejects(self, text):
         with pytest.raises(ConfigError):
@@ -186,6 +187,21 @@ class TestDatasetIO:
         docs, problems = scan_dataset(path)
         assert [d.doc_id for d in docs] == ["a"]
         assert [line for line, _ in problems] == [2, 3, 4, 5]
+
+    def test_scan_accepts_only_integer_labels(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text(
+            '{"id": "a", "label": 0, "tree": "(EDU (NNP x))"}\n'
+            '{"id": "b", "label": true, "tree": "(EDU (NNP x))"}\n'
+            '{"id": "c", "label": 1.0, "tree": "(EDU (NNP x))"}\n'
+            '{"id": "d", "label": false, "tree": "(EDU (NNP x))"}\n'
+            '{"id": "e", "label": 1, "tree": "(EDU (NNP x))"}\n',
+            encoding="utf-8",
+        )
+        docs, problems = scan_dataset(path)
+        assert [d.doc_id for d in docs] == ["a", "e"]
+        assert [type(d.y) for d in docs] == [int, int]
+        assert [line for line, _ in problems] == [2, 3, 4]
 
     def test_read_raises_with_line_number(self, tmp_path):
         path = tmp_path / "data.jsonl"
