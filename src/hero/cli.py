@@ -39,6 +39,13 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _load_table(path, dim: int):
+    table = load_table(path, dim)
+    if table.duplicates:
+        _log(f"{path}: {table.duplicates} duplicate token lines; the last vector of each token is used")
+    return table
+
+
 def cmd_validate(args) -> int:
     docs, problems = trainer.scan_dataset(args.data)
     for line_no, message in problems:
@@ -51,7 +58,7 @@ def cmd_train(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
         config = trainer.parse_config(fh.read())
     docs = trainer.read_dataset(args.data)
-    table = load_table(args.embeddings, config.d)
+    table = _load_table(args.embeddings, config.d)
     split = trainer.split_dataset(docs, config.seed)
     _log(f"split: {len(split.train)} train / {len(split.val)} val / {len(split.test)} test")
 
@@ -88,7 +95,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     params = load_model(args.model)
     docs = trainer.read_dataset(args.data)
-    table = load_table(args.embeddings, params.d)
+    table = _load_table(args.embeddings, params.d)
     metrics = trainer.evaluate(params, docs, table)
     print(trainer.format_metrics_table(metrics))
     return 0
@@ -96,7 +103,7 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     params = load_model(args.model)
-    table = load_table(args.embeddings, params.d)
+    table = _load_table(args.embeddings, params.d)
     if args.tree and args.tree != "-":
         with open(args.tree, encoding="utf-8") as fh:
             text = fh.read()
@@ -113,6 +120,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     gen, table = synthetic.gradcheck_fixture(rng, args.d)
     vocab = AttributeVocab.from_trees([gen.tree])

@@ -48,7 +48,7 @@ DISCOURSE_KEY = "DISCOURSE"
 UNK_SYNTAX = "UNK_SYNTAX"
 UNK_RR = "UNK_RR"
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class MissingTraceError(ValueError):
@@ -100,7 +100,7 @@ class ModelParams:
     when not given). ``registry`` and ``classifier`` are views into it, laid
     out in registry-key order, each key's ``fwd`` then ``bwd`` GRU as
     w_r w_z w_h u_r u_z u_h, then the classifier's W and b; a write through
-    either side is seen by the other."""
+    either side is seen by the other. Checkpoints store ``flat`` as is."""
 
     d: int
     mode: SharingMode
@@ -142,7 +142,8 @@ def registry_keys(mode: SharingMode, vocab: AttributeVocab) -> list[str]:
         return [UNIFIED_KEY]
     if mode is SharingMode.LEVEL_SPECIFIC:
         return [DISCOURSE_KEY, SYNTAX_KEY]
-    return [*vocab.syntax_labels, *vocab.rr_labels, UNK_SYNTAX, UNK_RR]
+    # A training label may itself be spelled like an UNK key; it keeps one entry.
+    return list(dict.fromkeys([*vocab.syntax_labels, *vocab.rr_labels, UNK_SYNTAX, UNK_RR]))
 
 
 def init_model(
@@ -403,26 +404,10 @@ def gradient_check_model(
     return nn.finite_diff_check(loss_at, params.flat, grads.flat, step)
 
 
-def _gru_to_lists(gru: nn.GruParams) -> dict:
-    return {
-        "W_r": gru.w_r.tolist(), "W_z": gru.w_z.tolist(), "W_h": gru.w_h.tolist(),
-        "U_r": gru.u_r.tolist(), "U_z": gru.u_z.tolist(), "U_h": gru.u_h.tolist(),
-    }
-
-
-def _gru_from_lists(doc: dict, gru: nn.GruParams) -> None:
-    """Check the six stored matrices and copy them into ``gru``'s views."""
-    for name, view in zip(("W_r", "W_z", "W_h", "U_r", "U_z", "U_h"), gru.matrices()):
-        arr = np.array(doc[name], dtype=np.float64)
-        if arr.shape != view.shape:
-            raise CorruptCheckpointError(f"matrix {name} has shape {arr.shape}, expected {view.shape}")
-        if not np.isfinite(arr).all():
-            raise CorruptCheckpointError(f"matrix {name} holds a non-finite value")
-        view[...] = arr
-
-
 def save_model(params: ModelParams, path) -> None:
-    """Write a self-describing JSON checkpoint with full float precision."""
+    """Write a JSON checkpoint with full float precision: the header that
+    fixes the layout (mode, ablation, width, vocabulary) and ``flat`` in
+    the order ModelParams documents."""
     doc = {
         "version": CHECKPOINT_VERSION,
         "mode": params.mode.value,
@@ -432,11 +417,7 @@ def save_model(params: ModelParams, path) -> None:
             "syntax": list(params.vocab.syntax_labels),
             "rr": list(params.vocab.rr_labels),
         },
-        "registry": {
-            key: {"fwd": _gru_to_lists(pair.fwd), "bwd": _gru_to_lists(pair.bwd)}
-            for key, pair in params.registry.items()
-        },
-        "classifier": {"W": params.classifier.w.tolist(), "b": params.classifier.b.tolist()},
+        "flat": params.flat.tolist(),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
@@ -459,29 +440,23 @@ def load_model(path) -> ModelParams:
     try:
         mode = SharingMode(doc["mode"])
         ablation = AblationMode(doc["ablation"])
-        d = int(doc["d"])
-        if d <= 0 or d % 2:
-            raise CorruptCheckpointError(f"embedding width must be a positive even integer, got {d}")
-        vocab = AttributeVocab(
-            tuple(doc["attribute_vocab"]["syntax"]),
-            tuple(doc["attribute_vocab"]["rr"]),
-        )
-        expected = registry_keys(mode, vocab)
-        stored = doc["registry"]
-        if sorted(stored) != sorted(expected):
-            raise CorruptCheckpointError("registry keys do not match mode and vocabulary")
-        params = ModelParams(d, mode, ablation, vocab)
-        for key, pair in params.registry.items():
-            _gru_from_lists(stored[key]["fwd"], pair.fwd)
-            _gru_from_lists(stored[key]["bwd"], pair.bwd)
-        w = np.array(doc["classifier"]["W"], dtype=np.float64)
-        b = np.array(doc["classifier"]["b"], dtype=np.float64)
-        if w.shape != (2, d) or b.shape != (2,):
-            raise CorruptCheckpointError(f"classifier shapes {w.shape}, {b.shape} do not match d={d}")
-        if not (np.isfinite(w).all() and np.isfinite(b).all()):
-            raise CorruptCheckpointError("classifier holds a non-finite value")
-        params.classifier.w[...] = w
-        params.classifier.b[...] = b
+        d = doc["d"]
+        # int() would take "8", 8.9 and true; only a JSON integer is a width.
+        if type(d) is not int or d <= 0 or d % 2:
+            raise CorruptCheckpointError(f"embedding width must be a positive even integer, got {d!r}")
+        labels = [doc["attribute_vocab"][level] for level in ("syntax", "rr")]
+        if not all(isinstance(names, list) and all(isinstance(n, str) for n in names) for names in labels):
+            raise CorruptCheckpointError("attribute_vocab labels must be lists of strings")
+        params = ModelParams(d, mode, ablation, AttributeVocab(*map(tuple, labels)))
+        flat = np.array(doc["flat"], dtype=np.float64)
+        if flat.shape != params.flat.shape:
+            raise CorruptCheckpointError(
+                f"stored parameters do not fit the mode and vocabulary: "
+                f"{flat.size} stored, {params.flat.size} expected"
+            )
+        if not np.isfinite(flat).all():
+            raise CorruptCheckpointError("stored parameters hold a non-finite value")
+        params.flat[...] = flat
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, (CorruptCheckpointError, VersionMismatchError)):
             raise

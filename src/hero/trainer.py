@@ -131,6 +131,8 @@ class TrainConfig:
             raise ConfigError(f"lr must be finite and non-negative, got {self.lr}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.d <= 0 or self.d % 2:
             raise ConfigError(f"d must be a positive even integer, got {self.d}")
 

@@ -187,7 +187,7 @@ def test_corrupt_model_is_io_error(workspace, tmp_path, capsys):
 
 def test_non_finite_model_is_io_error(workspace, tmp_path, capsys):
     doc = json.loads(workspace["model"].read_text())
-    doc["classifier"]["W"][0][0] = float("nan")
+    doc["flat"][-1] = float("nan")
     bad = tmp_path / "nan_model.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
     assert run([
@@ -195,6 +195,62 @@ def test_non_finite_model_is_io_error(workspace, tmp_path, capsys):
         "--tree", str(workspace["tree"]),
     ]) == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_version_1_model_is_io_error(workspace, tmp_path, capsys):
+    doc = json.loads(workspace["model"].read_text())
+    doc["version"] = 1
+    old = tmp_path / "v1_model.json"
+    old.write_text(json.dumps(doc), encoding="utf-8")
+    assert run([
+        "predict", "--model", str(old), "--embeddings", str(workspace["emb"]),
+        "--tree", str(workspace["tree"]),
+    ]) == 2
+    assert "version 1" in capsys.readouterr().err
+
+
+def test_negative_seed_in_config_is_config_error(workspace, tmp_path, capsys):
+    config = tmp_path / "c.cfg"
+    config.write_text(CONFIG + "seed=-1\n", encoding="utf-8")
+    code = run([
+        "train", "--data", str(workspace["data"]), "--embeddings", str(workspace["emb"]),
+        "--config", str(config),
+        "--out", str(tmp_path / "m.json"), "--report", str(tmp_path / "r.json"),
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+
+
+def test_negative_gradcheck_seed_is_config_error(capsys):
+    assert run(["gradcheck", "--mode", "unified", "--seed", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: seed must be non-negative, got -3\n"
+
+
+def test_table_duplicates_are_logged(workspace, tmp_path, capsys):
+    lines = workspace["emb"].read_text().splitlines(keepends=True)
+    emb = tmp_path / "dup.txt"
+    emb.write_text("".join(lines + lines[:2]), encoding="utf-8")
+    model, report = tmp_path / "m.json", tmp_path / "r.json"
+    commands = [
+        ["train", "--data", str(workspace["data"]), "--config", str(workspace["config"]),
+         "--out", str(model), "--report", str(report)],
+        ["eval", "--model", str(model), "--data", str(workspace["data"])],
+        ["predict", "--model", str(model), "--tree", str(workspace["tree"])],
+    ]
+
+    def outputs(argv, table):
+        code = run(argv + ["--embeddings", str(table)])
+        return code, capsys.readouterr(), model.read_bytes(), report.read_bytes()
+
+    for argv in commands:
+        code, plain, *files = outputs(argv, workspace["emb"])
+        code_dup, dup, *files_dup = outputs(argv, emb)
+        assert code == code_dup == 0
+        assert dup.out == plain.out and files_dup == files
+        notes = [line for line in dup.err.splitlines() if line not in plain.err.splitlines()]
+        assert notes == [f"{emb}: 2 duplicate token lines; the last vector of each token is used"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

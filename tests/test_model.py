@@ -21,6 +21,8 @@ from hero.synthetic import gradcheck_fixture, random_embedding_table, random_tre
 from reference import encode_reference
 
 TWO_EDU = "(NS-elaboration (EDU (S (NP (NNP a)) (VP (VBZ runs)))) (EDU (NP (DT the) (NN end))))"
+# Constituency labels spelled like the UNK keys: each must keep one registry entry.
+UNK_LABELS = "(NS-elaboration (EDU (UNK_SYNTAX (NN a))) (EDU (UNK_RR (NN b))))"
 
 
 def row_of(tree, node):
@@ -426,18 +428,24 @@ class TestParamCount:
 
 
 class TestCheckpoint:
-    def make(self, tmp_path, seed=0):
-        tree = parse_sexpr(TWO_EDU)
+    def make(self, tmp_path, seed=0, text=TWO_EDU):
+        tree = parse_sexpr(text)
         m = make_model(SharingMode.ATTRIBUTE_SPECIFIC, trees=[tree], seed=seed)
         path = tmp_path / "model.json"
         save_model(m, path)
         return m, tree, path
 
-    def test_round_trip_is_bit_identical(self, tmp_path):
-        m, tree, path = self.make(tmp_path)
+    def edit(self, path, change):
+        doc = json.loads(path.read_text())
+        change(doc)
+        path.write_text(json.dumps(doc))
+
+    @pytest.mark.parametrize("text", [TWO_EDU, UNK_LABELS], ids=["two_edu", "unk_labels"])
+    def test_round_trip_is_bit_identical(self, tmp_path, text):
+        m, tree, path = self.make(tmp_path, text=text)
         loaded = load_model(path)
         rng = np.random.default_rng(13)
-        table = random_embedding_table(rng, ["a", "runs", "the", "end"], 8)
+        table = random_embedding_table(rng, leaf_words(tree), 8)
         h_before = encode_document(m, tree, table).h_doc
         h_after = encode_document(loaded, tree, table).h_doc
         assert np.array_equal(h_before, h_after)
@@ -450,13 +458,18 @@ class TestCheckpoint:
         save_model(m, other)
         assert path.read_bytes() == other.read_bytes()
 
-    def test_version_mismatch(self, tmp_path):
+    @pytest.mark.parametrize("version", [1, 99])
+    def test_version_mismatch(self, tmp_path, version):
         _, _, path = self.make(tmp_path)
-        doc = json.loads(path.read_text())
-        doc["version"] = 99
-        path.write_text(json.dumps(doc))
+        self.edit(path, lambda doc: doc.update(version=version))
         with pytest.raises(VersionMismatchError):
             load_model(path)
+
+    def test_top_level_keys(self, tmp_path):
+        m, _, path = self.make(tmp_path)
+        doc = json.loads(path.read_text())
+        assert sorted(doc) == ["ablation", "attribute_vocab", "d", "flat", "mode", "version"]
+        assert doc["flat"] == m.flat.tolist()
 
     def test_truncated_file(self, tmp_path):
         _, _, path = self.make(tmp_path)
@@ -472,35 +485,35 @@ class TestCheckpoint:
             load_model(path)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-    @pytest.mark.parametrize("where", [("classifier", "W"), ("classifier", "b"), ("registry", "NP", "fwd", "U_z")])
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
     def test_non_finite_weight_rejected(self, tmp_path, where, value):
-        _, _, path = self.make(tmp_path)
-        doc = json.loads(path.read_text())
-        matrix = doc
-        for name in where:
-            matrix = matrix[name]
-        if isinstance(matrix[0], list):
-            matrix = matrix[0]
-        matrix[-1] = value
-        path.write_text(json.dumps(doc))
+        m, _, path = self.make(tmp_path)
+        index = {"first": 0, "middle": m.flat.size // 2, "last": -1}[where]
+
+        def poison(doc):
+            doc["flat"][index] = value
+
+        self.edit(path, poison)
         with pytest.raises(CorruptCheckpointError, match="non-finite"):
             load_model(path)
 
-    @pytest.mark.parametrize("d", [0, -8, 7])
+    @pytest.mark.parametrize("d", [0, -8, 7, "8", 8.0, True])
     def test_bad_width_rejected(self, tmp_path, d):
         _, _, path = self.make(tmp_path)
-        doc = json.loads(path.read_text())
-        doc["d"] = d
-        path.write_text(json.dumps(doc))
+        self.edit(path, lambda doc: doc.update(d=d))
         with pytest.raises(CorruptCheckpointError):
             load_model(path)
 
-    def test_registry_key_mismatch(self, tmp_path):
+    @pytest.mark.parametrize("change, message", [
+        (lambda doc: doc["attribute_vocab"]["syntax"].remove("NP"), "do not fit"),
+        (lambda doc: doc["flat"].pop(), "do not fit"),
+        (lambda doc: doc["attribute_vocab"]["rr"].append(7), "lists of strings"),
+        (lambda doc: doc["attribute_vocab"].update(syntax="NP"), "lists of strings"),
+    ], ids=["label_removed", "flat_short", "label_not_a_string", "labels_not_a_list"])
+    def test_stored_parameters_must_fit_mode_and_vocabulary(self, tmp_path, change, message):
         _, _, path = self.make(tmp_path)
-        doc = json.loads(path.read_text())
-        del doc["registry"]["NP"]
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CorruptCheckpointError):
+        self.edit(path, change)
+        with pytest.raises(CorruptCheckpointError, match=message):
             load_model(path)
 
 
@@ -526,9 +539,10 @@ class TestFlatLayout:
         assert m.flat.dtype == np.float64
         assert np.array_equal(m.flat, expected)
 
+    @pytest.mark.parametrize("text", [TWO_EDU, UNK_LABELS], ids=["two_edu", "unk_labels"])
     @pytest.mark.parametrize("mode", list(SharingMode))
-    def test_writes_to_flat_are_seen_through_the_views(self, mode):
-        tree = parse_sexpr(TWO_EDU)
+    def test_writes_to_flat_are_seen_through_the_views(self, mode, text):
+        tree = parse_sexpr(text)
         m = make_model(mode, trees=[tree], seed=6)
         views = list(layout_views(m))
         assert all(np.shares_memory(v, m.flat) for v in views)

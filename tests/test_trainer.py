@@ -158,7 +158,8 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "text", ["lr=-1", "lr=nan", "lr=inf", "d=7", "max_epochs=0", "mode=giant", "whatever=1",
-                 "lr 0.1", "shuffle=maybe"]
+                 "lr 0.1", "shuffle=maybe",
+                 "seed=-1"]
     )
     def test_rejects(self, text):
         with pytest.raises(ConfigError):
