@@ -8,7 +8,7 @@ from .ling_tree import (
 from .model import (
     AblationMode, AttributeVocab, DocumentEncoding, ModelParams, SharingMode,
     backward, encode_document, gradient_check_model, init_model, load_model,
-    param_count, predict, save_model, select_aggregator,
+    param_count, predict, save_model,
 )
 from .stats import WelchResult, compare_groups, compute_tree_stats, corpus_report
 from .trainer import (

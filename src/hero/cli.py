@@ -115,6 +115,9 @@ def cmd_predict(args) -> int:
         _log(f"invalid tree: {exc}")
         return 1
     enc = hero_model.encode_document(params, tree, table)
+    unk = sum(len(g.parents) for g in enc.schedule.groups if g.key in (hero_model.UNK_SYNTAX, hero_model.UNK_RR))
+    if enc.oov or unk:  # UNK GRUs see no training node: they keep their initial weights
+        _log(f"{enc.oov} of {len(enc.schedule.words)} leaves out of vocabulary; {unk} nodes use an UNK GRU")
     print(hero_model.predict(params, enc))
     return 0
 

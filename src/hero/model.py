@@ -17,6 +17,7 @@ Bi-GRU call; the backward pass replays the same groups in reverse.
 
 from __future__ import annotations
 
+import base64
 import enum
 import json
 import math
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import nn
 from .embed import DimMismatchError, EmbeddingTable, embed_leaves
-from .ling_tree import Level, LingTree, NodeKind, TreeNode, iter_nodes, post_order
+from .ling_tree import LingTree, NodeKind, TreeNode, iter_nodes, post_order
 
 
 class SharingMode(enum.Enum):
@@ -45,10 +46,11 @@ class AblationMode(enum.Enum):
 UNIFIED_KEY = "shared"
 SYNTAX_KEY = "SYNTAX"
 DISCOURSE_KEY = "DISCOURSE"
-UNK_SYNTAX = "UNK_SYNTAX"
-UNK_RR = "UNK_RR"
+# No tree label holds whitespace, so the fallback keys never equal a label.
+UNK_SYNTAX = "UNK SYNTAX"
+UNK_RR = "UNK RR"
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 class MissingTraceError(ValueError):
@@ -111,7 +113,10 @@ class ModelParams:
     classifier: nn.ClassifierParams = field(init=False)
 
     def __post_init__(self):
-        keys = registry_keys(self.mode, self.vocab)
+        keys = registry_keys(self.mode, self.ablation, self.vocab)
+        if len(set(keys)) != len(keys):
+            repeated = sorted({key for key in keys if keys.count(key) > 1})
+            raise ValueError(f"registry keys must be unique, repeated: {repeated}")
         hd = self.d // 2
         gru_shapes = [(hd, self.d)] * 3 + [(hd, hd)] * 3
         size = 2 * len(keys) * 3 * hd * (self.d + hd) + 2 * self.d + 2
@@ -137,20 +142,26 @@ class ModelParams:
         self.classifier = nn.ClassifierParams(take((2, self.d)), take((2,)))
 
 
-def registry_keys(mode: SharingMode, vocab: AttributeVocab) -> list[str]:
+def registry_keys(mode: SharingMode, ablation: AblationMode, vocab: AttributeVocab) -> list[str]:
+    """Keys of the Bi-GRU pairs the ablation's walk can reach. RR nodes draw
+    from the discourse family, EDU and syntax nodes from the syntax family;
+    a family has keys only if the ablation runs a Bi-GRU on its node kinds."""
+    gru_kinds = _ABLATION_PLANS[ablation][0]
+    discourse = NodeKind.RR in gru_kinds
+    syntax = not gru_kinds.isdisjoint((NodeKind.EDU, NodeKind.SYNTAX))
     if mode is SharingMode.UNIFIED:
-        return [UNIFIED_KEY]
+        return [UNIFIED_KEY] * (discourse or syntax)
     if mode is SharingMode.LEVEL_SPECIFIC:
-        return [DISCOURSE_KEY, SYNTAX_KEY]
-    # A training label may itself be spelled like an UNK key; it keeps one entry.
-    return list(dict.fromkeys([*vocab.syntax_labels, *vocab.rr_labels, UNK_SYNTAX, UNK_RR]))
+        return [DISCOURSE_KEY] * discourse + [SYNTAX_KEY] * syntax
+    return [*vocab.syntax_labels * syntax, *vocab.rr_labels * discourse,
+            *[UNK_SYNTAX] * syntax, *[UNK_RR] * discourse]
 
 
 def init_model(
     d: int,
     mode: SharingMode,
     ablation: AblationMode = AblationMode.FULL,
-    vocab: AttributeVocab | None = None,
+    vocab: AttributeVocab = AttributeVocab(),
     seed: int = 0,
     rng: np.random.Generator | None = None,
     random_classifier: bool = False,
@@ -159,8 +170,6 @@ def init_model(
     zeroed unless ``random_classifier`` (useful for gradient checking)."""
     if d <= 0 or d % 2:
         raise DimMismatchError(f"embedding width must be a positive even integer, got {d}")
-    if vocab is None:
-        vocab = AttributeVocab()
     if rng is None:
         rng = np.random.default_rng(seed)
     params = ModelParams(d, mode, ablation, vocab)
@@ -175,29 +184,18 @@ def init_model(
     return params
 
 
-def _aggregator_key(mode: SharingMode, keys, parent: TreeNode, child: TreeNode) -> str:
-    if mode is SharingMode.UNIFIED:
+def _aggregator_key(params: ModelParams, node: TreeNode) -> str:
+    """Registry key of the Bi-GRU pair that embeds ``node`` from its children:
+    its family under level-specific sharing (RR nodes discourse, the others
+    syntax), else its label, where an EDU borrows the label of its leading
+    constituency root and an unseen label falls back to the family's UNK key."""
+    if params.mode is SharingMode.UNIFIED:
         return UNIFIED_KEY
-    if mode is SharingMode.LEVEL_SPECIFIC:
-        return DISCOURSE_KEY if child.level is Level.DISCOURSE else SYNTAX_KEY
-    if parent.kind is NodeKind.RR:
-        return parent.label if parent.label in keys else UNK_RR
-    if parent.kind is NodeKind.EDU:
-        label = parent.children[0].label
-    else:
-        label = parent.label
-    return label if label in keys else UNK_SYNTAX
-
-
-def select_aggregator(params: ModelParams, parent: TreeNode, child: TreeNode) -> str:
-    """Registry key for aggregating ``child`` (and its siblings) under ``parent``.
-
-    Level-specific sharing keys on the child's level; attribute-specific
-    sharing keys on the parent's label, where an EDU borrows the label of its
-    leading constituency root. Labels unseen at training time fall back to
-    the matching UNK entry.
-    """
-    return _aggregator_key(params.mode, params.registry, parent, child)
+    discourse = node.kind is NodeKind.RR
+    if params.mode is SharingMode.LEVEL_SPECIFIC:
+        return DISCOURSE_KEY if discourse else SYNTAX_KEY
+    label = node.children[0].label if node.kind is NodeKind.EDU else node.label
+    return label if label in params.registry else UNK_RR if discourse else UNK_SYNTAX
 
 
 @dataclass(frozen=True)
@@ -237,12 +235,9 @@ _ABLATION_PLANS = {
 }
 
 
-def compile_tree(
-    tree: LingTree, mode: SharingMode, ablation: AblationMode, vocab: AttributeVocab
-) -> Schedule:
+def compile_tree(tree: LingTree, params: ModelParams) -> Schedule:
     """The schedule that encode_document and backward both run for ``tree``."""
-    gru_kinds, mean_kinds, doc_kind = _ABLATION_PLANS[ablation]
-    keys = set(registry_keys(mode, vocab))
+    gru_kinds, mean_kinds, doc_kind = _ABLATION_PLANS[params.ablation]
     nodes = post_order(tree.root)
     row = {node: i for i, node in enumerate(nodes)}
     # Heights count Bi-GRU nodes only, so under no_syntax the RR nodes
@@ -257,7 +252,7 @@ def compile_tree(
             continue
         kids = [row[c] for c in node.children]
         height[i] = 1 + max(height[c] for c in kids)
-        key = _aggregator_key(mode, keys, node, node.children[0])
+        key = _aggregator_key(params, node)
         parents, children = batches.setdefault((height[i], key, len(kids)), ([], []))
         parents.append(i)
         children.extend(kids)
@@ -294,7 +289,7 @@ def encode_document(params: ModelParams, tree: LingTree, table: EmbeddingTable) 
     """Embed the document bottom-up under the model's sharing mode and ablation."""
     if table.dim != params.d:
         raise DimMismatchError(f"embedding table dim {table.dim} != model dim {params.d}")
-    schedule = compile_tree(tree, params.mode, params.ablation, params.vocab)
+    schedule = compile_tree(tree, params)
     leaves = embed_leaves(table, tree)
     vectors = np.zeros((schedule.size, params.d))
     vectors[schedule.words] = leaves.vectors
@@ -405,9 +400,9 @@ def gradient_check_model(
 
 
 def save_model(params: ModelParams, path) -> None:
-    """Write a JSON checkpoint with full float precision: the header that
-    fixes the layout (mode, ablation, width, vocabulary) and ``flat`` in
-    the order ModelParams documents."""
+    """Write a JSON checkpoint: the header that fixes the layout (mode,
+    ablation, width, vocabulary) and ``flat``, in the order ModelParams
+    documents, as base64 of its little-endian float64 bytes."""
     doc = {
         "version": CHECKPOINT_VERSION,
         "mode": params.mode.value,
@@ -417,7 +412,7 @@ def save_model(params: ModelParams, path) -> None:
             "syntax": list(params.vocab.syntax_labels),
             "rr": list(params.vocab.rr_labels),
         },
-        "flat": params.flat.tolist(),
+        "flat": base64.b64encode(params.flat.astype("<f8", copy=False)).decode("ascii"),
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True)
@@ -448,12 +443,13 @@ def load_model(path) -> ModelParams:
         if not all(isinstance(names, list) and all(isinstance(n, str) for n in names) for names in labels):
             raise CorruptCheckpointError("attribute_vocab labels must be lists of strings")
         params = ModelParams(d, mode, ablation, AttributeVocab(*map(tuple, labels)))
-        flat = np.array(doc["flat"], dtype=np.float64)
-        if flat.shape != params.flat.shape:
+        raw = base64.b64decode(doc["flat"], validate=True)
+        if len(raw) != 8 * params.flat.size:
             raise CorruptCheckpointError(
                 f"stored parameters do not fit the mode and vocabulary: "
-                f"{flat.size} stored, {params.flat.size} expected"
+                f"{len(raw)} bytes stored, {8 * params.flat.size} expected"
             )
+        flat = np.frombuffer(raw, dtype="<f8")
         if not np.isfinite(flat).all():
             raise CorruptCheckpointError("stored parameters hold a non-finite value")
         params.flat[...] = flat

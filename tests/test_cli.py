@@ -1,3 +1,4 @@
+import base64
 import io
 import json
 
@@ -5,8 +6,11 @@ import numpy as np
 import pytest
 
 from hero.cli import run
-from hero.ling_tree import serialize_sexpr
-from hero.model import AttributeVocab, SharingMode, init_model, save_model
+from hero.embed import load_table
+from hero.ling_tree import parse_sexpr, serialize_sexpr
+from hero.model import (
+    AttributeVocab, SharingMode, encode_document, init_model, load_model, predict, save_model,
+)
 from hero.synthetic import marker_corpus
 from hero.trainer import write_dataset
 
@@ -187,7 +191,9 @@ def test_corrupt_model_is_io_error(workspace, tmp_path, capsys):
 
 def test_non_finite_model_is_io_error(workspace, tmp_path, capsys):
     doc = json.loads(workspace["model"].read_text())
-    doc["flat"][-1] = float("nan")
+    flat = np.frombuffer(base64.b64decode(doc["flat"]), dtype="<f8").copy()
+    flat[-1] = float("nan")
+    doc["flat"] = base64.b64encode(flat.tobytes()).decode("ascii")
     bad = tmp_path / "nan_model.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
     assert run([
@@ -207,6 +213,49 @@ def test_version_1_model_is_io_error(workspace, tmp_path, capsys):
         "--tree", str(workspace["tree"]),
     ]) == 2
     assert "version 1" in capsys.readouterr().err
+
+
+def test_version_2_model_is_io_error(workspace, tmp_path, capsys):
+    # Version 2 stored flat as a JSON list of numbers.
+    doc = json.loads(workspace["model"].read_text())
+    doc["version"] = 2
+    doc["flat"] = load_model(workspace["model"]).flat.tolist()
+    old = tmp_path / "v2_model.json"
+    old.write_text(json.dumps(doc), encoding="utf-8")
+    assert run([
+        "predict", "--model", str(old), "--embeddings", str(workspace["emb"]),
+        "--tree", str(workspace["tree"]),
+    ]) == 2
+    assert "version 2" in capsys.readouterr().err
+
+
+def test_predict_logs_oov_leaves_and_unk_nodes(workspace, tmp_path, capsys):
+    vocab = AttributeVocab.from_trees(d.tree for d in workspace["docs"])
+    params = init_model(8, SharingMode.ATTRIBUTE_SPECIFIC, vocab=vocab, seed=2)
+    model = tmp_path / "attr.json"
+    save_model(params, model)
+    table = load_table(workspace["emb"], 8)
+    known = serialize_sexpr(workspace["docs"][0].tree)
+    word = next(iter(table.vectors))
+    cases = [
+        (known, ""),
+        # Two unseen words; an unseen relation, and an unseen constituency
+        # label that its EDU borrows.
+        (f"(SN-unseen (EDU (XYZ qqnever)) (EDU (NN {word} qqalso)))",
+         "2 of 3 leaves out of vocabulary; 3 nodes use an UNK GRU\n"),
+        (f"(EDU (XYZ {word}))", "0 of 1 leaves out of vocabulary; 2 nodes use an UNK GRU\n"),
+    ]
+    for text, note in cases:
+        tree_file = tmp_path / "t.tree"
+        tree_file.write_text(text, encoding="utf-8")
+        assert run([
+            "predict", "--model", str(model), "--embeddings", str(workspace["emb"]),
+            "--tree", str(tree_file),
+        ]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == note
+        tree = parse_sexpr(text)
+        assert captured.out == f"{predict(params, encode_document(params, tree, table))}\n"
 
 
 def test_negative_seed_in_config_is_config_error(workspace, tmp_path, capsys):

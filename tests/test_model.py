@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 from dataclasses import replace
@@ -14,14 +15,13 @@ from hero.model import (
     SharingMode, VersionMismatchError,
     DISCOURSE_KEY, SYNTAX_KEY, UNIFIED_KEY, UNK_RR, UNK_SYNTAX,
     backward, compile_tree, copy_model, encode_document, gradient_check_model, init_model,
-    load_model, param_count, predict, registry_keys,
-    save_model, select_aggregator,
+    load_model, param_count, predict, registry_keys, save_model,
 )
 from hero.synthetic import gradcheck_fixture, random_embedding_table, random_tree
 from reference import encode_reference
 
 TWO_EDU = "(NS-elaboration (EDU (S (NP (NNP a)) (VP (VBZ runs)))) (EDU (NP (DT the) (NN end))))"
-# Constituency labels spelled like the UNK keys: each must keep one registry entry.
+# Constituency labels spelled like the old UNK keys: each is a label like any other.
 UNK_LABELS = "(NS-elaboration (EDU (UNK_SYNTAX (NN a))) (EDU (UNK_RR (NN b))))"
 
 
@@ -35,22 +35,28 @@ def make_model(mode, ablation=AblationMode.FULL, d=8, seed=0, trees=(), random_c
     return init_model(d, mode, ablation, vocab, seed=seed, random_classifier=random_classifier)
 
 
-class TestSelectAggregator:
+def group_key(m, tree, node):
+    """The registry key of the schedule group that embeds ``node``."""
+    row = row_of(tree, node)
+    return next(g.key for g in compile_tree(tree, m).groups if row in g.parents)
+
+
+class TestAggregatorKey:
     def test_unified_always_shared(self):
         tree = parse_sexpr(TWO_EDU)
         m = make_model(SharingMode.UNIFIED, trees=[tree])
         root = tree.root
-        assert select_aggregator(m, root, root.children[0]) == UNIFIED_KEY
-        edu = root.children[0]
-        assert select_aggregator(m, edu, edu.children[0]) == UNIFIED_KEY
+        assert group_key(m, tree, root) == UNIFIED_KEY
+        assert group_key(m, tree, root.children[0]) == UNIFIED_KEY
 
-    def test_level_specific_keys_on_child_level(self):
+    def test_level_specific_keys_on_family(self):
         tree = parse_sexpr(TWO_EDU)
         m = make_model(SharingMode.LEVEL_SPECIFIC, trees=[tree])
         root = tree.root
         edu = root.children[0]
-        assert select_aggregator(m, root, edu) == DISCOURSE_KEY
-        assert select_aggregator(m, edu, edu.children[0]) == SYNTAX_KEY
+        assert group_key(m, tree, root) == DISCOURSE_KEY
+        assert group_key(m, tree, edu) == SYNTAX_KEY
+        assert group_key(m, tree, edu.children[0]) == SYNTAX_KEY
 
     def test_attribute_specific_keys_on_parent_label(self):
         tree = parse_sexpr(TWO_EDU)
@@ -59,27 +65,78 @@ class TestSelectAggregator:
         edu = root.children[0]
         s_node = edu.children[0]
         np_node = s_node.children[0]
-        assert select_aggregator(m, root, edu) == "NS-elaboration"
-        assert select_aggregator(m, edu, s_node) == "S"  # EDU borrows its root child label
-        assert select_aggregator(m, np_node, np_node.children[0]) == "NP"
+        assert group_key(m, tree, root) == "NS-elaboration"
+        assert group_key(m, tree, edu) == "S"  # EDU borrows its root child label
+        assert group_key(m, tree, np_node) == "NP"
 
     def test_unseen_labels_fall_back_to_unk(self):
         tree = parse_sexpr(TWO_EDU)
         m = make_model(SharingMode.ATTRIBUTE_SPECIFIC, trees=[tree])
         other = parse_sexpr("(SN-background (EDU (ADJP (JJ hot))) (EDU (NNS facts)))")
         root = other.root
-        edu = root.children[0]
-        adjp = edu.children[0]
-        assert select_aggregator(m, root, edu) == UNK_RR
-        assert select_aggregator(m, adjp, adjp.children[0]) == UNK_SYNTAX
+        adjp = root.children[0].children[0]
+        assert group_key(m, other, root) == UNK_RR
+        assert group_key(m, other, adjp) == UNK_SYNTAX
+
+    def test_labels_spelled_like_old_unk_keys_get_their_own_gru(self):
+        tree = parse_sexpr(UNK_LABELS)
+        m = make_model(SharingMode.ATTRIBUTE_SPECIFIC, trees=[tree])
+        assert list(m.registry) == ["UNK_SYNTAX", "NN", "UNK_RR", "NS-elaboration", UNK_SYNTAX, UNK_RR]
+        first, second = (edu.children[0] for edu in tree.root.children)
+        assert group_key(m, tree, first) == "UNK_SYNTAX"
+        assert group_key(m, tree, second) == "UNK_RR"
+        other = parse_sexpr("(SN-background (EDU (ADJP (JJ hot))) (EDU (NNS facts)))")
+        assert group_key(m, other, other.root) == UNK_RR
+        assert group_key(m, other, other.root.children[0].children[0]) == UNK_SYNTAX
+        views = [mat for pair in m.registry.values() for gru in (pair.fwd, pair.bwd) for mat in gru.matrices()]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(views) for b in views[i + 1:])
 
 
 class TestRegistry:
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    @pytest.mark.parametrize("ablation", list(AblationMode))
+    def test_keys_are_those_the_training_schedules_use(self, mode, ablation):
+        rng = np.random.default_rng(40)
+        trees = [random_tree(rng, n_edus=int(rng.integers(1, 5)), rr_arity=(2, 3)).tree for _ in range(12)]
+        m = make_model(mode, ablation, trees=trees)
+        used = {g.key for tree in trees for g in compile_tree(tree, m).groups}
+        vocab = m.vocab
+        unk = set()
+        if mode is SharingMode.ATTRIBUTE_SPECIFIC:
+            if used & set(vocab.syntax_labels):
+                unk.add(UNK_SYNTAX)
+            if used & set(vocab.rr_labels):
+                unk.add(UNK_RR)
+        assert len(m.registry) == len(used | unk)
+        assert set(m.registry) == used | unk
+        assert registry_keys(mode, ablation, vocab) == list(m.registry)
+
     def test_cardinality_per_mode(self):
         vocab = AttributeVocab(("NP", "VP", "S"), ("NS-elaboration",))
-        assert len(registry_keys(SharingMode.UNIFIED, vocab)) == 1
-        assert len(registry_keys(SharingMode.LEVEL_SPECIFIC, vocab)) == 2
-        assert len(registry_keys(SharingMode.ATTRIBUTE_SPECIFIC, vocab)) == 3 + 1 + 2
+        full = AblationMode.FULL
+        assert registry_keys(SharingMode.UNIFIED, full, vocab) == [UNIFIED_KEY]
+        assert registry_keys(SharingMode.LEVEL_SPECIFIC, full, vocab) == [DISCOURSE_KEY, SYNTAX_KEY]
+        assert registry_keys(SharingMode.ATTRIBUTE_SPECIFIC, full, vocab) == [
+            "NP", "VP", "S", "NS-elaboration", UNK_SYNTAX, UNK_RR]
+
+    def test_ablations_drop_the_families_they_never_run(self):
+        vocab = AttributeVocab(("NP", "VP", "S"), ("NS-elaboration",))
+        attr, level = SharingMode.ATTRIBUTE_SPECIFIC, SharingMode.LEVEL_SPECIFIC
+        assert registry_keys(attr, AblationMode.NO_DISCOURSE, vocab) == ["NP", "VP", "S", UNK_SYNTAX]
+        assert registry_keys(attr, AblationMode.NO_SYNTAX, vocab) == ["NS-elaboration", UNK_RR]
+        assert registry_keys(level, AblationMode.NO_DISCOURSE, vocab) == [SYNTAX_KEY]
+        assert registry_keys(level, AblationMode.NO_SYNTAX, vocab) == [DISCOURSE_KEY]
+        for mode in SharingMode:
+            assert registry_keys(mode, AblationMode.NO_STRUCTURE, vocab) == []
+
+    @pytest.mark.parametrize("vocab", [
+        AttributeVocab(("NP", "VP", "NP"), ("NS-elaboration",)),
+        AttributeVocab(("NP", "VP"), ("NS-elaboration", "NP")),
+        AttributeVocab(("NP", UNK_RR), ("NS-elaboration",)),
+    ], ids=["repeated_label", "label_at_both_levels", "label_spelled_like_unk_key"])
+    def test_repeated_keys_rejected(self, vocab):
+        with pytest.raises(ValueError, match="unique"):
+            ModelParams(8, SharingMode.ATTRIBUTE_SPECIFIC, AblationMode.FULL, vocab)
 
     def test_init_is_seed_deterministic(self):
         tree = parse_sexpr(TWO_EDU)
@@ -256,7 +313,7 @@ class TestMixedGroups:
         assert len({len(n.children) for n in by_height[2]}) > 1
         assert len({n.label for n in by_height[1]}) > 1
         m = make_model(SharingMode.ATTRIBUTE_SPECIFIC, trees=[tree])
-        schedule = compile_tree(tree, m.mode, m.ablation, m.vocab)
+        schedule = compile_tree(tree, m)
         assert sum(len(g.parents) for g in schedule.groups) == sum(map(len, by_height.values()))
         assert len(schedule.groups) > len(by_height)
 
@@ -426,6 +483,34 @@ class TestParamCount:
         m = init_model(100, SharingMode.ATTRIBUTE_SPECIFIC, vocab=vocab)
         assert param_count(m) == 765_202
 
+    @pytest.mark.parametrize("mode, ablation, count", [
+        (SharingMode.ATTRIBUTE_SPECIFIC, AblationMode.NO_DISCOURSE, 11 * 45_000 + 202),
+        (SharingMode.ATTRIBUTE_SPECIFIC, AblationMode.NO_SYNTAX, 6 * 45_000 + 202),
+        (SharingMode.LEVEL_SPECIFIC, AblationMode.NO_DISCOURSE, 45_202),
+        (SharingMode.LEVEL_SPECIFIC, AblationMode.NO_SYNTAX, 45_202),
+        (SharingMode.UNIFIED, AblationMode.NO_STRUCTURE, 202),
+        (SharingMode.LEVEL_SPECIFIC, AblationMode.NO_STRUCTURE, 202),
+        (SharingMode.ATTRIBUTE_SPECIFIC, AblationMode.NO_STRUCTURE, 202),
+    ])
+    def test_ablated_m10_n5_d100(self, mode, ablation, count):
+        vocab = AttributeVocab(
+            tuple(f"P{i}" for i in range(10)),
+            tuple(f"NS-r{j}" for j in range(5)),
+        )
+        assert param_count(init_model(100, mode, ablation, vocab)) == count
+
+
+def decode_flat(doc):
+    return np.frombuffer(base64.b64decode(doc["flat"], validate=True), dtype="<f8").copy()
+
+
+def edit_flat(change):
+    """A checkpoint edit that changes the decoded parameter vector."""
+    def edit(doc):
+        vec = change(decode_flat(doc))
+        doc["flat"] = base64.b64encode(np.asarray(vec, dtype="<f8").tobytes()).decode("ascii")
+    return edit
+
 
 class TestCheckpoint:
     def make(self, tmp_path, seed=0, text=TWO_EDU):
@@ -458,7 +543,7 @@ class TestCheckpoint:
         save_model(m, other)
         assert path.read_bytes() == other.read_bytes()
 
-    @pytest.mark.parametrize("version", [1, 99])
+    @pytest.mark.parametrize("version", [1, 2, 99])
     def test_version_mismatch(self, tmp_path, version):
         _, _, path = self.make(tmp_path)
         self.edit(path, lambda doc: doc.update(version=version))
@@ -469,7 +554,9 @@ class TestCheckpoint:
         m, _, path = self.make(tmp_path)
         doc = json.loads(path.read_text())
         assert sorted(doc) == ["ablation", "attribute_vocab", "d", "flat", "mode", "version"]
-        assert doc["flat"] == m.flat.tolist()
+        assert isinstance(doc["flat"], str)
+        assert doc["flat"] == base64.b64encode(m.flat.astype("<f8").tobytes()).decode("ascii")
+        assert np.array_equal(decode_flat(doc), m.flat)
 
     def test_truncated_file(self, tmp_path):
         _, _, path = self.make(tmp_path)
@@ -490,10 +577,11 @@ class TestCheckpoint:
         m, _, path = self.make(tmp_path)
         index = {"first": 0, "middle": m.flat.size // 2, "last": -1}[where]
 
-        def poison(doc):
-            doc["flat"][index] = value
+        def poison(vec):
+            vec[index] = value
+            return vec
 
-        self.edit(path, poison)
+        self.edit(path, edit_flat(poison))
         with pytest.raises(CorruptCheckpointError, match="non-finite"):
             load_model(path)
 
@@ -506,13 +594,31 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("change, message", [
         (lambda doc: doc["attribute_vocab"]["syntax"].remove("NP"), "do not fit"),
-        (lambda doc: doc["flat"].pop(), "do not fit"),
+        (edit_flat(lambda vec: vec[:-1]), "do not fit"),
         (lambda doc: doc["attribute_vocab"]["rr"].append(7), "lists of strings"),
         (lambda doc: doc["attribute_vocab"].update(syntax="NP"), "lists of strings"),
-    ], ids=["label_removed", "flat_short", "label_not_a_string", "labels_not_a_list"])
+        (lambda doc: doc["attribute_vocab"]["syntax"].append("NP"), "unique"),
+        (lambda doc: doc["attribute_vocab"]["rr"].append("NP"), "unique"),
+    ], ids=["label_removed", "flat_short", "label_not_a_string", "labels_not_a_list",
+            "label_repeated", "label_at_both_levels"])
     def test_stored_parameters_must_fit_mode_and_vocabulary(self, tmp_path, change, message):
         _, _, path = self.make(tmp_path)
         self.edit(path, change)
+        with pytest.raises(CorruptCheckpointError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("flat, message", [
+        (lambda flat: decode_flat({"flat": flat}).tolist(), "malformed"),
+        (lambda flat: 1.5, "malformed"),
+        (lambda flat: "1.5", "malformed"),
+        (lambda flat: flat[:-4] + "!!==", "malformed"),
+        (lambda flat: flat[:40] + "\n" + flat[40:], "malformed"),
+        (lambda flat: flat[:-4], "do not fit"),
+    ], ids=["json_list", "json_number", "number_as_text", "not_base64", "line_break",
+            "bytes_not_whole_values"])
+    def test_flat_must_be_base64_of_the_layout(self, tmp_path, flat, message):
+        _, _, path = self.make(tmp_path)
+        self.edit(path, lambda doc: doc.update(flat=flat(doc["flat"])))
         with pytest.raises(CorruptCheckpointError, match=message):
             load_model(path)
 
