@@ -19,7 +19,7 @@ from . import nn
 from . import stats as hero_stats
 from . import synthetic, trainer
 from .embed import EmbeddingError, load_table
-from .ling_tree import TreeError, parse_sexpr
+from .ling_tree import TreeError, leaf_words, parse_sexpr
 from .model import (
     AblationMode, AttributeVocab, SharingMode,
     CorruptCheckpointError, VersionMismatchError,
@@ -39,8 +39,8 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _load_table(path, dim: int):
-    table = load_table(path, dim)
+def _load_table(path, dim: int, words):
+    table = load_table(path, dim, words)
     if table.duplicates:
         _log(f"{path}: {table.duplicates} duplicate token lines; the last vector of each token is used")
     return table
@@ -58,7 +58,7 @@ def cmd_train(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
         config = trainer.parse_config(fh.read())
     docs = trainer.read_dataset(args.data)
-    table = _load_table(args.embeddings, config.d)
+    table = _load_table(args.embeddings, config.d, {w for doc in docs for w in leaf_words(doc.tree)})
     split = trainer.split_dataset(docs, config.seed)
     _log(f"split: {len(split.train)} train / {len(split.val)} val / {len(split.test)} test")
 
@@ -95,7 +95,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     params = load_model(args.model)
     docs = trainer.read_dataset(args.data)
-    table = _load_table(args.embeddings, params.d)
+    words = [w for doc in docs for w in leaf_words(doc.tree)]
+    table = _load_table(args.embeddings, params.d, words)
+    oov = sum(table.get(w) is None for w in words)
+    if oov:
+        _log(f"{oov} of {len(words)} leaves out of vocabulary")
     metrics = trainer.evaluate(params, docs, table)
     print(trainer.format_metrics_table(metrics))
     return 0
@@ -103,7 +107,6 @@ def cmd_eval(args) -> int:
 
 def cmd_predict(args) -> int:
     params = load_model(args.model)
-    table = _load_table(args.embeddings, params.d)
     if args.tree and args.tree != "-":
         with open(args.tree, encoding="utf-8") as fh:
             text = fh.read()
@@ -114,6 +117,7 @@ def cmd_predict(args) -> int:
     except TreeError as exc:
         _log(f"invalid tree: {exc}")
         return 1
+    table = _load_table(args.embeddings, params.d, leaf_words(tree))
     enc = hero_model.encode_document(params, tree, table)
     unk = sum(len(g.parents) for g in enc.schedule.groups if g.key in (hero_model.UNK_SYNTAX, hero_model.UNK_RR))
     if enc.oov or unk:  # UNK GRUs see no training node: they keep their initial weights

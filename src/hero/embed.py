@@ -55,20 +55,39 @@ class EmbeddingTable:
         return len(self.vectors)
 
 
-def load_table(path, expected_dim: int) -> EmbeddingTable:
-    """Load a vector file, checking every line against ``expected_dim``.
+def load_table(path, expected_dim: int, vocab=None) -> EmbeddingTable:
+    """Load a vector file of width ``expected_dim``.
 
-    Duplicate tokens keep the last occurrence; the table's ``duplicates``
-    field counts how many lines were overridden. Blank lines are skipped.
+    With ``vocab`` (the words a run will look up), only the lines that
+    ``EmbeddingTable.get`` can return for those words, each word as written
+    and lowercased, are parsed and checked; every other line costs reading
+    its token. Without it every line is kept. A kept line of the wrong
+    width, or with a value that is not a finite float, raises with its line
+    number. Duplicate tokens keep the last occurrence, and ``duplicates``
+    counts the lines of the whole file whose token appeared earlier, kept or
+    not. Blank lines are skipped; a file with no other line raises
+    EmptyFileError, and a file that shares no token with ``vocab`` gives an
+    empty table.
     """
+    wanted = None
+    if vocab is not None:
+        wanted = set(vocab)
+        wanted |= {word.lower() for word in wanted}
     vectors: dict[str, np.ndarray] = {}
+    skipped: set[str] = set()
     duplicates = 0
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
-            if not line.strip():
+            head = line.split(None, 1)
+            if not head:
                 continue
-            parts = line.split()
-            token, values = parts[0], parts[1:]
+            token = head[0]
+            if token in vectors or token in skipped:
+                duplicates += 1
+            if wanted is not None and token not in wanted:
+                skipped.add(token)
+                continue
+            values = head[1].split() if len(head) > 1 else []
             if len(values) != expected_dim:
                 raise DimMismatchError(
                     f"line {line_no}: expected {expected_dim} values, got {len(values)}", line_no
@@ -79,10 +98,8 @@ def load_table(path, expected_dim: int) -> EmbeddingTable:
                 raise EmbeddingParseError(line_no, str(exc)) from exc
             if not np.all(np.isfinite(vec)):
                 raise EmbeddingParseError(line_no, "non-finite value")
-            if token in vectors:
-                duplicates += 1
             vectors[token] = vec
-    if not vectors:
+    if not vectors and not skipped:
         raise EmptyFileError(f"no vectors in {path}")
     return EmbeddingTable(expected_dim, vectors, duplicates)
 

@@ -27,7 +27,9 @@ import numpy as np
 
 from . import nn
 from .embed import DimMismatchError, EmbeddingTable, embed_leaves
-from .ling_tree import LingTree, NodeKind, TreeNode, iter_nodes, post_order
+from .ling_tree import (
+    LingTree, NodeKind, TreeNode, UnknownRRPrefixError, _kind_of_label, iter_nodes, post_order,
+)
 
 
 class SharingMode(enum.Enum):
@@ -399,10 +401,16 @@ def gradient_check_model(
     return nn.finite_diff_check(loss_at, params.flat, grads.flat, step)
 
 
+# Values per base64 chunk written by save_model: a multiple of 3, so every
+# chunk but the last is a whole number of 3-byte groups and carries no padding.
+_SAVE_CHUNK = 3 << 16
+
+
 def save_model(params: ModelParams, path) -> None:
     """Write a JSON checkpoint: the header that fixes the layout (mode,
     ablation, width, vocabulary) and ``flat``, in the order ModelParams
-    documents, as base64 of its little-endian float64 bytes."""
+    documents, as base64 of its little-endian float64 bytes. The base64 text
+    is written chunk by chunk, so no full-size copy of it is held."""
     doc = {
         "version": CHECKPOINT_VERSION,
         "mode": params.mode.value,
@@ -412,11 +420,16 @@ def save_model(params: ModelParams, path) -> None:
             "syntax": list(params.vocab.syntax_labels),
             "rr": list(params.vocab.rr_labels),
         },
-        "flat": base64.b64encode(params.flat.astype("<f8", copy=False)).decode("ascii"),
+        "flat": "",
     }
+    # Inside a JSON string every quote is escaped, so this is the key itself.
+    head, _, tail = json.dumps(doc, sort_keys=True).partition('"flat": ""')
+    flat = params.flat.astype("<f8", copy=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(head + '"flat": "')
+        for start in range(0, flat.size, _SAVE_CHUNK):
+            fh.write(base64.b64encode(flat[start:start + _SAVE_CHUNK]).decode("ascii"))
+        fh.write('"' + tail + "\n")
 
 
 def load_model(path) -> ModelParams:
@@ -443,6 +456,18 @@ def load_model(path) -> ModelParams:
         if not all(isinstance(names, list) and all(isinstance(n, str) for n in names) for names in labels):
             raise CorruptCheckpointError("attribute_vocab labels must be lists of strings")
         params = ModelParams(d, mode, ablation, AttributeVocab(*map(tuple, labels)))
+        # A label listed at the wrong level would route nodes of one family
+        # to the other family's GRU.
+        for level, names, kind in zip(("syntax", "rr"), labels, (NodeKind.SYNTAX, NodeKind.RR)):
+            for name in names:
+                try:
+                    found = _kind_of_label(name)
+                except UnknownRRPrefixError as exc:
+                    raise CorruptCheckpointError(f"attribute_vocab {level} label: {exc}") from exc
+                if found is not kind:
+                    raise CorruptCheckpointError(
+                        f"attribute_vocab {level} label {name!r} is a {found.value} label"
+                    )
         raw = base64.b64decode(doc["flat"], validate=True)
         if len(raw) != 8 * params.flat.size:
             raise CorruptCheckpointError(

@@ -302,6 +302,76 @@ def test_table_duplicates_are_logged(workspace, tmp_path, capsys):
         assert notes == [f"{emb}: 2 duplicate token lines; the last vector of each token is used"]
 
 
+
+def _predict(workspace, emb, tree=None):
+    return run([
+        "predict", "--model", str(workspace["model"]), "--embeddings", str(emb),
+        "--tree", str(tree or workspace["tree"]),
+    ])
+
+
+@pytest.mark.parametrize("bad", ["{tok} 1 2", "{tok} " + "x " * 8, "{tok} " + "nan " * 8, "{tok}"],
+                         ids=["short", "not_a_float", "nan", "token_only"])
+def test_predict_checks_only_the_table_lines_it_uses(workspace, tmp_path, capsys, bad):
+    """Lines of tokens the tree does not contain are not parsed."""
+    assert _predict(workspace, workspace["emb"]) == 0
+    expected = capsys.readouterr()
+    words = set(_words(workspace["docs"][0].tree))
+    lines = workspace["emb"].read_text().splitlines(keepends=True)
+    tokens = [line.split()[0] for line in lines]
+    unused = next(i for i, tok in enumerate(tokens) if tok not in words)
+    used = next(i for i, tok in enumerate(tokens) if tok in words)
+    emb = tmp_path / "bad.txt"
+
+    emb.write_text("".join(lines[:unused] + [bad.format(tok=tokens[unused]) + "\n"] + lines[unused + 1:]))
+    assert _predict(workspace, emb) == 0
+    assert capsys.readouterr() == expected
+
+    emb.write_text("".join(lines[:used] + [bad.format(tok=tokens[used]) + "\n"] + lines[used + 1:]))
+    assert _predict(workspace, emb) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"line {used + 1}: " in captured.err
+
+
+def test_predict_rejects_bad_tree_before_reading_the_table(workspace, tmp_path, capsys):
+    bad = tmp_path / "bad.tree"
+    bad.write_text("(EDU (NNP x)", encoding="utf-8")
+    assert _predict(workspace, tmp_path / "no_such_table.txt", bad) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid tree: ") and "no_such_table" not in err
+
+
+def test_eval_logs_oov_leaves(workspace, tmp_path, capsys):
+    argv = ["eval", "--model", str(workspace["model"]), "--data", str(workspace["data"]), "--embeddings"]
+    assert run(argv + [str(workspace["emb"])]) == 0
+    plain = capsys.readouterr()
+    assert "out of vocabulary" not in plain.err
+    dropped = {"the", "zzhoax"}
+    lines = workspace["emb"].read_text().splitlines(keepends=True)
+    emb = tmp_path / "partial.txt"
+    emb.write_text("".join(line for line in lines if line.split()[0] not in dropped))
+    words = [w for d in workspace["docs"] for w in _words(d.tree)]
+    oov = sum(w in dropped for w in words)
+    assert 0 < oov < len(words)
+    assert run(argv + [str(emb)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"{oov} of {len(words)} leaves out of vocabulary\n"
+    assert captured.out.startswith("macro_f1")
+
+
+def test_model_label_at_the_wrong_level_is_io_error(workspace, tmp_path, capsys):
+    doc = json.loads(workspace["model"].read_text())
+    doc["attribute_vocab"] = {"syntax": ["NS-x", "NN"], "rr": []}
+    bad = tmp_path / "levels.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    assert _predict(workspace, workspace["emb"]) == 0
+    capsys.readouterr()
+    assert run(["predict", "--model", str(bad), "--embeddings", str(workspace["emb"]),
+                "--tree", str(workspace["tree"])]) == 2
+    assert "syntax label 'NS-x' is a RR label" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numeric_failure_exit_code(workspace, tmp_path, capsys):
     emb = tmp_path / "huge.txt"

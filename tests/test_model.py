@@ -623,6 +623,56 @@ class TestCheckpoint:
             load_model(path)
 
 
+    @pytest.mark.parametrize("syntax, rr, message", [
+        (["NS-x", "NN"], [], "syntax label 'NS-x' is a RR"),
+        (["NP"], ["NN"], "rr label 'NN' is a SYNTAX"),
+        (["EDU"], [], "syntax label 'EDU' is a EDU"),
+        ([], ["EDU"], "rr label 'EDU' is a EDU"),
+        ([], ["NS-x", "SS-x"], "nuclearity-like prefix"),
+        (["NP", "SS-x"], [], "nuclearity-like prefix"),
+    ], ids=["relation_as_syntax", "syntax_as_relation", "edu_as_syntax", "edu_as_relation",
+            "ss_prefix_relation", "ss_prefix_syntax"])
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    def test_label_must_belong_to_its_level(self, tmp_path, mode, syntax, rr, message):
+        path = tmp_path / "model.json"
+        save_model(make_model(mode, trees=[parse_sexpr(TWO_EDU)]), path)
+        self.edit(path, lambda doc: doc.update(attribute_vocab={"syntax": syntax, "rr": rr}))
+        with pytest.raises(CorruptCheckpointError, match=message):
+            load_model(path)
+
+
+def legacy_save(params, path):
+    """The checkpoint writer the chunked save_model must reproduce byte for byte."""
+    doc = {
+        "version": 3,
+        "mode": params.mode.value,
+        "ablation": params.ablation.value,
+        "d": params.d,
+        "attribute_vocab": {"syntax": list(params.vocab.syntax_labels), "rr": list(params.vocab.rr_labels)},
+        "flat": base64.b64encode(params.flat.astype("<f8", copy=False)).decode("ascii"),
+    }
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True)
+        fh.write("\n")
+
+
+@pytest.mark.parametrize("mode, ablation, labels, size", [
+    (SharingMode.UNIFIED, AblationMode.FULL, 0, 45_202),
+    (SharingMode.ATTRIBUTE_SPECIFIC, AblationMode.FULL, 5, 12 * 45_000 + 202),
+    (SharingMode.ATTRIBUTE_SPECIFIC, AblationMode.NO_STRUCTURE, 5, 202),
+], ids=["unified", "attribute", "no_structure"])
+@pytest.mark.parametrize("chunk", [3, 6, 300, None], ids=lambda c: f"chunk{c}")
+def test_save_matches_the_single_dump_bytes(tmp_path, monkeypatch, mode, ablation, labels, size, chunk):
+    if chunk is not None:
+        monkeypatch.setattr("hero.model._SAVE_CHUNK", chunk)
+    vocab = AttributeVocab(tuple(f"P{i}" for i in range(labels)), tuple(f"NS-r{j}" for j in range(labels)))
+    params = init_model(100, mode, ablation, vocab, seed=3, random_classifier=True)
+    assert params.flat.size == size
+    save_model(params, tmp_path / "new.json")
+    legacy_save(params, tmp_path / "old.json")
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+
 def layout_views(m):
     """The registry and classifier views in the documented flat order."""
     for pair in m.registry.values():
