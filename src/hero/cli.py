@@ -117,11 +117,11 @@ def cmd_predict(args) -> int:
     except TreeError as exc:
         _log(f"invalid tree: {exc}")
         return 1
-    table = _load_table(args.embeddings, params.d, leaf_words(tree))
+    words = leaf_words(tree)
+    table = _load_table(args.embeddings, params.d, words)
     enc = hero_model.encode_document(params, tree, table)
-    unk = sum(len(g.parents) for g in enc.schedule.groups if g.key in (hero_model.UNK_SYNTAX, hero_model.UNK_RR))
-    if enc.oov or unk:  # UNK GRUs see no training node: they keep their initial weights
-        _log(f"{enc.oov} of {len(enc.schedule.words)} leaves out of vocabulary; {unk} nodes use an UNK GRU")
+    if enc.oov or enc.unk:  # UNK GRUs see no training node: they keep their initial weights
+        _log(f"{enc.oov} of {len(words)} leaves out of vocabulary; {enc.unk} nodes use an UNK GRU")
     print(hero_model.predict(params, enc))
     return 0
 

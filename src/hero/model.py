@@ -12,7 +12,9 @@ and three ablations replace parts of the tree walk with plain averaging.
 A tree is first compiled into a Schedule: the rows of one node-vector
 matrix, groups of internal nodes that share a height, a registry key and a
 child count, and the ablation's mean-pools. Each group runs as one batched
-Bi-GRU call; the backward pass replays the same groups in reverse.
+Bi-GRU call; the backward pass replays the same groups in reverse. For
+inference, many trees compile into one merged schedule whose groups span
+documents, and it runs forward only.
 """
 
 from __future__ import annotations
@@ -150,7 +152,7 @@ def registry_keys(mode: SharingMode, ablation: AblationMode, vocab: AttributeVoc
     a family has keys only if the ablation runs a Bi-GRU on its node kinds."""
     gru_kinds = _ABLATION_PLANS[ablation][0]
     discourse = NodeKind.RR in gru_kinds
-    syntax = not gru_kinds.isdisjoint((NodeKind.EDU, NodeKind.SYNTAX))
+    syntax = NodeKind.EDU in gru_kinds or NodeKind.SYNTAX in gru_kinds
     if mode is SharingMode.UNIFIED:
         return [UNIFIED_KEY] * (discourse or syntax)
     if mode is SharingMode.LEVEL_SPECIFIC:
@@ -216,101 +218,144 @@ class Group:
 
 @dataclass(frozen=True)
 class Schedule:
-    """One tree compiled for a sharing mode and an ablation. Rows of the
-    node matrix are the tree's nodes in post-order."""
+    """Trees compiled for a sharing mode and an ablation. Rows of the node
+    matrix are each tree's nodes in post-order, tree after tree."""
 
     size: int
     words: np.ndarray  # rows of the word leaves, in document order
     word_means: list[tuple[int, list[int]]]  # (row, its word rows): a mean, not a Bi-GRU
     groups: list[Group]  # by ascending height
-    document: np.ndarray  # rows whose mean is the document vector
+    documents: list[np.ndarray]  # per tree, the rows whose mean is its document vector
+    unk: list[int]  # per tree, the Bi-GRU nodes routed to an UNK key
 
 
 # Per ablation: the node kinds embedded by a Bi-GRU over their children, the
 # kinds that average the words below them, and the kind the document
 # averages (None: the document is the root).
+# Tuples, not sets: a membership test on a tuple compares identities, while
+# a set hashes the enum member in Python code.
 _ABLATION_PLANS = {
-    AblationMode.FULL: ({NodeKind.RR, NodeKind.EDU, NodeKind.SYNTAX}, set(), None),
-    AblationMode.NO_DISCOURSE: ({NodeKind.EDU, NodeKind.SYNTAX}, set(), NodeKind.EDU),
-    AblationMode.NO_SYNTAX: ({NodeKind.RR}, {NodeKind.EDU}, None),
-    AblationMode.NO_STRUCTURE: (set(), set(), NodeKind.WORD),
+    AblationMode.FULL: ((NodeKind.RR, NodeKind.EDU, NodeKind.SYNTAX), (), None),
+    AblationMode.NO_DISCOURSE: ((NodeKind.EDU, NodeKind.SYNTAX), (), NodeKind.EDU),
+    AblationMode.NO_SYNTAX: ((NodeKind.RR,), (NodeKind.EDU,), None),
+    AblationMode.NO_STRUCTURE: ((), (), NodeKind.WORD),
 }
 
+# A batched encode_document closes a chunk of documents once their node rows
+# reach this many, which bounds the node matrix and the largest group.
+CHUNK_ROWS = 2048
 
-def compile_tree(tree: LingTree, params: ModelParams) -> Schedule:
-    """The schedule that encode_document and backward both run for ``tree``."""
+
+def compile_tree(trees: list[LingTree], params: ModelParams) -> Schedule:
+    """The schedule that encode_document runs for a list of trees, and that
+    backward replays for a list of one. The internal nodes of all the trees
+    merge into groups by (height, key, child count); within a height, groups
+    keep the order in which the trees first reach them."""
     gru_kinds, mean_kinds, doc_kind = _ABLATION_PLANS[params.ablation]
-    nodes = post_order(tree.root)
-    row = {node: i for i, node in enumerate(nodes)}
     # Heights count Bi-GRU nodes only, so under no_syntax the RR nodes
     # batch by discourse depth alone.
-    height = [0] * len(nodes)
+    height: list[int] = []
     batches: dict[tuple[int, str, int], tuple[list[int], list[int]]] = {}
-    means = []
-    for i, node in enumerate(nodes):
-        if node.kind in mean_kinds:
-            means.append((i, [row[n] for n in iter_nodes(node) if n.kind is NodeKind.WORD]))
-        if node.kind not in gru_kinds:
-            continue
-        kids = [row[c] for c in node.children]
-        height[i] = 1 + max(height[c] for c in kids)
-        key = _aggregator_key(params, node)
-        parents, children = batches.setdefault((height[i], key, len(kids)), ([], []))
-        parents.append(i)
-        children.extend(kids)
+    words, means, documents, unk = [], [], [], []
+    for tree in trees:
+        nodes = post_order(tree.root)
+        row = {node: i for i, node in enumerate(nodes, len(height))}
+        height += [0] * len(nodes)
+        unk.append(0)
+        for node, i in row.items():
+            if node.kind is NodeKind.WORD:
+                words.append(i)
+            elif node.kind in mean_kinds:
+                means.append((i, [row[n] for n in iter_nodes(node) if n.kind is NodeKind.WORD]))
+            if node.kind not in gru_kinds:
+                continue
+            kids = [row[c] for c in node.children]
+            height[i] = 1 + max(height[c] for c in kids)
+            key = _aggregator_key(params, node)
+            unk[-1] += key in (UNK_SYNTAX, UNK_RR)
+            parents, children = batches.setdefault((height[i], key, len(kids)), ([], []))
+            parents.append(i)
+            children.extend(kids)
+        if doc_kind is None:
+            document = [len(height) - 1]
+        else:
+            document = [i for node, i in row.items() if node.kind is doc_kind]
+        documents.append(np.array(document, dtype=np.intp))
     # A stable sort by height keeps groups of one height in first-seen order.
     groups = [
         Group(key, np.array(parents, dtype=np.intp), np.array(children, dtype=np.intp).reshape(-1, k), h > 1)
         for (h, key, k), (parents, children) in sorted(batches.items(), key=lambda item: item[0][0])
     ]
-    if doc_kind is None:
-        document = [len(nodes) - 1]
-    else:
-        document = [i for i, node in enumerate(nodes) if node.kind is doc_kind]
-    return Schedule(
-        size=len(nodes),
-        words=np.array([i for i, n in enumerate(nodes) if n.kind is NodeKind.WORD], dtype=np.intp),
-        word_means=means,
-        groups=groups,
-        document=np.array(document, dtype=np.intp),
-    )
+    return Schedule(len(height), np.array(words, dtype=np.intp), means, groups, documents, unk)
 
 
 @dataclass
 class DocumentEncoding:
-    """Document vector plus everything the backward pass needs."""
+    """Document vector, its OOV leaves and UNK-routed nodes, and, for a tree
+    encoded alone, everything the backward pass needs. A batched encoding
+    runs forward only: its schedule, vectors and traces are None."""
 
     h_doc: np.ndarray
-    schedule: Schedule
-    vectors: np.ndarray  # the node matrix, rows as in the schedule
-    traces: list[tuple[nn.GruTrace, nn.GruTrace]]  # (forward, backward) per group
+    schedule: Schedule | None = None
+    vectors: np.ndarray | None = None  # the node matrix, rows as in the schedule
+    traces: list[tuple[nn.GruTrace, nn.GruTrace]] | None = None  # (forward, backward) per group
     oov: int = 0
+    unk: int = 0
 
 
-def encode_document(params: ModelParams, tree: LingTree, table: EmbeddingTable) -> DocumentEncoding:
-    """Embed the document bottom-up under the model's sharing mode and ablation."""
+def _chunks(trees):
+    """Consecutive runs of ``trees``, each closed once its node rows reach CHUNK_ROWS."""
+    chunk, rows = [], 0
+    for tree in trees:
+        chunk.append(tree)
+        rows += len(post_order(tree.root))
+        if rows >= CHUNK_ROWS:
+            yield chunk
+            chunk, rows = [], 0
+    if chunk:
+        yield chunk
+
+
+def encode_document(params: ModelParams, trees, table: EmbeddingTable):
+    """Embed documents bottom-up under the model's sharing mode and ablation.
+
+    One tree gives its DocumentEncoding with the traces backward needs. A
+    list of trees gives one forward-only encoding per tree: each chunk of
+    them (see CHUNK_ROWS) runs as one merged schedule and keeps no trace.
+    Every h_doc is bit-identical to the tree's own encoding, because the
+    forward kernel multiplies each row on its own.
+    """
     if table.dim != params.d:
         raise DimMismatchError(f"embedding table dim {table.dim} != model dim {params.d}")
-    schedule = compile_tree(tree, params)
-    leaves = embed_leaves(table, tree)
-    vectors = np.zeros((schedule.size, params.d))
-    vectors[schedule.words] = leaves.vectors
-    for i, words in schedule.word_means:
-        vectors[i] = vectors[words].mean(axis=0)
+    single = isinstance(trees, LingTree)
     hd = params.d // 2
-    traces = []
-    for group in schedule.groups:
-        pair = params.registry[group.key]
-        xs = vectors[group.children]
-        fwd = nn.gru_forward(pair.fwd, xs)
-        bwd = nn.gru_forward(pair.bwd, xs[:, ::-1])
-        # Mean over positions of [fwd_i (+) bwd_i]; the mean is order-free,
-        # so each half is just that direction's average hidden state.
-        vectors[group.parents, :hd] = fwd.h.mean(axis=1)
-        vectors[group.parents, hd:] = bwd.h.mean(axis=1)
-        traces.append((fwd, bwd))
-    h_doc = vectors[schedule.document].mean(axis=0)
-    return DocumentEncoding(h_doc, schedule, vectors, traces, leaves.oov)
+    encodings = []
+    for chunk in [[trees]] if single else _chunks(trees):
+        schedule = compile_tree(chunk, params)
+        leaves = [embed_leaves(table, tree) for tree in chunk]
+        vectors = np.zeros((schedule.size, params.d))
+        vectors[schedule.words] = np.concatenate([leaf.vectors for leaf in leaves])
+        for i, words in schedule.word_means:
+            vectors[i] = vectors[words].mean(axis=0)
+        traces = []
+        for group in schedule.groups:
+            pair = params.registry[group.key]
+            xs = vectors[group.children]
+            # Mean over positions of [fwd_i (+) bwd_i]; the mean is order-free,
+            # so each half is just that direction's average hidden state.
+            fwd = nn.gru_forward(pair.fwd, xs)
+            vectors[group.parents, :hd] = fwd.h.mean(axis=1)
+            bwd = nn.gru_forward(pair.bwd, xs[:, ::-1])
+            vectors[group.parents, hd:] = bwd.h.mean(axis=1)
+            if single:
+                traces.append((fwd, bwd))
+        h_docs = [vectors[rows].mean(axis=0) for rows in schedule.documents]
+        if single:
+            return DocumentEncoding(h_docs[0], schedule, vectors, traces, leaves[0].oov, schedule.unk[0])
+        encodings += [
+            DocumentEncoding(h, oov=leaf.oov, unk=unk) for h, leaf, unk in zip(h_docs, leaves, schedule.unk)
+        ]
+    return encodings
 
 
 def predict(params: ModelParams, enc: DocumentEncoding) -> float:
@@ -337,6 +382,8 @@ def backward(
     across steps), else a new one.
     """
     schedule = enc.schedule
+    if enc.traces is None:
+        raise MissingTraceError("a batched encoding runs forward only and keeps no traces")
     if len(enc.traces) != len(schedule.groups):
         raise MissingTraceError(
             f"{len(enc.traces)} forward traces for {len(schedule.groups)} schedule groups"
@@ -354,7 +401,8 @@ def backward(
 
     hd = params.d // 2
     d_vectors = np.zeros_like(enc.vectors)
-    d_vectors[schedule.document] = dh / len(schedule.document)
+    (document,) = schedule.documents
+    d_vectors[document] = dh / len(document)
     for group, (fwd, bwd) in zip(reversed(schedule.groups), reversed(enc.traces)):
         up = d_vectors[group.parents] / group.children.shape[1]
         pair = params.registry[group.key]

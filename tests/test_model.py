@@ -6,11 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from hero import model as hero_model
 from hero import nn
 from hero.embed import EmbeddingTable
 from hero.ling_tree import LingTree, NodeKind, TreeNode, edu_nodes, leaf_words, parse_sexpr, post_order
 from hero.model import (
-    AblationMode, AttributeVocab, CorruptCheckpointError,
+    CHUNK_ROWS, AblationMode, AttributeVocab, CorruptCheckpointError,
     DimMismatchError, DocumentEncoding, MissingTraceError, ModelParams,
     SharingMode, VersionMismatchError,
     DISCOURSE_KEY, SYNTAX_KEY, UNIFIED_KEY, UNK_RR, UNK_SYNTAX,
@@ -38,7 +39,7 @@ def make_model(mode, ablation=AblationMode.FULL, d=8, seed=0, trees=(), random_c
 def group_key(m, tree, node):
     """The registry key of the schedule group that embeds ``node``."""
     row = row_of(tree, node)
-    return next(g.key for g in compile_tree(tree, m).groups if row in g.parents)
+    return next(g.key for g in compile_tree([tree], m).groups if row in g.parents)
 
 
 class TestAggregatorKey:
@@ -99,7 +100,7 @@ class TestRegistry:
         rng = np.random.default_rng(40)
         trees = [random_tree(rng, n_edus=int(rng.integers(1, 5)), rr_arity=(2, 3)).tree for _ in range(12)]
         m = make_model(mode, ablation, trees=trees)
-        used = {g.key for tree in trees for g in compile_tree(tree, m).groups}
+        used = {g.key for tree in trees for g in compile_tree([tree], m).groups}
         vocab = m.vocab
         unk = set()
         if mode is SharingMode.ATTRIBUTE_SPECIFIC:
@@ -313,7 +314,7 @@ class TestMixedGroups:
         assert len({len(n.children) for n in by_height[2]}) > 1
         assert len({n.label for n in by_height[1]}) > 1
         m = make_model(SharingMode.ATTRIBUTE_SPECIFIC, trees=[tree])
-        schedule = compile_tree(tree, m)
+        schedule = compile_tree([tree], m)
         assert sum(len(g.parents) for g in schedule.groups) == sum(map(len, by_height.values()))
         assert len(schedule.groups) > len(by_height)
 
@@ -326,6 +327,88 @@ class TestMixedGroups:
         enc = encode_document(m, tree, table)
         np.testing.assert_allclose(enc.h_doc, encode_reference(m, tree, table), atol=1e-10)
         assert gradient_check_model(m, tree, table, y=1) < 1e-4
+
+
+def mixed_documents(seed=50):
+    """News-sized and tweet-sized trees, interleaved, with a table that
+    misses some words and a vocabulary, taken from the tweets only, that
+    misses some labels (so attribute sharing routes nodes to UNK keys)."""
+    rng = np.random.default_rng(seed)
+    tweets = [random_tree(rng, n_edus=1 + i % 4, rr_labels=("NS-elaboration", "NN-joint"),
+                          phrase_labels=("NP", "VP")).tree for i in range(8)]
+    news = [random_tree(rng, n_edus=25, edu_words=(10, 17), rr_arity=(2, 3)).tree for _ in range(3)]
+    trees = [tweets[0], news[0], *tweets[1:4], news[1], *tweets[4:7], news[2], tweets[7]]
+    words = sorted({w for tree in trees for w in leaf_words(tree)})
+    table = random_embedding_table(rng, words[::2], 8)
+    return tweets, trees, table
+
+
+class TestBatchedEncoding:
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    @pytest.mark.parametrize("ablation", list(AblationMode))
+    def test_bit_identical_to_per_document_encoding(self, mode, ablation):
+        tweets, trees, table = mixed_documents()
+        m = make_model(mode, ablation, trees=tweets, seed=51)
+        assert len(list(hero_model._chunks(trees))) > 1
+        singles = [encode_document(m, tree, table) for tree in trees]
+        if mode is SharingMode.ATTRIBUTE_SPECIFIC and ablation is not AblationMode.NO_STRUCTURE:
+            assert any(enc.unk for enc in singles)
+        assert any(enc.oov for enc in singles)
+        for batch in (trees, trees[1:2], trees[:1]):
+            encodings = encode_document(m, batch, table)
+            assert len(encodings) == len(batch)
+            for enc, single in zip(encodings, singles[trees.index(batch[0]):]):
+                assert np.array_equal(enc.h_doc, single.h_doc)
+                assert predict(m, enc) == predict(m, single)
+                assert (enc.oov, enc.unk) == (single.oov, single.unk)
+                assert enc.schedule is enc.vectors is enc.traces is None
+
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    def test_merged_groups_restrict_to_each_trees_own_groups(self, mode):
+        tweets, trees, _ = mixed_documents(52)
+        m = make_model(mode, trees=tweets)
+        merged = compile_tree(trees, m)
+        offset = 0
+        for tree, document in zip(trees, merged.documents):
+            own = compile_tree([tree], m)
+            picked = []
+            for g in merged.groups:
+                mine = (g.parents >= offset) & (g.parents < offset + own.size)
+                if mine.any():
+                    picked.append((g.key, g.parents[mine] - offset, g.children[mine] - offset))
+            assert len(picked) == len(own.groups)
+            for (key, parents, children), g in zip(sorted(picked, key=lambda p: p[1][0]),
+                                                   sorted(own.groups, key=lambda g: g.parents[0])):
+                assert key == g.key
+                assert np.array_equal(parents, g.parents) and np.array_equal(children, g.children)
+            assert np.array_equal(document - offset, own.documents[0])
+            offset += own.size
+        assert offset == merged.size
+
+    def test_unk_counts_the_nodes_in_unk_groups(self):
+        tweets, trees, table = mixed_documents(53)
+        m = make_model(SharingMode.ATTRIBUTE_SPECIFIC, trees=tweets)
+        for tree in trees:
+            enc = encode_document(m, tree, table)
+            assert enc.unk == sum(len(g.parents) for g in enc.schedule.groups if g.key in (UNK_SYNTAX, UNK_RR))
+
+    def test_backward_on_a_batched_encoding_raises(self):
+        tree = parse_sexpr(TWO_EDU)
+        table = random_embedding_table(np.random.default_rng(54), leaf_words(tree), 8)
+        m = make_model(SharingMode.UNIFIED, trees=[tree])
+        (enc,) = encode_document(m, [tree], table)
+        with pytest.raises(MissingTraceError):
+            backward(m, enc, 1)
+
+    def test_chunks_close_at_the_row_bound(self):
+        _, trees, _ = mixed_documents(55)
+        chunks = list(hero_model._chunks(trees))
+        assert [t for chunk in chunks for t in chunk] == trees
+        for chunk in chunks:
+            rows = [len(post_order(t.root)) for t in chunk]
+            assert sum(rows[:-1]) < CHUNK_ROWS
+        assert all(sum(len(post_order(t.root)) for t in chunk) >= CHUNK_ROWS for chunk in chunks[:-1])
+        assert encode_document(make_model(SharingMode.UNIFIED), [], EmbeddingTable(8, {})) == []
 
 
 class TestPredict:

@@ -7,7 +7,7 @@ import pytest
 
 from hero.embed import EmbeddingTable
 from hero.ling_tree import parse_sexpr
-from hero.model import AblationMode, SharingMode, save_model
+from hero.model import AblationMode, SharingMode, encode_document, predict, save_model
 from hero.synthetic import marker_corpus
 from hero.trainer import (
     ConfigError, DatasetError, EmptyEvalSetError, LabeledDocument,
@@ -361,6 +361,14 @@ def test_evaluate_runs_on_plain_doc_list():
     assert metrics.n == len(split.test)
     with pytest.raises(EmptyEvalSetError):
         evaluate(params, [], table)
+
+
+def test_batched_test_metrics_equal_per_document_scores():
+    split, table = quick_corpus(seed=31, n=60)
+    cfg = TrainConfig(lr=0.01, max_epochs=3, seed=31, d=8, mode=SharingMode.ATTRIBUTE_SPECIFIC)
+    params, report = train(split, cfg, table)
+    scores = [predict(params, encode_document(params, doc.tree, table)) for doc in split.test]
+    assert report.test == compute_metrics([doc.y for doc in split.test], scores)
 
 
 def test_report_json_is_stable():
