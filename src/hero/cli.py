@@ -46,6 +46,12 @@ def _load_table(path, dim: int, words):
     return table
 
 
+def _log_fallbacks(encodings, leaves: int) -> None:
+    oov, unk = sum(enc.oov for enc in encodings), sum(enc.unk for enc in encodings)
+    if oov or unk:  # UNK GRUs see no training node: they keep their initial weights
+        _log(f"{oov} of {leaves} leaves out of vocabulary; {unk} nodes use an UNK GRU")
+
+
 def cmd_validate(args) -> int:
     docs, problems = trainer.scan_dataset(args.data)
     for line_no, message in problems:
@@ -97,11 +103,10 @@ def cmd_eval(args) -> int:
     docs = trainer.read_dataset(args.data)
     words = [w for doc in docs for w in leaf_words(doc.tree)]
     table = _load_table(args.embeddings, params.d, words)
-    oov = sum(table.get(w) is None for w in words)
-    if oov:
-        _log(f"{oov} of {len(words)} leaves out of vocabulary")
-    metrics = trainer.evaluate(params, docs, table)
-    print(trainer.format_metrics_table(metrics))
+    encodings = hero_model.encode_document(params, [doc.tree for doc in docs], table)
+    _log_fallbacks(encodings, len(words))
+    scores = [hero_model.predict(params, enc) for enc in encodings]
+    print(trainer.format_metrics_table(trainer.compute_metrics([doc.y for doc in docs], scores)))
     return 0
 
 
@@ -120,8 +125,7 @@ def cmd_predict(args) -> int:
     words = leaf_words(tree)
     table = _load_table(args.embeddings, params.d, words)
     enc = hero_model.encode_document(params, tree, table)
-    if enc.oov or enc.unk:  # UNK GRUs see no training node: they keep their initial weights
-        _log(f"{enc.oov} of {len(words)} leaves out of vocabulary; {enc.unk} nodes use an UNK GRU")
+    _log_fallbacks([enc], len(words))
     print(hero_model.predict(params, enc))
     return 0
 

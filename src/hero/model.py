@@ -104,9 +104,10 @@ class BiGruParams:
 class ModelParams:
     """Every learnable weight lives in ``flat``, one float64 vector (zeros
     when not given). ``registry`` and ``classifier`` are views into it, laid
-    out in registry-key order, each key's ``fwd`` then ``bwd`` GRU as
-    w_r w_z w_h u_r u_z u_h, then the classifier's W and b; a write through
-    either side is seen by the other. Checkpoints store ``flat`` as is."""
+    out in registry-key order, each key's ``fwd`` then ``bwd`` GRU as its
+    stacked ``w`` then ``u`` (see nn.GruParams), then the classifier's W and
+    b; a write through either side is seen by the other. Checkpoints store
+    ``flat`` as is."""
 
     d: int
     mode: SharingMode
@@ -122,7 +123,6 @@ class ModelParams:
             repeated = sorted({key for key in keys if keys.count(key) > 1})
             raise ValueError(f"registry keys must be unique, repeated: {repeated}")
         hd = self.d // 2
-        gru_shapes = [(hd, self.d)] * 3 + [(hd, hd)] * 3
         size = 2 * len(keys) * 3 * hd * (self.d + hd) + 2 * self.d + 2
         if self.flat is None:
             self.flat = np.zeros(size)
@@ -140,7 +140,7 @@ class ModelParams:
             return self.flat[offset - n:offset].reshape(shape)
 
         def gru():
-            return nn.GruParams(*(take(shape) for shape in gru_shapes))
+            return nn.GruParams(take((3 * hd, self.d)), take((3 * hd, hd)))
 
         self.registry = {key: BiGruParams(gru(), gru()) for key in keys}
         self.classifier = nn.ClassifierParams(take((2, self.d)), take((2,)))
@@ -179,8 +179,8 @@ def init_model(
     params = ModelParams(d, mode, ablation, vocab)
     for pair in params.registry.values():
         for gru in (pair.fwd, pair.bwd):
-            for view, drawn in zip(gru.matrices(), nn.GruParams.init(d, rng).matrices()):
-                view[...] = drawn
+            drawn = nn.GruParams.init(d, rng)
+            gru.w[...], gru.u[...] = drawn.w, drawn.u
     if random_classifier:
         clf = nn.ClassifierParams.init(d, rng)
         params.classifier.w[...] = clf.w
@@ -411,8 +411,10 @@ def backward(
             pair.fwd, fwd, np.broadcast_to(up[:, None, :hd], fwd.h.shape), group.input_grad)
         g_bwd, dx_bwd = nn.gru_backward(
             pair.bwd, bwd, np.broadcast_to(up[:, None, hd:], bwd.h.shape), group.input_grad)
-        for a, g in zip(acc.fwd.matrices() + acc.bwd.matrices(), g_fwd.matrices() + g_bwd.matrices()):
-            a += g
+        acc.fwd.w += g_fwd.w
+        acc.fwd.u += g_fwd.u
+        acc.bwd.w += g_bwd.w
+        acc.bwd.u += g_bwd.u
         if group.input_grad:
             d_vectors[group.children] += dx_fwd + dx_bwd[:, ::-1]
     return grads

@@ -8,7 +8,9 @@ The GRU over a sequence x_1..x_T (each of width d, hidden width d/2):
     c_i = tanh(W_h x_i + U_h (h_{i-1} * r_i))
     h_i = (1 - z_i) * h_{i-1} + z_i * c_i,      h_0 = 0
 
-There are no bias terms; the six matrices are the only learnable tensors.
+There are no bias terms. The six matrices, the only learnable tensors, are
+stored stacked by gate as W = [W_r; W_z; W_h] and U = [U_r; U_z; U_h], and
+the kernels multiply by W and U as stored.
 
 The GRU kernels run a batch of B equal-length sequences at once, as
 (B, T, d) arrays. The forward kernel computes each row's matrix products on
@@ -48,51 +50,42 @@ def _rowwise(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 @dataclass
 class GruParams:
-    """The six GRU matrices: w_* are (d/2, d), u_* are (d/2, d/2)."""
+    """The GRU's matrices stacked by gate, rows r, z, h: w is [W_r; W_z; W_h],
+    (3d/2, d), and u is [U_r; U_z; U_h], (3d/2, d/2)."""
 
-    w_r: np.ndarray
-    w_z: np.ndarray
-    w_h: np.ndarray
-    u_r: np.ndarray
-    u_z: np.ndarray
-    u_h: np.ndarray
+    w: np.ndarray
+    u: np.ndarray
 
     @property
     def input_dim(self) -> int:
-        return self.w_r.shape[1]
+        return self.w.shape[1]
 
     @property
     def hidden_dim(self) -> int:
-        return self.w_r.shape[0]
+        return self.u.shape[1]
+
+    @property
+    def w_r(self) -> np.ndarray:
+        return self.w[:self.hidden_dim]
 
     @classmethod
     def init(cls, d: int, rng: np.random.Generator) -> "GruParams":
         """Uniform init in +-1/sqrt(fan-in)."""
         if d % 2:
             raise ShapeMismatchError(f"input width must be even, got {d}")
-        hd = d // 2
-        sw = 1.0 / math.sqrt(d)
-        su = 1.0 / math.sqrt(hd)
-        return cls(
-            w_r=rng.uniform(-sw, sw, (hd, d)),
-            w_z=rng.uniform(-sw, sw, (hd, d)),
-            w_h=rng.uniform(-sw, sw, (hd, d)),
-            u_r=rng.uniform(-su, su, (hd, hd)),
-            u_z=rng.uniform(-su, su, (hd, hd)),
-            u_h=rng.uniform(-su, su, (hd, hd)),
-        )
+        sw, su = 1.0 / math.sqrt(d), 1.0 / math.sqrt(d // 2)
+        return cls(rng.uniform(-sw, sw, (3 * d // 2, d)), rng.uniform(-su, su, (3 * d // 2, d // 2)))
 
     @classmethod
     def zeros(cls, d: int) -> "GruParams":
-        hd = d // 2
-        return cls(*(np.zeros((hd, d)) for _ in range(3)),
-                   *(np.zeros((hd, hd)) for _ in range(3)))
+        return cls(np.zeros((3 * d // 2, d)), np.zeros((3 * d // 2, d // 2)))
 
     def copy(self) -> "GruParams":
-        return GruParams(*(m.copy() for m in self.matrices()))
+        return GruParams(self.w.copy(), self.u.copy())
 
     def matrices(self) -> tuple[np.ndarray, ...]:
-        return (self.w_r, self.w_z, self.w_h, self.u_r, self.u_z, self.u_h)
+        """The six gate matrices as views: W_r W_z W_h U_r U_z U_h."""
+        return (*np.split(self.w, 3), *np.split(self.u, 3))
 
 
 @dataclass
@@ -121,8 +114,8 @@ def gru_forward(params: GruParams, inputs) -> GruTrace:
     batch, steps, hd = x.shape[0], x.shape[1], params.hidden_dim
     # The input contributions do not depend on the recurrence. The buffer
     # holds pre-activations and is turned into [r, z, hhat] in place.
-    gates = _rowwise(x, np.concatenate([params.w_r, params.w_z, params.w_h]))
-    u_rz = np.concatenate([params.u_r, params.u_z])
+    gates = _rowwise(x, params.w)
+    u_rz, u_h = params.u[:2 * hd], params.u[2 * hd:]
     h = np.empty((batch, steps, hd))
     for i in range(steps):
         a_rz, a_h, h_i = gates[:, i, :2 * hd], gates[:, i, 2 * hd:], h[:, i]
@@ -130,7 +123,7 @@ def gru_forward(params: GruParams, inputs) -> GruTrace:
             a_rz += _rowwise(h[:, i - 1], u_rz)
         r_i, z_i = sigmoid(a_rz, out=a_rz)[:, :hd], a_rz[:, hd:]
         if i:
-            a_h += _rowwise(h[:, i - 1] * r_i, params.u_h)
+            a_h += _rowwise(h[:, i - 1] * r_i, u_h)
         c_i = np.tanh(a_h, out=a_h)
         np.multiply(z_i, c_i, out=h_i)
         if i:
@@ -143,7 +136,7 @@ def gru_backward(
 ) -> tuple[GruParams, np.ndarray | None]:
     """Exact reverse-mode pass given an upstream gradient for every h_i.
 
-    Returns gradients for the six matrices (packed in a GruParams), each
+    Returns the gradients of w and u, in their layout (a GruParams) and
     summed over the batch, and a (B, T, d) array of gradients w.r.t. the
     inputs, or None without ``input_grad`` (inputs that are constants).
     """
@@ -151,7 +144,7 @@ def gru_backward(
     if gh.shape != trace.h.shape:
         raise ShapeMismatchError(f"grad_h shape {gh.shape} != trace shape {trace.h.shape}")
     batch, steps, hd = gh.shape
-    u_rz = np.concatenate([params.u_r, params.u_z])
+    u_rz, u_h = params.u[:2 * hd], params.u[2 * hd:]
     da = np.empty((batch, steps, 3 * hd))  # pre-activation gradients [r, z, hhat]
     g = gh[:, -1]
     for i in range(steps - 1, -1, -1):
@@ -163,7 +156,7 @@ def gru_backward(
             break
         h_prev = trace.h[:, i - 1]
         da[:, i, hd:2 * hd] = g * (c_i - h_prev) * z_i * (1.0 - z_i)
-        dgated = dah @ params.u_h  # gradient w.r.t. h_prev * r
+        dgated = dah @ u_h  # gradient w.r.t. h_prev * r
         da[:, i, :hd] = dgated * h_prev * r_i * (1.0 - r_i)
         g = gh[:, i - 1] + (g * (1.0 - z_i) + dgated * r_i + da[:, i, :2 * hd] @ u_rz)
     rows = batch * steps
@@ -171,15 +164,13 @@ def gru_backward(
     # h_prev = 0 at the first step, so only later steps reach the U matrices.
     later = da[:, 1:].reshape(-1, 3 * hd)
     h_prev = trace.h[:, :-1].reshape(-1, hd)
-    du_rz = later[:, :2 * hd].T @ h_prev
-    grads = GruParams(
-        w_r=dw[:hd], w_z=dw[hd:2 * hd], w_h=dw[2 * hd:],
-        u_r=du_rz[:hd], u_z=du_rz[hd:],
-        u_h=later[:, 2 * hd:].T @ (h_prev * trace.r[:, 1:].reshape(-1, hd)),
-    )
+    du = np.empty((3 * hd, hd))
+    np.matmul(later[:, :2 * hd].T, h_prev, out=du[:2 * hd])
+    np.matmul(later[:, 2 * hd:].T, h_prev * trace.r[:, 1:].reshape(-1, hd), out=du[2 * hd:])
+    grads = GruParams(dw, du)
     if not input_grad:
         return grads, None
-    dx = da.reshape(rows, 3 * hd) @ np.concatenate([params.w_r, params.w_z, params.w_h])
+    dx = da.reshape(rows, 3 * hd) @ params.w
     return grads, dx.reshape(batch, steps, -1)
 
 

@@ -287,9 +287,7 @@ def compute_metrics(labels, scores) -> MetricsReport:
 
 def evaluate(params: ModelParams, docs, table: EmbeddingTable) -> MetricsReport:
     """Score a list of labeled documents with a fixed model, encoding them
-    batched and forward only."""
-    if not docs:
-        raise EmptyEvalSetError("no documents to evaluate")
+    batched and forward only; compute_metrics rejects an empty list."""
     labels = [doc.y for doc in docs]
     encodings = encode_document(params, [doc.tree for doc in docs], table)
     scores = [hero_model.predict(params, enc) for enc in encodings]

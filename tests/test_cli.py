@@ -12,7 +12,7 @@ from hero.model import (
     AttributeVocab, SharingMode, encode_document, init_model, load_model, predict, save_model,
 )
 from hero.synthetic import marker_corpus
-from hero.trainer import write_dataset
+from hero.trainer import LabeledDocument, evaluate, format_metrics_table, write_dataset
 
 CONFIG = """
 lr=0.01
@@ -356,8 +356,32 @@ def test_eval_logs_oov_leaves(workspace, tmp_path, capsys):
     assert 0 < oov < len(words)
     assert run(argv + [str(emb)]) == 0
     captured = capsys.readouterr()
-    assert captured.err == f"{oov} of {len(words)} leaves out of vocabulary\n"
+    assert captured.err == f"{oov} of {len(words)} leaves out of vocabulary; 0 nodes use an UNK GRU\n"
     assert captured.out.startswith("macro_f1")
+
+
+def test_eval_logs_unk_nodes_of_labels_unseen_in_training(workspace, tmp_path, capsys):
+    vocab = AttributeVocab.from_trees(d.tree for d in workspace["docs"])
+    params = init_model(8, SharingMode.ATTRIBUTE_SPECIFIC, vocab=vocab, seed=2)
+    model = tmp_path / "attr.json"
+    save_model(params, model)
+    table = load_table(workspace["emb"], 8)
+    word = next(iter(table.vectors))
+    texts = [
+        serialize_sexpr(workspace["docs"][0].tree),
+        # An unseen relation, and an unseen constituency label that its EDU
+        # borrows: 3 UNK nodes.
+        f"(SN-unseen (EDU (XYZ {word})) (EDU (NN {word} {word})))",
+        f"(EDU (XYZ {word}))",  # 2 UNK nodes
+    ]
+    docs = [LabeledDocument(f"u{i}", parse_sexpr(text), i % 2) for i, text in enumerate(texts)]
+    data = tmp_path / "unseen.jsonl"
+    write_dataset(docs, data)
+    assert run(["eval", "--model", str(model), "--data", str(data), "--embeddings", str(workspace["emb"])]) == 0
+    captured = capsys.readouterr()
+    leaves = sum(len(_words(d.tree)) for d in docs)
+    assert captured.err == f"0 of {leaves} leaves out of vocabulary; 5 nodes use an UNK GRU\n"
+    assert captured.out == format_metrics_table(evaluate(params, docs, table)) + "\n"
 
 
 def test_model_label_at_the_wrong_level_is_io_error(workspace, tmp_path, capsys):

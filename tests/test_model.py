@@ -791,6 +791,25 @@ class TestFlatLayout:
         m.classifier.b[1] = -1.0
         assert m.flat[-1] == -1.0
 
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    def test_each_gru_is_two_contiguous_views_of_flat(self, mode):
+        """The kernels read w and u as stored: each is a C-contiguous view of
+        ``flat``, u right after w, holding the six gate matrices in order."""
+        m = make_model(mode, trees=[parse_sexpr(UNK_LABELS)], seed=5)
+        hd = m.d // 2
+        start = m.flat.__array_interface__["data"][0]
+        offset = 0
+        for pair in m.registry.values():
+            for gru in (pair.fwd, pair.bwd):
+                assert gru.w.shape == (3 * hd, m.d) and gru.u.shape == (3 * hd, hd)
+                for view in (gru.w, gru.u):
+                    assert view.flags.c_contiguous and np.shares_memory(view, m.flat)
+                    assert view.__array_interface__["data"][0] - start == 8 * offset
+                    offset += view.size
+                stacked = np.concatenate([gru.w.ravel(), gru.u.ravel()])
+                assert np.array_equal(stacked, np.concatenate([mat.ravel() for mat in gru.matrices()]))
+        assert offset == m.flat.size - m.classifier.w.size - m.classifier.b.size
+
     def test_copy_and_load_own_their_buffers(self, tmp_path):
         tree = parse_sexpr(TWO_EDU)
         m = make_model(SharingMode.LEVEL_SPECIFIC, trees=[tree], seed=2)

@@ -34,7 +34,7 @@ class TestGruForward:
     def test_zero_input_zero_u_gives_half_gates(self):
         rng = np.random.default_rng(1)
         params = GruParams.zeros(6)
-        for m in (params.w_r, params.w_z, params.w_h):
+        for m in params.matrices()[:3]:
             m[...] = rng.uniform(-1, 1, m.shape)
         trace = gru_forward(params, np.zeros((1, 1, 6)))
         np.testing.assert_allclose(trace.r[0, 0], 0.5)
