@@ -119,11 +119,8 @@ class ModelParams:
 
     def __post_init__(self):
         keys = registry_keys(self.mode, self.ablation, self.vocab)
-        if len(set(keys)) != len(keys):
-            repeated = sorted({key for key in keys if keys.count(key) > 1})
-            raise ValueError(f"registry keys must be unique, repeated: {repeated}")
         hd = self.d // 2
-        size = 2 * len(keys) * 3 * hd * (self.d + hd) + 2 * self.d + 2
+        size = _flat_size(self.d, len(keys))
         if self.flat is None:
             self.flat = np.zeros(size)
         if self.flat.shape != (size,) or self.flat.dtype != np.float64 or not self.flat.flags.c_contiguous:
@@ -149,7 +146,8 @@ class ModelParams:
 def registry_keys(mode: SharingMode, ablation: AblationMode, vocab: AttributeVocab) -> list[str]:
     """Keys of the Bi-GRU pairs the ablation's walk can reach. RR nodes draw
     from the discourse family, EDU and syntax nodes from the syntax family;
-    a family has keys only if the ablation runs a Bi-GRU on its node kinds."""
+    a family has keys only if the ablation runs a Bi-GRU on its node kinds.
+    A label listed twice raises ValueError."""
     gru_kinds = _ABLATION_PLANS[ablation][0]
     discourse = NodeKind.RR in gru_kinds
     syntax = NodeKind.EDU in gru_kinds or NodeKind.SYNTAX in gru_kinds
@@ -157,8 +155,19 @@ def registry_keys(mode: SharingMode, ablation: AblationMode, vocab: AttributeVoc
         return [UNIFIED_KEY] * (discourse or syntax)
     if mode is SharingMode.LEVEL_SPECIFIC:
         return [DISCOURSE_KEY] * discourse + [SYNTAX_KEY] * syntax
-    return [*vocab.syntax_labels * syntax, *vocab.rr_labels * discourse,
+    keys = [*vocab.syntax_labels * syntax, *vocab.rr_labels * discourse,
             *[UNK_SYNTAX] * syntax, *[UNK_RR] * discourse]
+    if len(set(keys)) != len(keys):
+        repeated = sorted({key for key in keys if keys.count(key) > 1})
+        raise ValueError(f"registry keys must be unique, repeated: {repeated}")
+    return keys
+
+
+def _flat_size(d: int, n_keys: int) -> int:
+    """Length of ModelParams.flat: two GRUs of 3d/2 x (d + d/2) weights per
+    registry key, then the classifier's 2 x d weights and 2 biases."""
+    hd = d // 2
+    return 2 * n_keys * 3 * hd * (d + hd) + 2 * d + 2
 
 
 def init_model(
@@ -505,7 +514,8 @@ def load_model(path) -> ModelParams:
         labels = [doc["attribute_vocab"][level] for level in ("syntax", "rr")]
         if not all(isinstance(names, list) and all(isinstance(n, str) for n in names) for names in labels):
             raise CorruptCheckpointError("attribute_vocab labels must be lists of strings")
-        params = ModelParams(d, mode, ablation, AttributeVocab(*map(tuple, labels)))
+        vocab = AttributeVocab(*map(tuple, labels))
+        keys = registry_keys(mode, ablation, vocab)
         # A label listed at the wrong level would route nodes of one family
         # to the other family's GRU.
         for level, names, kind in zip(("syntax", "rr"), labels, (NodeKind.SYNTAX, NodeKind.RR)):
@@ -519,15 +529,18 @@ def load_model(path) -> ModelParams:
                         f"attribute_vocab {level} label {name!r} is a {found.value} label"
                     )
         raw = base64.b64decode(doc["flat"], validate=True)
-        if len(raw) != 8 * params.flat.size:
+        # Checked before anything of the header's size is allocated, so a
+        # corrupt d cannot ask for more memory than the file holds.
+        expected = 8 * _flat_size(d, len(keys))
+        if len(raw) != expected:
             raise CorruptCheckpointError(
                 f"stored parameters do not fit the mode and vocabulary: "
-                f"{len(raw)} bytes stored, {8 * params.flat.size} expected"
+                f"{len(raw)} bytes stored, {expected} expected"
             )
-        flat = np.frombuffer(raw, dtype="<f8")
+        flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
         if not np.isfinite(flat).all():
             raise CorruptCheckpointError("stored parameters hold a non-finite value")
-        params.flat[...] = flat
+        params = ModelParams(d, mode, ablation, vocab, flat)
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, (CorruptCheckpointError, VersionMismatchError)):
             raise

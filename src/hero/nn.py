@@ -233,9 +233,6 @@ class AdamState:
     that adam_step reuses from step to step."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -253,8 +250,9 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> None:
         v = beta2 * v + (1 - beta2) * g * g
         params -= lr * (m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)
 
-    so the result is bit-identical to evaluating those whole-vector
-    expressions, without allocating full-size temporaries.
+    with beta1 = 0.9, beta2 = 0.999 and eps = 1e-8, so the result is
+    bit-identical to evaluating those whole-vector expressions, without
+    allocating full-size temporaries.
     """
     if not (isinstance(params, np.ndarray) and params.dtype == np.float64
             and params.flags.c_contiguous and params.flags.writeable):
@@ -270,7 +268,7 @@ def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> None:
     elif state.m.shape != p.shape:
         raise ShapeMismatchError(f"moment shape {state.m.shape} vs params {p.shape}")
     state.t += 1
-    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
+    b1, b2, lr, eps = 0.9, 0.999, state.lr, 1e-8
     c1, c2 = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
     for start in range(0, p.size, ADAM_BLOCK):
         cut = slice(start, start + ADAM_BLOCK)

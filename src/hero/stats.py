@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 from .ling_tree import LingTree, NodeKind
 
@@ -143,9 +143,9 @@ def compute_tree_stats(tree: LingTree) -> TreeStats:
     )
 
 
-def _betacf(a: float, b: float, x: float, max_iter: int = 300, eps: float = 3e-16) -> float:
+def _betacf(a: float, b: float, x: float) -> float:
     """Continued fraction for the incomplete beta (modified Lentz)."""
-    tiny = 1e-300
+    max_iter, eps, tiny = 300, 3e-16, 1e-300
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
@@ -252,15 +252,7 @@ class ComparisonRow:
     degenerate: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "statistic": self.statistic,
-            "fake_mean": self.fake_mean,
-            "true_mean": self.true_mean,
-            "t": self.t,
-            "dof": self.dof,
-            "p_value": self.p_value,
-            "degenerate": self.degenerate,
-        }
+        return asdict(self)
 
 
 @dataclass

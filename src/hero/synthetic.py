@@ -25,6 +25,8 @@ WORDS = (
     "online", "claim", "experts", "country", "shows", "found", "rose", "fell",
     "plan", "local", "warned", "early", "major", "public",
 )
+# The word that marks every fake document of marker_corpus.
+MARKER = "zzhoax"
 
 
 def _pick(rng: np.random.Generator, items) -> str:
@@ -133,33 +135,25 @@ def random_embedding_table(
     return EmbeddingTable(dim, vectors)
 
 
-def marker_corpus(
-    rng: np.random.Generator,
-    n_docs: int,
-    dim: int,
-    marker: str = "zzhoax",
-    n_edus: tuple[int, int] = (1, 3),
-    edu_words: tuple[int, int] = (2, 5),
-    embedding_scale: float = 1.0,
-):
-    """A linearly separable corpus: every fake document contains ``marker``.
+def marker_corpus(rng: np.random.Generator, n_docs: int, dim: int):
+    """A linearly separable corpus: every fake document contains ``MARKER``.
+    Each document has 1 to 3 EDUs of 2 to 5 words.
 
-    Returns (documents, table) where documents is a list of
-    (doc_id, tree, label) tuples and the table covers the whole vocabulary.
+    Returns (documents, table): a list of LabeledDocument and a table that
+    covers the whole vocabulary.
     """
     from .trainer import LabeledDocument  # local import to avoid a cycle
 
     docs = []
     for i in range(n_docs):
         label = int(rng.integers(2))
-        k = int(rng.integers(n_edus[0], n_edus[1] + 1))
         gen = random_tree(
             rng,
-            n_edus=k,
-            edu_words=edu_words,
-            force_word=marker if label == 1 else None,
+            n_edus=int(rng.integers(1, 4)),
+            edu_words=(2, 5),
+            force_word=MARKER if label == 1 else None,
             doc_id=f"doc{i:04d}",
         )
         docs.append(LabeledDocument(gen.tree.doc_id, gen.tree, label))
-    table = random_embedding_table(rng, [*WORDS, marker], dim, embedding_scale)
+    table = random_embedding_table(rng, [*WORDS, MARKER], dim)
     return docs, table

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import asdict, dataclass, replace
+from enum import Enum
 
 import numpy as np
 
@@ -116,6 +118,11 @@ def write_dataset(docs: list[LabeledDocument], path) -> None:
             fh.write(json.dumps(record) + "\n")
 
 
+def _by_value(items) -> dict:
+    """The dict_factory of every record's as_dict: enums are written by value."""
+    return {key: value.value if isinstance(value, Enum) else value for key, value in items}
+
+
 @dataclass
 class TrainConfig:
     lr: float = 1e-4
@@ -124,7 +131,6 @@ class TrainConfig:
     d: int = 100
     mode: SharingMode = SharingMode.UNIFIED
     ablation: AblationMode = AblationMode.FULL
-    shuffle: bool = True
 
     def __post_init__(self):
         if not (math.isfinite(self.lr) and self.lr >= 0):
@@ -137,15 +143,16 @@ class TrainConfig:
             raise ConfigError(f"d must be a positive even integer, got {self.d}")
 
     def as_dict(self) -> dict:
-        return {
-            "lr": self.lr, "max_epochs": self.max_epochs, "seed": self.seed,
-            "d": self.d, "mode": self.mode.value, "ablation": self.ablation.value,
-            "shuffle": self.shuffle,
-        }
+        return asdict(self, dict_factory=_by_value)
 
 
 def parse_config(text: str) -> TrainConfig:
-    """Parse key=value lines ('#' starts a comment) into a TrainConfig."""
+    """Parse key=value lines ('#' starts a comment) into a TrainConfig.
+
+    The keys are TrainConfig's fields, each value converted with its field's
+    type; an unknown or repeated key, or a bad value, raises ConfigError.
+    """
+    types = typing.get_type_hints(TrainConfig)
     values: dict[str, str] = {}
     for line_no, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -154,29 +161,17 @@ def parse_config(text: str) -> TrainConfig:
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
-    kwargs: dict = {}
+        key = key.strip()
+        if key in values:
+            raise ConfigError(f"line {line_no}: repeated key {key!r}")
+        values[key] = value.strip()
+    unknown = sorted(values.keys() - types.keys())
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     try:
-        if "lr" in values:
-            kwargs["lr"] = float(values.pop("lr"))
-        for key in ("max_epochs", "seed", "d"):
-            if key in values:
-                kwargs[key] = int(values.pop(key))
-        if "mode" in values:
-            kwargs["mode"] = SharingMode(values.pop("mode"))
-        if "ablation" in values:
-            kwargs["ablation"] = AblationMode(values.pop("ablation"))
-        if "shuffle" in values:
-            raw = values.pop("shuffle").lower()
-            if raw not in ("true", "false"):
-                raise ConfigError(f"shuffle must be true or false, got {raw!r}")
-            kwargs["shuffle"] = raw == "true"
-    except (ValueError, KeyError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+        kwargs = {key: types[key](value) for key, value in values.items()}
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if values:
-        raise ConfigError(f"unknown config keys: {', '.join(sorted(values))}")
     return TrainConfig(**kwargs)
 
 
@@ -223,10 +218,7 @@ class MetricsReport:
         return self.tp + self.fp + self.tn + self.fn
 
     def as_dict(self) -> dict:
-        return {
-            "macro_f1": self.macro_f1, "micro_f1": self.micro_f1, "auc": self.auc,
-            "tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn,
-        }
+        return asdict(self, dict_factory=_by_value)
 
 
 def _rank_auc(labels, scores) -> float | None:
@@ -301,7 +293,7 @@ class EpochLog:
     val: MetricsReport
 
     def as_dict(self) -> dict:
-        return {"epoch": self.epoch, "train_loss": self.train_loss, "val": self.val.as_dict()}
+        return asdict(self, dict_factory=_by_value)
 
 
 @dataclass
@@ -316,12 +308,7 @@ class TrainReport:
         return self.epochs[self.best_epoch - 1].val
 
     def as_dict(self) -> dict:
-        return {
-            "config": self.config.as_dict(),
-            "epochs": [e.as_dict() for e in self.epochs],
-            "best_epoch": self.best_epoch,
-            "test": self.test.as_dict(),
-        }
+        return asdict(self, dict_factory=_by_value)
 
     def to_json(self) -> str:
         return json.dumps(self.as_dict(), sort_keys=True, indent=2)
@@ -358,12 +345,8 @@ def train(split: Split, config: TrainConfig, table: EmbeddingTable) -> tuple[Mod
     # max_epochs >= 1 and scores are never NaN, so epoch 1 always sets it.
     best_params: ModelParams | None = None
     for epoch in range(1, config.max_epochs + 1):
-        if config.shuffle:
-            order = rng.permutation(len(split.train))
-        else:
-            order = np.arange(len(split.train))
         total_loss = 0.0
-        for i in order:
+        for i in rng.permutation(len(split.train)):
             doc = split.train[i]
             enc = encode_document(params, doc.tree, table)
             _, loss = nn.softmax_ce(params.classifier, enc.h_doc, doc.y)
@@ -429,14 +412,13 @@ def grid_search_lr(split: Split, base: TrainConfig, grid, table: EmbeddingTable)
 
 
 def format_metrics_table(metrics: MetricsReport) -> str:
-    """Fixed-column text rendering of a MetricsReport."""
-    rows = [
-        ("macro_f1", f"{metrics.macro_f1:.6f}"),
-        ("micro_f1", f"{metrics.micro_f1:.6f}"),
-        ("auc", f"{metrics.auc:.6f}" if metrics.auc is not None else "undefined"),
-        ("tp", str(metrics.tp)),
-        ("fp", str(metrics.fp)),
-        ("tn", str(metrics.tn)),
-        ("fn", str(metrics.fn)),
-    ]
-    return "\n".join(f"{name:<10}{value}" for name, value in rows)
+    """Fixed-column text rendering of a MetricsReport, one row per field: an
+    int as is, a float to 6 decimals, a missing AUC as ``undefined``."""
+    rows = []
+    for name, value in metrics.as_dict().items():
+        if value is None:
+            value = "undefined"
+        elif not isinstance(value, int):
+            value = f"{value:.6f}"
+        rows.append(f"{name:<10}{value}")
+    return "\n".join(rows)

@@ -20,7 +20,7 @@ def test_benchmark_checkers_accept_the_package_api():
     assert "ok  per-layer figures are per operation, not per run" in proc.stdout
 
 
-@pytest.mark.parametrize("workload", ["corpus-short", "train-unified", "train-attribute"])
+@pytest.mark.parametrize("workload", ["corpus-short", "train-unified", "train-attribute", "predict-cold"])
 def test_traced_smoke_reaches_every_expected_layer(workload):
     """The benchmark's tiny traced run, from the repository root: it fails if
     a timed call stops reaching a layer the benchmark expects (for example

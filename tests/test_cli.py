@@ -165,7 +165,7 @@ def test_validate_flags_non_integer_labels(tmp_path, capsys):
 @pytest.mark.parametrize("lr", ["nan", "inf"])
 def test_non_finite_lr_is_config_error(workspace, tmp_path, capsys, lr):
     config = tmp_path / "c.cfg"
-    config.write_text(CONFIG + f"lr={lr}\n", encoding="utf-8")
+    config.write_text(CONFIG.replace("lr=0.01", f"lr={lr}"), encoding="utf-8")
     code = run([
         "train", "--data", str(workspace["data"]), "--embeddings", str(workspace["emb"]),
         "--config", str(config),
@@ -260,7 +260,7 @@ def test_predict_logs_oov_leaves_and_unk_nodes(workspace, tmp_path, capsys):
 
 def test_negative_seed_in_config_is_config_error(workspace, tmp_path, capsys):
     config = tmp_path / "c.cfg"
-    config.write_text(CONFIG + "seed=-1\n", encoding="utf-8")
+    config.write_text(CONFIG.replace("seed=0", "seed=-1"), encoding="utf-8")
     code = run([
         "train", "--data", str(workspace["data"]), "--embeddings", str(workspace["emb"]),
         "--config", str(config),
@@ -332,6 +332,16 @@ def test_predict_checks_only_the_table_lines_it_uses(workspace, tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"line {used + 1}: " in captured.err
+
+
+def test_predict_rejects_a_width_its_checkpoint_bytes_do_not_fit(workspace, tmp_path, capsys):
+    doc = json.loads(workspace["model"].read_text())
+    doc["d"] = 2 ** 24
+    model = tmp_path / "huge.json"
+    model.write_text(json.dumps(doc))
+    assert run(["predict", "--model", str(model), "--embeddings", str(workspace["emb"]),
+                "--tree", str(workspace["tree"])]) == 2
+    assert "do not fit" in capsys.readouterr().err
 
 
 def test_predict_rejects_bad_tree_before_reading_the_table(workspace, tmp_path, capsys):
@@ -406,7 +416,7 @@ def test_numeric_failure_exit_code(workspace, tmp_path, capsys):
             vals = [sign * 1.7e308, -sign * 1.7e308] * 4
             fh.write(tok + " " + " ".join(repr(v) for v in vals) + "\n")
     config = tmp_path / "c.cfg"
-    config.write_text(CONFIG + "ablation=no_structure\n", encoding="utf-8")
+    config.write_text(CONFIG.replace("ablation=full", "ablation=no_structure"), encoding="utf-8")
     code = run([
         "train", "--data", str(workspace["data"]), "--embeddings", str(emb),
         "--config", str(config),

@@ -668,7 +668,9 @@ class TestCheckpoint:
         with pytest.raises(CorruptCheckpointError, match="non-finite"):
             load_model(path)
 
-    @pytest.mark.parametrize("d", [0, -8, 7, "8", 8.0, True])
+    # 2**24 would lay out ~90 PiB: the stored byte count rejects it before
+    # anything of that size is allocated.
+    @pytest.mark.parametrize("d", [0, -8, 7, "8", 8.0, True, 2 ** 24])
     def test_bad_width_rejected(self, tmp_path, d):
         _, _, path = self.make(tmp_path)
         self.edit(path, lambda doc: doc.update(d=d))

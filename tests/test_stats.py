@@ -6,7 +6,7 @@ import pytest
 
 from hero.ling_tree import NodeKind, iter_nodes, parse_sexpr
 from hero.stats import (
-    SingleClassCorpusError, TooFewSamplesError, ZeroVarianceError,
+    ComparisonRow, CorpusReport, SingleClassCorpusError, TooFewSamplesError, ZeroVarianceError,
     compare_groups, compute_tree_stats, corpus_report,
     regularized_incomplete_beta, t_two_sided_p,
 )
@@ -272,3 +272,36 @@ class TestCorpusReport:
         csv = corpus_report(docs).to_csv()
         row = csv.strip().split("\n")[1]
         assert row.endswith(",,,")
+
+    def test_csv_and_json_bytes(self):
+        """A normal and a degenerate row, byte for byte: floats by repr, a
+        missing t, dof or p as an empty CSV cell and as null in JSON."""
+        report = CorpusReport([
+            ComparisonRow("depth", 4.5, 3.25, 2.0000000000000004, 17.5, 0.06117),
+            ComparisonRow("label_prop:NN", 0.0, 0.0, None, None, None, True),
+        ])
+        assert report.to_csv() == (
+            "statistic,fake_mean,true_mean,t,dof,p_value\n"
+            "depth,4.5,3.25,2.0000000000000004,17.5,0.06117\n"
+            "label_prop:NN,0.0,0.0,,,\n"
+        )
+        assert report.to_json() == """[
+  {
+    "degenerate": false,
+    "dof": 17.5,
+    "fake_mean": 4.5,
+    "p_value": 0.06117,
+    "statistic": "depth",
+    "t": 2.0000000000000004,
+    "true_mean": 3.25
+  },
+  {
+    "degenerate": true,
+    "dof": null,
+    "fake_mean": 0.0,
+    "p_value": null,
+    "statistic": "label_prop:NN",
+    "t": null,
+    "true_mean": 0.0
+  }
+]"""

@@ -10,10 +10,10 @@ from hero.ling_tree import parse_sexpr
 from hero.model import AblationMode, SharingMode, encode_document, predict, save_model
 from hero.synthetic import marker_corpus
 from hero.trainer import (
-    ConfigError, DatasetError, EmptyEvalSetError, LabeledDocument,
-    NonFiniteLossError, TooFewDocumentsError, TrainConfig,
-    compute_metrics, evaluate, grid_search_lr, parse_config, read_dataset,
-    scan_dataset, split_dataset, train, write_dataset,
+    ConfigError, DatasetError, EmptyEvalSetError, EpochLog, LabeledDocument,
+    MetricsReport, NonFiniteLossError, TooFewDocumentsError, TrainConfig, TrainReport,
+    compute_metrics, evaluate, format_metrics_table, grid_search_lr, parse_config,
+    read_dataset, scan_dataset, split_dataset, train, write_dataset,
 )
 from reference import auc_reference, macro_f1_reference, micro_f1_reference
 
@@ -140,7 +140,6 @@ class TestConfig:
         d=8
         mode=attribute_specific
         ablation=no_syntax
-        shuffle=false
         """
         cfg = parse_config(text)
         assert cfg.lr == 0.01
@@ -149,7 +148,6 @@ class TestConfig:
         assert cfg.d == 8
         assert cfg.mode is SharingMode.ATTRIBUTE_SPECIFIC
         assert cfg.ablation is AblationMode.NO_SYNTAX
-        assert cfg.shuffle is False
 
     def test_defaults(self):
         cfg = parse_config("")
@@ -159,7 +157,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "text", ["lr=-1", "lr=nan", "lr=inf", "d=7", "max_epochs=0", "mode=giant", "whatever=1",
                  "lr 0.1", "shuffle=maybe",
-                 "seed=-1"]
+                 "seed=-1", "lr=0.1\nd=8\nlr=0.001"]
     )
     def test_rejects(self, text):
         with pytest.raises(ConfigError):
@@ -379,3 +377,81 @@ def test_report_json_is_stable():
     assert payload["best_epoch"] == report.best_epoch
     assert len(payload["epochs"]) == 2
     assert set(payload["test"]) == {"macro_f1", "micro_f1", "auc", "tp", "fp", "tn", "fn"}
+
+
+def test_report_and_table_bytes():
+    """The report JSON and the metrics table, byte for byte, from a hand-built
+    report: every record field appears once, enums by value, a missing AUC as
+    null in JSON and ``undefined`` in the table."""
+    no_auc = MetricsReport(1 / 3, 0.5, None, 1, 0, 0, 1)
+    val = MetricsReport(0.1 + 0.2, 0.75, 0.8125, 2, 1, 1, 0)
+    test = MetricsReport(1.0, 1.0, 1.0, 3, 0, 2, 0)
+    config = TrainConfig(lr=0.01, max_epochs=2, seed=7, d=8, mode=SharingMode.ATTRIBUTE_SPECIFIC,
+                         ablation=AblationMode.NO_SYNTAX)
+    report = TrainReport(config, [EpochLog(1, 0.6931471805599453, no_auc), EpochLog(2, 0.25, val)], 2, test)
+    assert report.to_json() == """{
+  "best_epoch": 2,
+  "config": {
+    "ablation": "no_syntax",
+    "d": 8,
+    "lr": 0.01,
+    "max_epochs": 2,
+    "mode": "attribute_specific",
+    "seed": 7
+  },
+  "epochs": [
+    {
+      "epoch": 1,
+      "train_loss": 0.6931471805599453,
+      "val": {
+        "auc": null,
+        "fn": 1,
+        "fp": 0,
+        "macro_f1": 0.3333333333333333,
+        "micro_f1": 0.5,
+        "tn": 0,
+        "tp": 1
+      }
+    },
+    {
+      "epoch": 2,
+      "train_loss": 0.25,
+      "val": {
+        "auc": 0.8125,
+        "fn": 0,
+        "fp": 1,
+        "macro_f1": 0.30000000000000004,
+        "micro_f1": 0.75,
+        "tn": 1,
+        "tp": 2
+      }
+    }
+  ],
+  "test": {
+    "auc": 1.0,
+    "fn": 0,
+    "fp": 0,
+    "macro_f1": 1.0,
+    "micro_f1": 1.0,
+    "tn": 2,
+    "tp": 3
+  }
+}"""
+    assert format_metrics_table(no_auc) == (
+        "macro_f1  0.333333\n"
+        "micro_f1  0.500000\n"
+        "auc       undefined\n"
+        "tp        1\n"
+        "fp        0\n"
+        "tn        0\n"
+        "fn        1"
+    )
+    assert format_metrics_table(val) == (
+        "macro_f1  0.300000\n"
+        "micro_f1  0.750000\n"
+        "auc       0.812500\n"
+        "tp        2\n"
+        "fp        1\n"
+        "tn        1\n"
+        "fn        0"
+    )
