@@ -9,8 +9,8 @@ training.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -46,8 +46,7 @@ def _load_table(path, dim: int, words):
     return table
 
 
-def _log_fallbacks(encodings, leaves: int) -> None:
-    oov, unk = sum(enc.oov for enc in encodings), sum(enc.unk for enc in encodings)
+def _log_fallbacks(oov: int, unk: int, leaves: int) -> None:
     if oov or unk:  # UNK GRUs see no training node: they keep their initial weights
         _log(f"{oov} of {leaves} leaves out of vocabulary; {unk} nodes use an UNK GRU")
 
@@ -61,15 +60,14 @@ def cmd_validate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    with open(args.config, encoding="utf-8") as fh:
-        config = trainer.parse_config(fh.read())
+    config = trainer.parse_config(Path(args.config).read_text(encoding="utf-8"))
     docs = trainer.read_dataset(args.data)
     table = _load_table(args.embeddings, config.d, {w for doc in docs for w in leaf_words(doc.tree)})
     split = trainer.split_dataset(docs, config.seed)
     _log(f"split: {len(split.train)} train / {len(split.val)} val / {len(split.test)} test")
 
     if args.grid:
-        result = trainer.grid_search_lr(split, config, DEFAULT_GRID, table)
+        record = result = trainer.grid_search_lr(split, config, DEFAULT_GRID, table)
         for lr, message in result.failures.items():
             _log(f"lr={lr!r}: failed: {message}")
         for lr, report in result.reports.items():
@@ -78,21 +76,18 @@ def cmd_train(args) -> int:
         if result.best_lr is None:
             _log("no learning rate finished training")
             return 3
-        best_params = result.best_params
-        report = result.reports[result.best_lr]
-        report_payload = result.as_dict()
+        best_params, report = result.best_params, result.reports[result.best_lr]
         _log(f"selected lr={result.best_lr!r}")
     else:
         best_params, report = trainer.train(split, config, table)
         for log in report.epochs:
             score = trainer.selection_score(log.val)
             _log(f"epoch {log.epoch}: train loss {log.train_loss:.6f}, val score {score:.4f}")
-        report_payload = report.as_dict()
+        record = report
 
     save_model(best_params, args.out)
     with open(args.report, "w", encoding="utf-8") as fh:
-        json.dump(report_payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(record.to_json() + "\n")
     _log(f"checkpoint written to {args.out}, report to {args.report}")
     print(trainer.format_metrics_table(report.test))
     return 0
@@ -103,20 +98,16 @@ def cmd_eval(args) -> int:
     docs = trainer.read_dataset(args.data)
     words = [w for doc in docs for w in leaf_words(doc.tree)]
     table = _load_table(args.embeddings, params.d, words)
-    encodings = hero_model.encode_document(params, [doc.tree for doc in docs], table)
-    _log_fallbacks(encodings, len(words))
-    scores = [hero_model.predict(params, enc) for enc in encodings]
-    print(trainer.format_metrics_table(trainer.compute_metrics([doc.y for doc in docs], scores)))
+    metrics, oov, unk = trainer.evaluate(params, docs, table)
+    _log_fallbacks(oov, unk, len(words))
+    print(trainer.format_metrics_table(metrics))
     return 0
 
 
 def cmd_predict(args) -> int:
     params = load_model(args.model)
-    if args.tree and args.tree != "-":
-        with open(args.tree, encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
+    text = sys.stdin.read() if args.tree in ("", "-") else Path(args.tree).read_text(encoding="utf-8")
+    text.encode(errors="surrogateescape").decode()  # stdin reads undecodable bytes as escapes
     try:
         tree = parse_sexpr(text)
     except TreeError as exc:
@@ -124,8 +115,8 @@ def cmd_predict(args) -> int:
         return 1
     words = leaf_words(tree)
     table = _load_table(args.embeddings, params.d, words)
-    enc = hero_model.encode_document(params, tree, table)
-    _log_fallbacks([enc], len(words))
+    (enc,) = hero_model.encode_document(params, [tree], table)
+    _log_fallbacks(enc.oov, enc.unk, len(words))
     print(hero_model.predict(params, enc))
     return 0
 
@@ -219,6 +210,9 @@ def run(argv=None) -> int:
             CorruptCheckpointError, VersionMismatchError, StatsError,
             TooFewDocumentsError, EmptyEvalSetError, nn.ShapeMismatchError) as exc:
         _log(f"error: {exc}")
+        return 2
+    except UnicodeDecodeError as exc:  # a config or tree file
+        _log(f"error: not UTF-8: {exc}")
         return 2
     except OSError as exc:
         _log(f"I/O error: {exc}")

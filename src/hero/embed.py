@@ -63,11 +63,11 @@ def load_table(path, expected_dim: int, vocab=None) -> EmbeddingTable:
     and lowercased, are parsed and checked; every other line costs reading
     its token. Without it every line is kept. A kept line of the wrong
     width, or with a value that is not a finite float, raises with its line
-    number. Duplicate tokens keep the last occurrence, and ``duplicates``
-    counts the lines of the whole file whose token appeared earlier, kept or
-    not. Blank lines are skipped; a file with no other line raises
-    EmptyFileError, and a file that shares no token with ``vocab`` gives an
-    empty table.
+    number, and so does a line that is not UTF-8, kept or not. Duplicate
+    tokens keep the last occurrence, and ``duplicates`` counts the lines of
+    the whole file whose token appeared earlier, kept or not. Blank lines
+    are skipped; a file with no other line raises EmptyFileError, and a file
+    that shares no token with ``vocab`` gives an empty table.
     """
     wanted = None
     if vocab is not None:
@@ -76,8 +76,13 @@ def load_table(path, expected_dim: int, vocab=None) -> EmbeddingTable:
     vectors: dict[str, np.ndarray] = {}
     skipped: set[str] = set()
     duplicates = 0
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, 1):
+            if not line.isascii():
+                try:
+                    line.encode(errors="surrogateescape").decode()  # undecodable bytes were escaped
+                except UnicodeDecodeError as exc:
+                    raise EmbeddingParseError(line_no, f"not UTF-8: {exc}") from None
             head = line.split(None, 1)
             if not head:
                 continue

@@ -13,8 +13,8 @@ A tree is first compiled into a Schedule: the rows of one node-vector
 matrix, groups of internal nodes that share a height, a registry key and a
 child count, and the ablation's mean-pools. Each group runs as one batched
 Bi-GRU call; the backward pass replays the same groups in reverse. For
-inference, many trees compile into one merged schedule whose groups span
-documents, and it runs forward only.
+inference, consecutive trees compile into merged schedules whose groups span
+documents, and they run forward only.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import islice
+from typing import Iterator
 
 import numpy as np
 
@@ -250,59 +252,67 @@ _ABLATION_PLANS = {
     AblationMode.NO_STRUCTURE: ((), (), NodeKind.WORD),
 }
 
-# A batched encode_document closes a chunk of documents once their node rows
-# reach this many, which bounds the node matrix and the largest group.
+# compile_tree closes a chunk of trees once their node rows reach this many,
+# which bounds the node matrix and the largest group.
 CHUNK_ROWS = 2048
 
 
-def compile_tree(trees: list[LingTree], params: ModelParams) -> Schedule:
-    """The schedule that encode_document runs for a list of trees, and that
-    backward replays for a list of one. The internal nodes of all the trees
-    merge into groups by (height, key, child count); within a height, groups
-    keep the order in which the trees first reach them."""
+def compile_tree(trees: list[LingTree], params: ModelParams) -> Iterator[Schedule]:
+    """The schedules that encode_document runs for a list of trees, and that
+    backward replays for a list of one. Consecutive trees compile into one
+    schedule until their node rows reach CHUNK_ROWS; the tree that reaches
+    the bound closes it. Within a schedule the internal nodes of all its
+    trees merge into groups by (height, key, child count); within a height,
+    groups keep the order in which the trees first reach them."""
     gru_kinds, mean_kinds, doc_kind = _ABLATION_PLANS[params.ablation]
-    # Heights count Bi-GRU nodes only, so under no_syntax the RR nodes
-    # batch by discourse depth alone.
-    height: list[int] = []
-    batches: dict[tuple[int, str, int], tuple[list[int], list[int]]] = {}
-    words, means, documents, unk = [], [], [], []
-    for tree in trees:
-        nodes = post_order(tree.root)
-        row = {node: i for i, node in enumerate(nodes, len(height))}
-        height += [0] * len(nodes)
-        unk.append(0)
-        for node, i in row.items():
-            if node.kind is NodeKind.WORD:
-                words.append(i)
-            elif node.kind in mean_kinds:
-                means.append((i, [row[n] for n in iter_nodes(node) if n.kind is NodeKind.WORD]))
-            if node.kind not in gru_kinds:
-                continue
-            kids = [row[c] for c in node.children]
-            height[i] = 1 + max(height[c] for c in kids)
-            key = _aggregator_key(params, node)
-            unk[-1] += key in (UNK_SYNTAX, UNK_RR)
-            parents, children = batches.setdefault((height[i], key, len(kids)), ([], []))
-            parents.append(i)
-            children.extend(kids)
-        if doc_kind is None:
-            document = [len(height) - 1]
-        else:
-            document = [i for node, i in row.items() if node.kind is doc_kind]
-        documents.append(np.array(document, dtype=np.intp))
-    # A stable sort by height keeps groups of one height in first-seen order.
-    groups = [
-        Group(key, np.array(parents, dtype=np.intp), np.array(children, dtype=np.intp).reshape(-1, k), h > 1)
-        for (h, key, k), (parents, children) in sorted(batches.items(), key=lambda item: item[0][0])
-    ]
-    return Schedule(len(height), np.array(words, dtype=np.intp), means, groups, documents, unk)
+    pending = iter(trees)
+    while True:
+        # Heights count Bi-GRU nodes only, so under no_syntax the RR nodes
+        # batch by discourse depth alone.
+        height: list[int] = []
+        batches: dict[tuple[int, str, int], tuple[list[int], list[int]]] = {}
+        words, means, documents, unk = [], [], [], []
+        for tree in pending:
+            nodes = post_order(tree.root)
+            row = {node: i for i, node in enumerate(nodes, len(height))}
+            height += [0] * len(nodes)
+            unk.append(0)
+            for node, i in row.items():
+                if node.kind is NodeKind.WORD:
+                    words.append(i)
+                elif node.kind in mean_kinds:
+                    means.append((i, [row[n] for n in iter_nodes(node) if n.kind is NodeKind.WORD]))
+                if node.kind not in gru_kinds:
+                    continue
+                kids = [row[c] for c in node.children]
+                height[i] = 1 + max(height[c] for c in kids)
+                key = _aggregator_key(params, node)
+                unk[-1] += key in (UNK_SYNTAX, UNK_RR)
+                parents, children = batches.setdefault((height[i], key, len(kids)), ([], []))
+                parents.append(i)
+                children.extend(kids)
+            if doc_kind is None:
+                document = [len(height) - 1]
+            else:
+                document = [i for node, i in row.items() if node.kind is doc_kind]
+            documents.append(np.array(document, dtype=np.intp))
+            if len(height) >= CHUNK_ROWS:
+                break
+        if not documents:
+            return
+        # A stable sort by height keeps groups of one height in first-seen order.
+        groups = [
+            Group(key, np.array(parents, dtype=np.intp), np.array(children, dtype=np.intp).reshape(-1, k), h > 1)
+            for (h, key, k), (parents, children) in sorted(batches.items(), key=lambda item: item[0][0])
+        ]
+        yield Schedule(len(height), np.array(words, dtype=np.intp), means, groups, documents, unk)
 
 
 @dataclass
 class DocumentEncoding:
     """Document vector, its OOV leaves and UNK-routed nodes, and, for a tree
-    encoded alone, everything the backward pass needs. A batched encoding
-    runs forward only: its schedule, vectors and traces are None."""
+    not passed in a list, everything the backward pass needs. An encoding
+    from a list runs forward only: schedule, vectors and traces are None."""
 
     h_doc: np.ndarray
     schedule: Schedule | None = None
@@ -312,38 +322,26 @@ class DocumentEncoding:
     unk: int = 0
 
 
-def _chunks(trees):
-    """Consecutive runs of ``trees``, each closed once its node rows reach CHUNK_ROWS."""
-    chunk, rows = [], 0
-    for tree in trees:
-        chunk.append(tree)
-        rows += len(post_order(tree.root))
-        if rows >= CHUNK_ROWS:
-            yield chunk
-            chunk, rows = [], 0
-    if chunk:
-        yield chunk
-
-
 def encode_document(params: ModelParams, trees, table: EmbeddingTable):
     """Embed documents bottom-up under the model's sharing mode and ablation.
 
-    One tree gives its DocumentEncoding with the traces backward needs. A
-    list of trees gives one forward-only encoding per tree: each chunk of
-    them (see CHUNK_ROWS) runs as one merged schedule and keeps no trace.
-    Every h_doc is bit-identical to the tree's own encoding, because the
-    forward kernel multiplies each row on its own.
+    A list of trees gives one forward-only encoding per tree: each schedule
+    that compile_tree closes runs as one batched pass and keeps no trace.
+    One tree, as training passes it, gives its DocumentEncoding with the
+    traces backward needs. Every h_doc is bit-identical to the tree's own
+    encoding, because the forward kernel multiplies each row on its own.
     """
     if table.dim != params.d:
         raise DimMismatchError(f"embedding table dim {table.dim} != model dim {params.d}")
     single = isinstance(trees, LingTree)
+    trees = [trees] if single else trees
+    leaves = (embed_leaves(table, tree) for tree in trees)
     hd = params.d // 2
     encodings = []
-    for chunk in [[trees]] if single else _chunks(trees):
-        schedule = compile_tree(chunk, params)
-        leaves = [embed_leaves(table, tree) for tree in chunk]
+    for schedule in compile_tree(trees, params):
+        chunk = list(islice(leaves, len(schedule.documents)))
         vectors = np.zeros((schedule.size, params.d))
-        vectors[schedule.words] = np.concatenate([leaf.vectors for leaf in leaves])
+        vectors[schedule.words] = np.concatenate([leaf.vectors for leaf in chunk])
         for i, words in schedule.word_means:
             vectors[i] = vectors[words].mean(axis=0)
         traces = []
@@ -360,9 +358,9 @@ def encode_document(params: ModelParams, trees, table: EmbeddingTable):
                 traces.append((fwd, bwd))
         h_docs = [vectors[rows].mean(axis=0) for rows in schedule.documents]
         if single:
-            return DocumentEncoding(h_docs[0], schedule, vectors, traces, leaves[0].oov, schedule.unk[0])
+            return DocumentEncoding(h_docs[0], schedule, vectors, traces, chunk[0].oov, schedule.unk[0])
         encodings += [
-            DocumentEncoding(h, oov=leaf.oov, unk=unk) for h, leaf, unk in zip(h_docs, leaves, schedule.unk)
+            DocumentEncoding(h, oov=leaf.oov, unk=unk) for h, leaf, unk in zip(h_docs, chunk, schedule.unk)
         ]
     return encodings
 
@@ -453,7 +451,7 @@ def gradient_check_model(
 
     def loss_at(vec: np.ndarray) -> float:
         work.flat[...] = vec
-        e = encode_document(work, tree, table)
+        (e,) = encode_document(work, [tree], table)
         _, loss = nn.softmax_ce(work.classifier, e.h_doc, y)
         return loss
 
@@ -496,7 +494,7 @@ def load_model(path) -> ModelParams:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise CorruptCheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict) or "version" not in doc:
         raise CorruptCheckpointError(f"{path} is not a model checkpoint")

@@ -19,7 +19,7 @@ import numpy as np
 from . import model as hero_model
 from . import nn
 from .embed import EmbeddingTable
-from .ling_tree import LingTree, TreeError, parse_sexpr
+from .ling_tree import LingTree, TreeError, parse_sexpr, serialize_sexpr
 from .model import (
     AblationMode, AttributeVocab, ModelParams, SharingMode,
     backward, copy_model, encode_document, init_model,
@@ -62,17 +62,22 @@ def scan_dataset(path) -> tuple[list[LabeledDocument], list[tuple[int, str]]]:
     """Read a JSONL dataset, collecting per-line problems instead of raising.
 
     Each line must be {"id": str, "label": 0|1, "tree": "<s-expression>"}.
-    Returns (valid documents, [(line_no, message), ...]).
+    Returns (valid documents, [(line_no, message), ...]). A line that is not
+    UTF-8, or nests too deeply to parse, is a problem of that line.
     """
     docs: list[LabeledDocument] = []
     problems: list[tuple[int, str]] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
+                line.encode(errors="surrogateescape").decode()  # undecodable bytes were escaped
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except UnicodeDecodeError as exc:
+                problems.append((line_no, f"not UTF-8: {exc}"))
+                continue
+            except (json.JSONDecodeError, RecursionError) as exc:
                 problems.append((line_no, f"bad JSON: {exc}"))
                 continue
             if not isinstance(record, dict):
@@ -110,8 +115,6 @@ def read_dataset(path) -> list[LabeledDocument]:
 
 
 def write_dataset(docs: list[LabeledDocument], path) -> None:
-    from .ling_tree import serialize_sexpr
-
     with open(path, "w", encoding="utf-8") as fh:
         for doc in docs:
             record = {"id": doc.doc_id, "label": doc.y, "tree": serialize_sexpr(doc.tree)}
@@ -277,13 +280,14 @@ def compute_metrics(labels, scores) -> MetricsReport:
     return MetricsReport(macro, micro, _rank_auc(labels, scores), tp, fp, tn, fn)
 
 
-def evaluate(params: ModelParams, docs, table: EmbeddingTable) -> MetricsReport:
+def evaluate(params: ModelParams, docs, table: EmbeddingTable) -> tuple[MetricsReport, int, int]:
     """Score a list of labeled documents with a fixed model, encoding them
-    batched and forward only; compute_metrics rejects an empty list."""
-    labels = [doc.y for doc in docs]
+    batched and forward only. Returns the metrics, then the totals of OOV
+    leaves and of UNK-routed nodes; compute_metrics rejects an empty list."""
     encodings = encode_document(params, [doc.tree for doc in docs], table)
     scores = [hero_model.predict(params, enc) for enc in encodings]
-    return compute_metrics(labels, scores)
+    metrics = compute_metrics([doc.y for doc in docs], scores)
+    return metrics, sum(enc.oov for enc in encodings), sum(enc.unk for enc in encodings)
 
 
 @dataclass
@@ -326,10 +330,6 @@ def train(split: Split, config: TrainConfig, table: EmbeddingTable) -> tuple[Mod
     One shared seeded generator drives initialization and the per-epoch
     shuffles, so identical (data, config) runs are bit-identical.
     """
-    if table.dim != config.d:
-        raise hero_model.DimMismatchError(
-            f"embedding table dim {table.dim} != configured d {config.d}"
-        )
     rng = np.random.default_rng(config.seed)
     if config.mode is SharingMode.ATTRIBUTE_SPECIFIC:
         vocab = AttributeVocab.from_trees(doc.tree for doc in split.train)
@@ -355,14 +355,14 @@ def train(split: Split, config: TrainConfig, table: EmbeddingTable) -> tuple[Mod
             grads = backward(params, enc, doc.y, out=grads)
             nn.adam_step(adam, params.flat, grads.flat)
             total_loss += loss
-        val = evaluate(params, split.val, table)
+        val, _, _ = evaluate(params, split.val, table)
         logs.append(EpochLog(epoch, total_loss / len(split.train), val))
         score = selection_score(val)
         if score > best_score:
             best_score = score
             best_epoch = epoch
             best_params = copy_model(params)
-    test = evaluate(best_params, split.test, table)
+    test, _, _ = evaluate(best_params, split.test, table)
     return best_params, TrainReport(config, logs, best_epoch, test)
 
 
@@ -379,6 +379,8 @@ class GridSearchResult:
             "reports": {repr(lr): rep.as_dict() for lr, rep in self.reports.items()},
             "failures": {repr(lr): msg for lr, msg in self.failures.items()},
         }
+
+    to_json = TrainReport.to_json  # every report file has one JSON layout
 
 
 def grid_search_lr(split: Split, base: TrainConfig, grid, table: EmbeddingTable) -> GridSearchResult:

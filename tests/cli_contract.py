@@ -1,0 +1,41 @@
+"""In-process checks of the ``hero`` exit contract.
+
+The documented exit codes are 0 success, 1 validation or threshold failure
+(an invalid tree for ``predict``), 2 I/O or format error and 3 numeric
+failure; an error is one stderr line. These helpers need no pytest fixture,
+so property tests (hypothesis) can call them as well as plain tests.
+"""
+
+import contextlib
+import io
+import sys
+import traceback
+
+from hero.cli import run
+
+
+def run_cli(argv, stdin=""):
+    """Run ``hero argv`` in this process with ``stdin`` as its standard
+    input; returns (exit code, stdout, stderr). An exception that escapes
+    ``cli.run`` fails with its traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    except Exception:
+        raise AssertionError(f"hero {' '.join(argv)} raised:\n{traceback.format_exc()}") from None
+    finally:
+        sys.stdin = saved
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_line_exit(argv, code, stdin=""):
+    """Assert that ``hero argv`` exits with ``code`` after writing exactly one
+    stderr line and no traceback; returns that line."""
+    got, _, err = run_cli(argv, stdin)
+    assert "Traceback" not in err, err
+    lines = err.splitlines()
+    assert (got, len(lines)) == (code, 1), f"hero {argv[0]}: exit {got}, stderr {err!r}"
+    return lines[0]

@@ -1,17 +1,19 @@
 import base64
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cli_contract import assert_one_line_exit, run_cli
 from hero.cli import run
 from hero.embed import load_table
-from hero.ling_tree import parse_sexpr, serialize_sexpr
+from hero.ling_tree import leaf_words, parse_sexpr, post_order, serialize_sexpr
 from hero.model import (
     AttributeVocab, SharingMode, encode_document, init_model, load_model, predict, save_model,
 )
-from hero.synthetic import marker_corpus
+from hero.synthetic import marker_corpus, random_embedding_table, random_tree
 from hero.trainer import LabeledDocument, evaluate, format_metrics_table, write_dataset
 
 CONFIG = """
@@ -316,7 +318,7 @@ def test_predict_checks_only_the_table_lines_it_uses(workspace, tmp_path, capsys
     """Lines of tokens the tree does not contain are not parsed."""
     assert _predict(workspace, workspace["emb"]) == 0
     expected = capsys.readouterr()
-    words = set(_words(workspace["docs"][0].tree))
+    words = set(leaf_words(workspace["docs"][0].tree))
     lines = workspace["emb"].read_text().splitlines(keepends=True)
     tokens = [line.split()[0] for line in lines]
     unused = next(i for i, tok in enumerate(tokens) if tok not in words)
@@ -361,7 +363,7 @@ def test_eval_logs_oov_leaves(workspace, tmp_path, capsys):
     lines = workspace["emb"].read_text().splitlines(keepends=True)
     emb = tmp_path / "partial.txt"
     emb.write_text("".join(line for line in lines if line.split()[0] not in dropped))
-    words = [w for d in workspace["docs"] for w in _words(d.tree)]
+    words = [w for d in workspace["docs"] for w in leaf_words(d.tree)]
     oov = sum(w in dropped for w in words)
     assert 0 < oov < len(words)
     assert run(argv + [str(emb)]) == 0
@@ -389,9 +391,9 @@ def test_eval_logs_unk_nodes_of_labels_unseen_in_training(workspace, tmp_path, c
     write_dataset(docs, data)
     assert run(["eval", "--model", str(model), "--data", str(data), "--embeddings", str(workspace["emb"])]) == 0
     captured = capsys.readouterr()
-    leaves = sum(len(_words(d.tree)) for d in docs)
+    leaves = sum(len(leaf_words(d.tree)) for d in docs)
     assert captured.err == f"0 of {leaves} leaves out of vocabulary; 5 nodes use an UNK GRU\n"
-    assert captured.out == format_metrics_table(evaluate(params, docs, table)) + "\n"
+    assert captured.out == format_metrics_table(evaluate(params, docs, table)[0]) + "\n"
 
 
 def test_model_label_at_the_wrong_level_is_io_error(workspace, tmp_path, capsys):
@@ -409,7 +411,7 @@ def test_model_label_at_the_wrong_level_is_io_error(workspace, tmp_path, capsys)
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numeric_failure_exit_code(workspace, tmp_path, capsys):
     emb = tmp_path / "huge.txt"
-    tokens = sorted({w for d in workspace["docs"] for w in _words(d.tree)})
+    tokens = sorted({w for d in workspace["docs"] for w in leaf_words(d.tree)})
     with open(emb, "w", encoding="utf-8") as fh:
         for i, tok in enumerate(tokens):
             sign = 1 if i % 2 else -1
@@ -424,12 +426,6 @@ def test_numeric_failure_exit_code(workspace, tmp_path, capsys):
     ])
     assert code == 3
     assert "non-finite" in capsys.readouterr().err
-
-
-def _words(tree):
-    from hero.ling_tree import leaf_words
-
-    return leaf_words(tree)
 
 
 def test_single_class_stats_is_input_error(tmp_path, capsys):
@@ -456,3 +452,91 @@ def test_too_few_documents_is_input_error(workspace, tmp_path, capsys):
     ])
     assert code == 2
     assert "at least 10" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", list(SharingMode))
+def test_predict_prints_the_one_tree_encodings_probability(tmp_path, mode):
+    """A news-sized tree: stdout is the score of the training form of
+    encode_document, which keeps traces, digit for digit."""
+    rng = np.random.default_rng(60)
+    trees = [random_tree(rng, n_edus=25, edu_words=(10, 17), rr_arity=(2, 3)).tree for _ in range(2)]
+    tree = trees[1]
+    assert len(post_order(tree.root)) > 500
+    words = sorted({w for t in trees for w in leaf_words(t)})
+    table = random_embedding_table(rng, words[::2], 8)
+    emb = tmp_path / "vectors.txt"
+    emb.write_text("".join(tok + " " + " ".join(map(repr, map(float, vec))) + "\n"
+                           for tok, vec in table.vectors.items()), encoding="utf-8")
+    # Attribute sharing learns its labels from the other tree, so some of
+    # this tree's nodes use UNK GRUs.
+    params = init_model(8, mode, vocab=AttributeVocab.from_trees(trees[:1]), seed=61, random_classifier=True)
+    model = tmp_path / "model.json"
+    save_model(params, model)
+    tree_file = tmp_path / "news.tree"
+    tree_file.write_text(serialize_sexpr(tree), encoding="utf-8")
+    code, out, _ = run_cli(["predict", "--model", str(model), "--embeddings", str(emb), "--tree", str(tree_file)])
+    assert code == 0
+    assert out == f"{predict(params, encode_document(params, tree, table))}\n"
+
+
+def _argv(command, files, tmp_path):
+    return {
+        "validate": ["validate", "--data", files["data"]],
+        "stats": ["stats", "--data", files["data"], "--csv", str(tmp_path / "stats.csv")],
+        "train": ["train", "--data", files["data"], "--embeddings", files["table"], "--config", files["config"],
+                  "--out", str(tmp_path / "m.json"), "--report", str(tmp_path / "r.json")],
+        "eval": ["eval", "--model", files["model"], "--data", files["data"], "--embeddings", files["table"]],
+        "predict": ["predict", "--model", files["model"], "--embeddings", files["table"], "--tree", files["tree"]],
+    }[command]
+
+
+def _spoil(content: bytes, fault: str) -> bytes:
+    """A 0xFF byte after the first byte of the second line, or deeply nested
+    JSON in place of it; a one-line file has its only line spoiled."""
+    lines = content.splitlines(keepends=True)
+    i = 1 if len(lines) > 1 else 0
+    if fault == "non_utf8":
+        middle = 1 if i else len(lines[0]) // 2
+        lines[i] = lines[i][:middle] + b"\xff" + lines[i][middle:]
+    else:
+        lines[i] = b"[" * 200_000 + b"\n"
+    return b"".join(lines)
+
+
+@pytest.mark.parametrize("command, spoiled, fault, code, note", [
+    ("validate", "data", "non_utf8", 1, "line 2: not UTF-8"),
+    ("validate", "data", "deep", 1, "line 2: bad JSON"),
+    ("stats", "data", "non_utf8", 2, "line 2: not UTF-8"),
+    ("stats", "data", "deep", 2, "line 2: bad JSON"),
+    ("train", "data", "non_utf8", 2, "line 2: not UTF-8"),
+    ("train", "data", "deep", 2, "line 2: bad JSON"),
+    ("train", "config", "non_utf8", 2, "not UTF-8"),
+    ("train", "table", "non_utf8", 2, "line 2: not UTF-8"),
+    ("eval", "model", "non_utf8", 2, "unreadable checkpoint"),
+    ("eval", "model", "deep", 2, "unreadable checkpoint"),
+    ("eval", "data", "non_utf8", 2, "line 2: not UTF-8"),
+    ("eval", "data", "deep", 2, "line 2: bad JSON"),
+    ("eval", "table", "non_utf8", 2, "line 2: not UTF-8"),
+    ("predict", "model", "non_utf8", 2, "unreadable checkpoint"),
+    ("predict", "model", "deep", 2, "unreadable checkpoint"),
+    ("predict", "tree", "non_utf8", 2, "not UTF-8"),
+    ("predict", "table", "non_utf8", 2, "line 2: not UTF-8"),
+])
+def test_undecodable_and_deeply_nested_inputs_exit_with_one_line(workspace, tmp_path, command, spoiled, fault,
+                                                                  code, note):
+    files = {name: str(workspace[name]) for name in ("data", "config", "model", "tree")}
+    files["table"] = str(workspace["emb"])
+    bad = tmp_path / f"spoiled_{spoiled}"
+    bad.write_bytes(_spoil(Path(files[spoiled]).read_bytes(), fault))
+    files[spoiled] = str(bad)
+    line = assert_one_line_exit(_argv(command, files, tmp_path), code)
+    assert note in line
+
+
+def test_undecodable_tree_on_stdin_exits_2(workspace):
+    """An undecodable stdin byte reaches the program as a lone surrogate."""
+    argv = ["predict", "--model", str(workspace["model"]), "--embeddings", str(workspace["emb"])]
+    text = workspace["tree"].read_text(encoding="utf-8")
+    assert run_cli(argv, stdin=text)[0] == 0
+    line = assert_one_line_exit(argv, 2, stdin=text.replace(" ", " \udcff", 1))
+    assert "not UTF-8" in line

@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hero import model as hero_model
 from hero import nn
 from hero.embed import EmbeddingTable
 from hero.ling_tree import LingTree, NodeKind, TreeNode, edu_nodes, leaf_words, parse_sexpr, post_order
@@ -36,10 +35,16 @@ def make_model(mode, ablation=AblationMode.FULL, d=8, seed=0, trees=(), random_c
     return init_model(d, mode, ablation, vocab, seed=seed, random_classifier=random_classifier)
 
 
+def schedule_of(m, tree):
+    """The training schedule of one tree: a list of one compiles to one schedule."""
+    (schedule,) = compile_tree([tree], m)
+    return schedule
+
+
 def group_key(m, tree, node):
     """The registry key of the schedule group that embeds ``node``."""
     row = row_of(tree, node)
-    return next(g.key for g in compile_tree([tree], m).groups if row in g.parents)
+    return next(g.key for g in schedule_of(m, tree).groups if row in g.parents)
 
 
 class TestAggregatorKey:
@@ -100,7 +105,7 @@ class TestRegistry:
         rng = np.random.default_rng(40)
         trees = [random_tree(rng, n_edus=int(rng.integers(1, 5)), rr_arity=(2, 3)).tree for _ in range(12)]
         m = make_model(mode, ablation, trees=trees)
-        used = {g.key for tree in trees for g in compile_tree([tree], m).groups}
+        used = {g.key for tree in trees for g in schedule_of(m, tree).groups}
         vocab = m.vocab
         unk = set()
         if mode is SharingMode.ATTRIBUTE_SPECIFIC:
@@ -314,7 +319,7 @@ class TestMixedGroups:
         assert len({len(n.children) for n in by_height[2]}) > 1
         assert len({n.label for n in by_height[1]}) > 1
         m = make_model(SharingMode.ATTRIBUTE_SPECIFIC, trees=[tree])
-        schedule = compile_tree([tree], m)
+        schedule = schedule_of(m, tree)
         assert sum(len(g.parents) for g in schedule.groups) == sum(map(len, by_height.values()))
         assert len(schedule.groups) > len(by_height)
 
@@ -349,7 +354,7 @@ class TestBatchedEncoding:
     def test_bit_identical_to_per_document_encoding(self, mode, ablation):
         tweets, trees, table = mixed_documents()
         m = make_model(mode, ablation, trees=tweets, seed=51)
-        assert len(list(hero_model._chunks(trees))) > 1
+        assert len(list(compile_tree(trees, m))) > 1
         singles = [encode_document(m, tree, table) for tree in trees]
         if mode is SharingMode.ATTRIBUTE_SPECIFIC and ablation is not AblationMode.NO_STRUCTURE:
             assert any(enc.unk for enc in singles)
@@ -367,23 +372,29 @@ class TestBatchedEncoding:
     def test_merged_groups_restrict_to_each_trees_own_groups(self, mode):
         tweets, trees, _ = mixed_documents(52)
         m = make_model(mode, trees=tweets)
-        merged = compile_tree(trees, m)
-        offset = 0
-        for tree, document in zip(trees, merged.documents):
-            own = compile_tree([tree], m)
-            picked = []
-            for g in merged.groups:
-                mine = (g.parents >= offset) & (g.parents < offset + own.size)
-                if mine.any():
-                    picked.append((g.key, g.parents[mine] - offset, g.children[mine] - offset))
-            assert len(picked) == len(own.groups)
-            for (key, parents, children), g in zip(sorted(picked, key=lambda p: p[1][0]),
-                                                   sorted(own.groups, key=lambda g: g.parents[0])):
-                assert key == g.key
-                assert np.array_equal(parents, g.parents) and np.array_equal(children, g.children)
-            assert np.array_equal(document - offset, own.documents[0])
-            offset += own.size
-        assert offset == merged.size
+        schedules = list(compile_tree(trees, m))
+        assert len(schedules) > 1
+        pending = iter(trees)
+        for merged in schedules:
+            offset = 0
+            # Documents first: zip stops before taking a tree of the next schedule.
+            for document, unk, tree in zip(merged.documents, merged.unk, pending):
+                own = schedule_of(m, tree)
+                picked = []
+                for g in merged.groups:
+                    mine = (g.parents >= offset) & (g.parents < offset + own.size)
+                    if mine.any():
+                        picked.append((g.key, g.parents[mine] - offset, g.children[mine] - offset))
+                assert len(picked) == len(own.groups)
+                for (key, parents, children), g in zip(sorted(picked, key=lambda p: p[1][0]),
+                                                       sorted(own.groups, key=lambda g: g.parents[0])):
+                    assert key == g.key
+                    assert np.array_equal(parents, g.parents) and np.array_equal(children, g.children)
+                assert np.array_equal(document - offset, own.documents[0])
+                assert unk == own.unk[0]
+                offset += own.size
+            assert offset == merged.size
+        assert next(pending, None) is None
 
     def test_unk_counts_the_nodes_in_unk_groups(self):
         tweets, trees, table = mixed_documents(53)
@@ -402,13 +413,30 @@ class TestBatchedEncoding:
 
     def test_chunks_close_at_the_row_bound(self):
         _, trees, _ = mixed_documents(55)
-        chunks = list(hero_model._chunks(trees))
-        assert [t for chunk in chunks for t in chunk] == trees
-        for chunk in chunks:
-            rows = [len(post_order(t.root)) for t in chunk]
-            assert sum(rows[:-1]) < CHUNK_ROWS
-        assert all(sum(len(post_order(t.root)) for t in chunk) >= CHUNK_ROWS for chunk in chunks[:-1])
-        assert encode_document(make_model(SharingMode.UNIFIED), [], EmbeddingTable(8, {})) == []
+        m = make_model(SharingMode.UNIFIED)
+        rows = [len(post_order(t.root)) for t in trees]
+        schedules = list(compile_tree(trees, m))
+        assert len(schedules) > 1
+        start = 0
+        for schedule in schedules:
+            end = start + len(schedule.documents)
+            assert schedule.size == sum(rows[start:end])
+            # The last tree of a schedule is the one that reaches the bound.
+            assert sum(rows[start:end - 1]) < CHUNK_ROWS
+            assert schedule.size >= CHUNK_ROWS or end == len(trees)
+            start = end
+        assert start == len(trees)
+        assert list(compile_tree([], m)) == []
+        assert encode_document(m, [], EmbeddingTable(8, {})) == []
+
+    def test_a_tree_that_reaches_the_bound_closes_its_schedule(self):
+        rng = np.random.default_rng(56)
+        big = random_tree(rng, n_edus=150, edu_words=(10, 17), rr_arity=(2, 3)).tree
+        small = random_tree(rng, n_edus=2).tree
+        assert len(post_order(big.root)) > CHUNK_ROWS
+        m = make_model(SharingMode.UNIFIED)
+        assert [len(s.documents) for s in compile_tree([small, big, small, big], m)] == [2, 2]
+        assert [len(s.documents) for s in compile_tree([big, small], m)] == [1, 1]
 
 
 class TestPredict:

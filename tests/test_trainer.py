@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from hero.embed import EmbeddingTable
-from hero.ling_tree import parse_sexpr
-from hero.model import AblationMode, SharingMode, encode_document, predict, save_model
-from hero.synthetic import marker_corpus
+from hero.ling_tree import leaf_words, parse_sexpr, post_order
+from hero.model import (
+    CHUNK_ROWS, AblationMode, AttributeVocab, SharingMode, encode_document, init_model, predict, save_model,
+)
+from hero.synthetic import marker_corpus, random_embedding_table, random_tree
 from hero.trainer import (
     ConfigError, DatasetError, EmptyEvalSetError, EpochLog, LabeledDocument,
     MetricsReport, NonFiniteLossError, TooFewDocumentsError, TrainConfig, TrainReport,
@@ -354,11 +356,31 @@ def test_evaluate_runs_on_plain_doc_list():
     split, table = quick_corpus(seed=23, n=30)
     cfg = TrainConfig(lr=0.01, max_epochs=1, seed=23, d=8)
     params, _ = train(split, cfg, table)
-    metrics = evaluate(params, split.test, table)
+    metrics, _, _ = evaluate(params, split.test, table)
     assert 0.0 <= metrics.macro_f1 <= 1.0
     assert metrics.n == len(split.test)
     with pytest.raises(EmptyEvalSetError):
         evaluate(params, [], table)
+
+
+@pytest.mark.parametrize("mode", list(SharingMode))
+def test_evaluate_totals_are_the_sums_of_one_tree_encodings(mode):
+    """Trees with unseen words and, for attribute sharing, unseen labels,
+    more than one schedule's worth of node rows."""
+    rng = np.random.default_rng(37)
+    docs = [LabeledDocument(f"d{i}", random_tree(rng, n_edus=1 + i % 5, edu_words=(2, 9)).tree, i % 2)
+            for i in range(60)]
+    assert sum(len(post_order(doc.tree.root)) for doc in docs) > CHUNK_ROWS
+    words = sorted({w for doc in docs for w in leaf_words(doc.tree)})
+    table = random_embedding_table(rng, words[::3], 8)
+    vocab = AttributeVocab.from_trees(doc.tree for doc in docs[:5])
+    params = init_model(8, mode, vocab=vocab, seed=38, random_classifier=True)
+    singles = [encode_document(params, doc.tree, table) for doc in docs]
+    metrics, oov, unk = evaluate(params, docs, table)
+    assert oov == sum(enc.oov for enc in singles) > 0
+    assert unk == sum(enc.unk for enc in singles)
+    assert (unk > 0) is (mode is SharingMode.ATTRIBUTE_SPECIFIC)
+    assert metrics == compute_metrics([doc.y for doc in docs], [predict(params, enc) for enc in singles])
 
 
 def test_batched_test_metrics_equal_per_document_scores():
