@@ -10,10 +10,16 @@ shared pair, one pair per linguistic level, or one pair per parent label),
 and three ablations replace parts of the tree walk with plain averaging.
 
 A tree is first compiled into a Schedule: the rows of one node-vector
-matrix, groups of internal nodes that share a height, a registry key and a
-child count, and the ablation's mean-pools. Each group runs as one batched
-Bi-GRU call; the backward pass replays the same groups in reverse. For
-inference, consecutive trees compile into merged schedules whose groups span
+matrix, batches of internal nodes that share a height and a child count,
+and the ablation's mean-pools. A batch lists its rows as segments, one per
+registry key, and runs as one kernel call over both GRU directions and
+every segment's weights; each row is multiplied on its own, so a node's
+vector does not depend on what else shares its batch. The backward pass
+replays the batches in reverse, height by height. After the batches of a
+height it adds each segment's weight gradients in the reverse of the order
+in which the walk first reaches each (height, key, child count), so a key's
+sums do not depend on how its segments are batched. For inference,
+consecutive trees compile into merged schedules whose batches span
 documents, and they run forward only.
 """
 
@@ -24,7 +30,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import groupby, islice
 from typing import Iterator
 
 import numpy as np
@@ -92,14 +98,21 @@ class AttributeVocab:
 
 
 @dataclass
-class BiGruParams:
-    """Separate parameter sets for the left-to-right and right-to-left passes."""
+class BiGruParams(nn.GruParams):
+    """Separate parameter sets for the left-to-right and right-to-left passes,
+    stacked as one pair (see nn.GruParams): w is (2, 3d/2, d), u is
+    (2, 3d/2, d/2). ``fwd`` and ``bwd`` are writable views of the two."""
 
-    fwd: nn.GruParams
-    bwd: nn.GruParams
+    @property
+    def fwd(self) -> nn.GruParams:
+        return nn.GruParams(self.w[0], self.u[0])
+
+    @property
+    def bwd(self) -> nn.GruParams:
+        return nn.GruParams(self.w[1], self.u[1])
 
     def copy(self) -> "BiGruParams":
-        return BiGruParams(self.fwd.copy(), self.bwd.copy())
+        return BiGruParams(self.w.copy(), self.u.copy())
 
 
 @dataclass
@@ -108,7 +121,8 @@ class ModelParams:
     when not given). ``registry`` and ``classifier`` are views into it, laid
     out in registry-key order, each key's ``fwd`` then ``bwd`` GRU as its
     stacked ``w`` then ``u`` (see nn.GruParams), then the classifier's W and
-    b; a write through either side is seen by the other. Checkpoints store
+    b; a write through either side is seen by the other. A key's pair reads
+    both ``w`` (and both ``u``) through one strided view. Checkpoints store
     ``flat`` as is."""
 
     d: int
@@ -138,10 +152,13 @@ class ModelParams:
             offset += n
             return self.flat[offset - n:offset].reshape(shape)
 
-        def gru():
-            return nn.GruParams(take((3 * hd, self.d)), take((3 * hd, hd)))
+        def pair():
+            # Rows of a key's block: fwd w and u, then bwd w and u.
+            block, cut = take((2, 3 * hd * (self.d + hd))), 3 * hd * self.d
+            return BiGruParams(block[:, :cut].reshape(2, 3 * hd, self.d),
+                               block[:, cut:].reshape(2, 3 * hd, hd))
 
-        self.registry = {key: BiGruParams(gru(), gru()) for key in keys}
+        self.registry = {key: pair() for key in keys}
         self.classifier = nn.ClassifierParams(take((2, self.d)), take((2,)))
 
 
@@ -214,14 +231,24 @@ def _aggregator_key(params: ModelParams, node: TreeNode) -> str:
 
 
 @dataclass(frozen=True)
-class Group:
-    """Internal nodes of one height with the same registry key and child
-    count: one batched Bi-GRU call."""
+class Segment:
+    """The rows of a batch that one registry key embeds."""
 
     key: str
+    batch: int   # index into Schedule.batches
+    rows: slice  # of the batch's rows
+
+
+@dataclass(frozen=True)
+class Batch:
+    """Internal nodes of one height with the same child count: one Bi-GRU
+    kernel call, its rows in per-key segments."""
+
+    height: int
+    segments: tuple[Segment, ...]  # in row order
     parents: np.ndarray   # (B,) rows
     children: np.ndarray  # (B, k) rows, in document order
-    # Whether any child is itself a Bi-GRU node, i.e. the group is above
+    # Whether any child is itself a Bi-GRU node, i.e. the batch is above
     # height 1. Otherwise every child is a frozen word or a word mean, and
     # the backward pass skips the children's gradient.
     input_grad: bool
@@ -235,7 +262,11 @@ class Schedule:
     size: int
     words: np.ndarray  # rows of the word leaves, in document order
     word_means: list[tuple[int, list[int]]]  # (row, its word rows): a mean, not a Bi-GRU
-    groups: list[Group]  # by ascending height
+    batches: list[Batch]  # by ascending height, then first-seen child count
+    # Every batch's segments, by ascending height, then in the order in
+    # which the trees first reach each (key, child count). backward adds
+    # each key's weight gradients in the reverse of this order.
+    segments: list[Segment]
     documents: list[np.ndarray]  # per tree, the rows whose mean is its document vector
     unk: list[int]  # per tree, the Bi-GRU nodes routed to an UNK key
 
@@ -253,7 +284,7 @@ _ABLATION_PLANS = {
 }
 
 # compile_tree closes a chunk of trees once their node rows reach this many,
-# which bounds the node matrix and the largest group.
+# which bounds the node matrix and the largest batch.
 CHUNK_ROWS = 2048
 
 
@@ -262,15 +293,16 @@ def compile_tree(trees: list[LingTree], params: ModelParams) -> Iterator[Schedul
     backward replays for a list of one. Consecutive trees compile into one
     schedule until their node rows reach CHUNK_ROWS; the tree that reaches
     the bound closes it. Within a schedule the internal nodes of all its
-    trees merge into groups by (height, key, child count); within a height,
-    groups keep the order in which the trees first reach them."""
+    trees merge into batches by (height, child count), each listing its rows
+    key by key; within a height, batches and the segments of a batch keep
+    the order in which the trees first reach them."""
     gru_kinds, mean_kinds, doc_kind = _ABLATION_PLANS[params.ablation]
     pending = iter(trees)
     while True:
         # Heights count Bi-GRU nodes only, so under no_syntax the RR nodes
         # batch by discourse depth alone.
         height: list[int] = []
-        batches: dict[tuple[int, str, int], tuple[list[int], list[int]]] = {}
+        groups: dict[tuple[int, int, str], tuple[list[int], list[int]]] = {}
         words, means, documents, unk = [], [], [], []
         for tree in pending:
             nodes = post_order(tree.root)
@@ -288,7 +320,7 @@ def compile_tree(trees: list[LingTree], params: ModelParams) -> Iterator[Schedul
                 height[i] = 1 + max(height[c] for c in kids)
                 key = _aggregator_key(params, node)
                 unk[-1] += key in (UNK_SYNTAX, UNK_RR)
-                parents, children = batches.setdefault((height[i], key, len(kids)), ([], []))
+                parents, children = groups.setdefault((height[i], len(kids), key), ([], []))
                 parents.append(i)
                 children.extend(kids)
             if doc_kind is None:
@@ -300,12 +332,26 @@ def compile_tree(trees: list[LingTree], params: ModelParams) -> Iterator[Schedul
                 break
         if not documents:
             return
-        # A stable sort by height keeps groups of one height in first-seen order.
-        groups = [
-            Group(key, np.array(parents, dtype=np.intp), np.array(children, dtype=np.intp).reshape(-1, k), h > 1)
-            for (h, key, k), (parents, children) in sorted(batches.items(), key=lambda item: item[0][0])
-        ]
-        yield Schedule(len(height), np.array(words, dtype=np.intp), means, groups, documents, unk)
+        # A stable sort by height keeps the groups, and so the batches and
+        # segments, of one height in first-seen order.
+        order = sorted(groups, key=lambda group: group[0])
+        keys: dict[tuple[int, int], list[str]] = {}
+        for h, k, key in order:
+            keys.setdefault((h, k), []).append(key)
+        batches, segment_of = [], {}
+        for (h, k), batch_keys in keys.items():
+            parents, children, segments = [], [], []
+            for key in batch_keys:
+                rows, kids = groups[h, k, key]
+                segment = Segment(key, len(batches), slice(len(parents), len(parents) + len(rows)))
+                segment_of[h, k, key] = segment
+                segments.append(segment)
+                parents += rows
+                children += kids
+            batches.append(Batch(h, tuple(segments), np.array(parents, dtype=np.intp),
+                                 np.array(children, dtype=np.intp).reshape(-1, k), h > 1))
+        segments = [segment_of[group] for group in order]
+        yield Schedule(len(height), np.array(words, dtype=np.intp), means, batches, segments, documents, unk)
 
 
 @dataclass
@@ -317,7 +363,7 @@ class DocumentEncoding:
     h_doc: np.ndarray
     schedule: Schedule | None = None
     vectors: np.ndarray | None = None  # the node matrix, rows as in the schedule
-    traces: list[tuple[nn.GruTrace, nn.GruTrace]] | None = None  # (forward, backward) per group
+    traces: list[nn.GruTrace] | None = None  # one per batch, with a direction axis
     oov: int = 0
     unk: int = 0
 
@@ -345,17 +391,15 @@ def encode_document(params: ModelParams, trees, table: EmbeddingTable):
         for i, words in schedule.word_means:
             vectors[i] = vectors[words].mean(axis=0)
         traces = []
-        for group in schedule.groups:
-            pair = params.registry[group.key]
-            xs = vectors[group.children]
+        for batch in schedule.batches:
+            trace = nn.gru_forward(_weights(params, batch), vectors[batch.children])
             # Mean over positions of [fwd_i (+) bwd_i]; the mean is order-free,
             # so each half is just that direction's average hidden state.
-            fwd = nn.gru_forward(pair.fwd, xs)
-            vectors[group.parents, :hd] = fwd.h.mean(axis=1)
-            bwd = nn.gru_forward(pair.bwd, xs[:, ::-1])
-            vectors[group.parents, hd:] = bwd.h.mean(axis=1)
+            fwd, bwd = trace.h.mean(axis=2)
+            vectors[batch.parents, :hd] = fwd
+            vectors[batch.parents, hd:] = bwd
             if single:
-                traces.append((fwd, bwd))
+                traces.append(trace)
         h_docs = [vectors[rows].mean(axis=0) for rows in schedule.documents]
         if single:
             return DocumentEncoding(h_docs[0], schedule, vectors, traces, chunk[0].oov, schedule.unk[0])
@@ -363,6 +407,11 @@ def encode_document(params: ModelParams, trees, table: EmbeddingTable):
             DocumentEncoding(h, oov=leaf.oov, unk=unk) for h, leaf, unk in zip(h_docs, chunk, schedule.unk)
         ]
     return encodings
+
+
+def _weights(params: ModelParams, batch: Batch) -> nn.GruBatch:
+    """The Bi-GRU pair of each segment of ``batch``."""
+    return nn.GruBatch([params.registry[s.key] for s in batch.segments], [s.rows for s in batch.segments])
 
 
 def predict(params: ModelParams, enc: DocumentEncoding) -> float:
@@ -381,8 +430,10 @@ def backward(
 ) -> ModelParams:
     """Gradients of the document's cross-entropy loss w.r.t. all parameters.
 
-    Replays the schedule's groups in reverse, so contributions of a registry
-    key used by several groups accumulate in a fixed order. Word-embedding
+    Replays the schedule's batches in reverse, height by height. After the
+    batches of a height, the segments' weight gradients are added in the
+    reverse of Schedule.segments, so the contributions of a registry key
+    used by several segments accumulate in a fixed order. Word-embedding
     gradients are dropped (embeddings are frozen). The result is a
     ModelParams of the model's layout holding gradients instead of weights:
     ``out``, zeroed and refilled, when given (a trainer reuses one buffer
@@ -391,9 +442,9 @@ def backward(
     schedule = enc.schedule
     if enc.traces is None:
         raise MissingTraceError("a batched encoding runs forward only and keeps no traces")
-    if len(enc.traces) != len(schedule.groups):
+    if len(enc.traces) != len(schedule.batches):
         raise MissingTraceError(
-            f"{len(enc.traces)} forward traces for {len(schedule.groups)} schedule groups"
+            f"{len(enc.traces)} forward traces for {len(schedule.batches)} schedule batches"
         )
     if out is None:
         grads = replace(params, flat=np.zeros_like(params.flat))
@@ -410,20 +461,27 @@ def backward(
     d_vectors = np.zeros_like(enc.vectors)
     (document,) = schedule.documents
     d_vectors[document] = dh / len(document)
-    for group, (fwd, bwd) in zip(reversed(schedule.groups), reversed(enc.traces)):
-        up = d_vectors[group.parents] / group.children.shape[1]
-        pair = params.registry[group.key]
-        acc = grads.registry[group.key]
-        g_fwd, dx_fwd = nn.gru_backward(
-            pair.fwd, fwd, np.broadcast_to(up[:, None, :hd], fwd.h.shape), group.input_grad)
-        g_bwd, dx_bwd = nn.gru_backward(
-            pair.bwd, bwd, np.broadcast_to(up[:, None, hd:], bwd.h.shape), group.input_grad)
-        acc.fwd.w += g_fwd.w
-        acc.fwd.u += g_fwd.u
-        acc.bwd.w += g_bwd.w
-        acc.bwd.u += g_bwd.u
-        if group.input_grad:
-            d_vectors[group.children] += dx_fwd + dx_bwd[:, ::-1]
+    batches = schedule.batches
+    # Both lists run by descending height, so the two groupings pair up.
+    heights = zip(groupby(reversed(range(len(batches))), key=lambda b: batches[b].height),
+                  groupby(reversed(schedule.segments), key=lambda s: batches[s.batch].height))
+    for (_, indices), (_, segments) in heights:
+        kept = {}
+        for b in indices:
+            batch, trace = batches[b], enc.traces[b]
+            up = d_vectors[batch.parents] / batch.children.shape[1]
+            # (B, d) -> (2, B, 1, d/2): each direction's half, for every step.
+            up = up.reshape(-1, 2, hd).swapaxes(0, 1)[:, :, None]
+            kept[b], dx = nn.gru_backward(
+                _weights(params, batch), trace, np.broadcast_to(up, trace.h.shape), batch.input_grad)
+            if batch.input_grad:
+                d_vectors[batch.children] += dx
+        for segment in segments:
+            dw, du = kept[segment.batch].of(segment.rows)
+            acc = grads.registry[segment.key]
+            acc.w += dw
+            if du is not None:  # one-step sequences: U gets no gradient
+                acc.u += du
     return grads
 
 

@@ -16,14 +16,17 @@ The GRU kernels run a batch of B equal-length sequences at once, as
 (B, T, d) arrays. The forward kernel computes each row's matrix products on
 its own, so a sequence's result is bit-identical whatever else shares its
 batch; a single GEMM over the batch would make the last bits of a row
-depend on the other rows.
+depend on the other rows. A bidirectional pair runs both directions in the
+same call, and a GruBatch gives each segment of rows its own pair: only the
+matrix products loop over segments, and each segment's backward products
+cover its own rows, as a call for that segment alone would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -43,30 +46,27 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _rowwise(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x @ w.T with every row of x multiplied on its own (a stacked matmul)."""
-    return np.matmul(x[..., None, :], w.T)[..., 0, :]
-
-
 @dataclass
 class GruParams:
     """The GRU's matrices stacked by gate, rows r, z, h: w is [W_r; W_z; W_h],
-    (3d/2, d), and u is [U_r; U_z; U_h], (3d/2, d/2)."""
+    (3d/2, d), and u is [U_r; U_z; U_h], (3d/2, d/2). A leading axis of 2 on
+    both, (2, 3d/2, d) and (2, 3d/2, d/2), makes a bidirectional pair: [0]
+    reads each sequence left to right and [1] reads it right to left."""
 
     w: np.ndarray
     u: np.ndarray
 
     @property
     def input_dim(self) -> int:
-        return self.w.shape[1]
+        return self.w.shape[-1]
 
     @property
     def hidden_dim(self) -> int:
-        return self.u.shape[1]
+        return self.u.shape[-1]
 
     @property
     def w_r(self) -> np.ndarray:
-        return self.w[:self.hidden_dim]
+        return self.w[..., :self.hidden_dim, :]
 
     @classmethod
     def init(cls, d: int, rng: np.random.Generator) -> "GruParams":
@@ -76,102 +76,208 @@ class GruParams:
         sw, su = 1.0 / math.sqrt(d), 1.0 / math.sqrt(d // 2)
         return cls(rng.uniform(-sw, sw, (3 * d // 2, d)), rng.uniform(-su, su, (3 * d // 2, d // 2)))
 
-    @classmethod
-    def zeros(cls, d: int) -> "GruParams":
-        return cls(np.zeros((3 * d // 2, d)), np.zeros((3 * d // 2, d // 2)))
-
-    def copy(self) -> "GruParams":
-        return GruParams(self.w.copy(), self.u.copy())
-
     def matrices(self) -> tuple[np.ndarray, ...]:
         """The six gate matrices as views: W_r W_z W_h U_r U_z U_h."""
-        return (*np.split(self.w, 3), *np.split(self.u, 3))
+        return (*np.split(self.w, 3, axis=-2), *np.split(self.u, 3, axis=-2))
+
+
+@dataclass(frozen=True)
+class GruBatch:
+    """A batch whose rows run in segments, each with its own GRU: grus[j]
+    runs rows[j]. The slices tile the batch in order; the GRUs share one
+    shape, so they are all single GRUs or all pairs."""
+
+    grus: Sequence[GruParams]
+    rows: Sequence[slice]
+
+    @property
+    def input_dim(self) -> int:
+        return self.grus[0].input_dim
+
+    @property
+    def hidden_dim(self) -> int:
+        return self.grus[0].hidden_dim
+
+
+def _segments(
+    params: GruParams | GruBatch, batch: int
+) -> tuple[list[tuple[np.ndarray, np.ndarray, slice]], bool]:
+    """(w, u, rows) per segment, w and u with a leading direction axis, and
+    whether the GRUs are pairs."""
+    if isinstance(params, GruParams):
+        grus, rows = (params,), (slice(0, batch),)
+    else:
+        grus, rows = params.grus, params.rows
+        stops = [0, *(r.stop for r in rows)]
+        if len(grus) != len(rows) or [r.start for r in rows] != stops[:-1] or stops[-1] != batch:
+            raise ShapeMismatchError(f"segments {list(rows)} do not tile a batch of {batch}")
+    pair = grus[0].w.ndim == 3
+    if pair:
+        return [(g.w, g.u, r) for g, r in zip(grus, rows)], True
+    return [(g.w[None], g.u[None], r) for g, r in zip(grus, rows)], False
 
 
 @dataclass
 class GruTrace:
     """Per-step activations of a batch, kept for backprop; [b, i] is step i+1
-    of sequence b."""
+    of sequence b. For a pair, every array but ``inputs`` has a leading
+    direction axis, and direction 1 holds the steps over each sequence
+    reversed."""
 
-    inputs: np.ndarray  # (B, T, d)
-    r: np.ndarray       # (B, T, d/2)
+    inputs: np.ndarray  # (B, T, d), as passed
+    r: np.ndarray       # (B, T, d/2) or (2, B, T, d/2)
     z: np.ndarray
     hhat: np.ndarray
     h: np.ndarray
 
     def __len__(self) -> int:
-        """Cell evaluations: B * T."""
-        return self.h.shape[0] * self.h.shape[1]
+        """Cell evaluations: B * T per direction."""
+        return math.prod(self.h.shape[:-1])
 
 
-def gru_forward(params: GruParams, inputs) -> GruTrace:
-    """Run the GRU over B sequences of T d-wide vectors, keeping all activations."""
+def _rowwise(x: np.ndarray, wt: np.ndarray, out: np.ndarray) -> None:
+    """out = x @ wt with every row of x multiplied on its own (a stacked
+    matmul)."""
+    np.matmul(x[..., None, :], wt, out=out[..., None, :])
+
+
+def _directions(x: np.ndarray, dirs: int) -> tuple[np.ndarray, ...]:
+    """The sequences each direction reads: x, then x reversed in time."""
+    return (x, x[:, ::-1])[:dirs]
+
+
+def gru_forward(params: GruParams | GruBatch, inputs) -> GruTrace:
+    """Run the GRU over B sequences of T d-wide vectors, keeping all activations.
+
+    A pair runs both directions in one pass, direction 1 over x[:, ::-1]. A
+    GruBatch runs each segment of rows with its own GRU: only the matrix
+    products loop over segments, the gate arithmetic runs once per step.
+    """
     x = np.ascontiguousarray(inputs, dtype=np.float64)
     if x.ndim != 3 or x.shape[0] == 0 or x.shape[1] == 0:
         raise ShapeMismatchError(f"inputs must be a non-empty (B, T, d) array, got {x.shape}")
     if x.shape[2] != params.input_dim:
         raise ShapeMismatchError(f"input width {x.shape[2]} != parameter width {params.input_dim}")
-    batch, steps, hd = x.shape[0], x.shape[1], params.hidden_dim
+    segments, pair = _segments(params, x.shape[0])
+    dirs, (batch, steps, _), hd = 1 + pair, x.shape, params.hidden_dim
     # The input contributions do not depend on the recurrence. The buffer
     # holds pre-activations and is turned into [r, z, hhat] in place.
-    gates = _rowwise(x, params.w)
-    u_rz, u_h = params.u[:2 * hd], params.u[2 * hd:]
-    h = np.empty((batch, steps, hd))
+    gates = np.empty((dirs, batch, steps, 3 * hd))
+    for w, _, rows in segments:
+        for k, x_k in enumerate(_directions(x, dirs)):
+            _rowwise(x_k[rows], w[k].T, gates[k, rows])
+    h = np.empty((dirs, batch, steps, hd))
+    if steps > 1:
+        # Per segment, U_rz^T and U_h^T of each direction, shaped to
+        # broadcast over the rows of a (dirs, B, d/2) step; scratch for the
+        # recurrent products and the gated state.
+        recurrence = [(rows, u[:, :2 * hd].swapaxes(1, 2)[:, None], u[:, 2 * hd:].swapaxes(1, 2)[:, None])
+                      for _, u, rows in segments]
+        recurrent, gated = np.empty((dirs, batch, 2 * hd)), np.empty((dirs, batch, hd))
     for i in range(steps):
-        a_rz, a_h, h_i = gates[:, i, :2 * hd], gates[:, i, 2 * hd:], h[:, i]
+        a_rz, a_h, h_i = gates[:, :, i, :2 * hd], gates[:, :, i, 2 * hd:], h[:, :, i]
+        h_prev = h[:, :, i - 1]
         if i:  # h_0 = 0, so the first step has no recurrent terms
-            a_rz += _rowwise(h[:, i - 1], u_rz)
-        r_i, z_i = sigmoid(a_rz, out=a_rz)[:, :hd], a_rz[:, hd:]
+            for rows, u_rz, _ in recurrence:
+                _rowwise(h_prev[:, rows], u_rz, recurrent[:, rows])
+            a_rz += recurrent
+        r_i, z_i = sigmoid(a_rz, out=a_rz)[..., :hd], a_rz[..., hd:]
         if i:
-            a_h += _rowwise(h[:, i - 1] * r_i, u_h)
+            np.multiply(h_prev, r_i, out=gated)
+            for rows, _, u_h in recurrence:
+                _rowwise(gated[:, rows], u_h, recurrent[:, rows, :hd])
+            a_h += recurrent[..., :hd]
         c_i = np.tanh(a_h, out=a_h)
         np.multiply(z_i, c_i, out=h_i)
-        if i:
-            h_i += (1.0 - z_i) * h[:, i - 1]
+        if i:  # h_i += (1 - z_i) * h_prev
+            carry = np.subtract(1.0, z_i, out=gated)
+            carry *= h_prev
+            h_i += carry
+    if not pair:
+        gates, h = gates[0], h[0]
     return GruTrace(x, gates[..., :hd], gates[..., hd:2 * hd], gates[..., 2 * hd:], h)
 
 
+@dataclass
+class SegmentGrads:
+    """Weight gradients of a GruBatch's backward pass, computed for one
+    segment at a time from the kept pre-activation gradients. A caller that
+    sums segments of several batches into one buffer so picks the order of
+    the additions, which fixes the last bits of the sums."""
+
+    trace: GruTrace  # r and h with a leading direction axis
+    da: np.ndarray   # (dirs, B, T, 3d/2): pre-activation gradients [r, z, hhat]
+
+    def of(self, rows: slice) -> tuple[np.ndarray, np.ndarray | None]:
+        """dW and dU of the GRU that runs ``rows``, summed over those rows,
+        each with the direction axis. dU is None for one-step sequences:
+        their only previous state is h_0 = 0, so U gets no gradient."""
+        da, h, r = self.da[:, rows], self.trace.h[:, rows], self.trace.r[:, rows]
+        dirs, batch, steps, hd = h.shape
+        dw = np.empty((dirs, 3 * hd, self.trace.inputs.shape[-1]))
+        for k, xs in enumerate(_directions(self.trace.inputs[rows], dirs)):
+            np.matmul(da[k].reshape(-1, 3 * hd).T, xs.reshape(batch * steps, -1), out=dw[k])
+        if steps == 1:
+            return dw, None
+        # h_prev = 0 at the first step, so only later steps reach the U matrices.
+        later = da[:, :, 1:].reshape(dirs, -1, 3 * hd).swapaxes(1, 2)
+        h_prev = h[:, :, :-1].reshape(dirs, -1, hd)
+        du = np.empty((dirs, 3 * hd, hd))
+        np.matmul(later[:, :2 * hd], h_prev, out=du[:, :2 * hd])
+        np.matmul(later[:, 2 * hd:], h_prev * r[:, :, 1:].reshape(dirs, -1, hd), out=du[:, 2 * hd:])
+        return dw, du
+
+
 def gru_backward(
-    params: GruParams, trace: GruTrace, grad_h, input_grad: bool = True
-) -> tuple[GruParams, np.ndarray | None]:
+    params: GruParams | GruBatch, trace: GruTrace, grad_h, input_grad: bool = True
+) -> tuple[GruParams | SegmentGrads, np.ndarray | None]:
     """Exact reverse-mode pass given an upstream gradient for every h_i.
 
-    Returns the gradients of w and u, in their layout (a GruParams) and
-    summed over the batch, and a (B, T, d) array of gradients w.r.t. the
-    inputs, or None without ``input_grad`` (inputs that are constants).
+    Returns the weight gradients and a (B, T, d) array of gradients w.r.t.
+    the inputs as passed to gru_forward (a pair's two directions summed), or
+    None without ``input_grad`` (inputs that are constants). For a
+    GruParams the weight gradients are a GruParams of its layout, summed
+    over the batch; for a GruBatch they are a SegmentGrads, which computes
+    each segment's on request.
     """
     gh = np.asarray(grad_h, dtype=np.float64)
     if gh.shape != trace.h.shape:
         raise ShapeMismatchError(f"grad_h shape {gh.shape} != trace shape {trace.h.shape}")
-    batch, steps, hd = gh.shape
-    u_rz, u_h = params.u[:2 * hd], params.u[2 * hd:]
-    da = np.empty((batch, steps, 3 * hd))  # pre-activation gradients [r, z, hhat]
-    g = gh[:, -1]
+    segments, pair = _segments(params, gh.shape[-3])
+    if not pair:
+        gh = gh[None]
+        trace = GruTrace(trace.inputs, trace.r[None], trace.z[None], trace.hhat[None], trace.h[None])
+    dirs, batch, steps, hd = gh.shape
+    da = np.empty((dirs, batch, steps, 3 * hd))
+    dgated, recurrent = np.empty((2, dirs, batch, hd))
+    g = gh[:, :, -1]
     for i in range(steps - 1, -1, -1):
-        r_i, z_i, c_i = trace.r[:, i], trace.z[:, i], trace.hhat[:, i]
-        da[:, i, 2 * hd:] = dah = g * z_i * (1.0 - c_i * c_i)
+        r_i, z_i, c_i = trace.r[:, :, i], trace.z[:, :, i], trace.hhat[:, :, i]
+        da[:, :, i, 2 * hd:] = dah = g * z_i * (1.0 - c_i * c_i)
         if i == 0:  # h_0 = 0 is a constant: the reset gate gets no gradient
-            da[:, 0, :hd] = 0.0
-            da[:, 0, hd:2 * hd] = g * c_i * z_i * (1.0 - z_i)
+            da[:, :, 0, :hd] = 0.0
+            da[:, :, 0, hd:2 * hd] = g * c_i * z_i * (1.0 - z_i)
             break
-        h_prev = trace.h[:, i - 1]
-        da[:, i, hd:2 * hd] = g * (c_i - h_prev) * z_i * (1.0 - z_i)
-        dgated = dah @ u_h  # gradient w.r.t. h_prev * r
-        da[:, i, :hd] = dgated * h_prev * r_i * (1.0 - r_i)
-        g = gh[:, i - 1] + (g * (1.0 - z_i) + dgated * r_i + da[:, i, :2 * hd] @ u_rz)
-    rows = batch * steps
-    dw = da.reshape(rows, 3 * hd).T @ trace.inputs.reshape(rows, -1)
-    # h_prev = 0 at the first step, so only later steps reach the U matrices.
-    later = da[:, 1:].reshape(-1, 3 * hd)
-    h_prev = trace.h[:, :-1].reshape(-1, hd)
-    du = np.empty((3 * hd, hd))
-    np.matmul(later[:, :2 * hd].T, h_prev, out=du[:2 * hd])
-    np.matmul(later[:, 2 * hd:].T, h_prev * trace.r[:, 1:].reshape(-1, hd), out=du[2 * hd:])
-    grads = GruParams(dw, du)
+        h_prev = trace.h[:, :, i - 1]
+        da[:, :, i, hd:2 * hd] = g * (c_i - h_prev) * z_i * (1.0 - z_i)
+        for _, u, rows in segments:  # gradient w.r.t. h_prev * r
+            np.matmul(dah[:, rows], u[:, 2 * hd:], out=dgated[:, rows])
+        da[:, :, i, :hd] = dgated * h_prev * r_i * (1.0 - r_i)
+        for _, u, rows in segments:
+            np.matmul(da[:, rows, i, :2 * hd], u[:, :2 * hd], out=recurrent[:, rows])
+        g = gh[:, :, i - 1] + (g * (1.0 - z_i) + dgated * r_i + recurrent)
+    grads = SegmentGrads(trace, da)
+    if isinstance(params, GruParams):
+        dw, du = grads.of(slice(None))
+        if du is None:
+            du = np.zeros((dirs, 3 * hd, hd))
+        grads = GruParams(dw, du) if pair else GruParams(dw[0], du[0])
     if not input_grad:
         return grads, None
-    dx = da.reshape(rows, 3 * hd) @ params.w
-    return grads, dx.reshape(batch, steps, -1)
+    dx = np.empty((dirs, *trace.inputs.shape))
+    for w, _, rows in segments:
+        np.matmul(da[:, rows].reshape(dirs, -1, 3 * hd), w, out=dx[:, rows].reshape(dirs, -1, w.shape[2]))
+    return grads, dx[0] + dx[1][:, ::-1] if pair else dx[0]
 
 
 @dataclass
@@ -180,10 +286,6 @@ class ClassifierParams:
 
     w: np.ndarray
     b: np.ndarray
-
-    @classmethod
-    def zeros(cls, d: int) -> "ClassifierParams":
-        return cls(np.zeros((2, d)), np.zeros(2))
 
     @classmethod
     def init(cls, d: int, rng: np.random.Generator) -> "ClassifierParams":

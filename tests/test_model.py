@@ -41,10 +41,18 @@ def schedule_of(m, tree):
     return schedule
 
 
+def groups(schedule):
+    """Each segment as (key, parent rows, child rows), in Schedule.segments
+    order: the nodes of one height, registry key and child count."""
+    for s in schedule.segments:
+        batch = schedule.batches[s.batch]
+        yield s.key, batch.parents[s.rows], batch.children[s.rows]
+
+
 def group_key(m, tree, node):
-    """The registry key of the schedule group that embeds ``node``."""
+    """The registry key of the schedule segment that embeds ``node``."""
     row = row_of(tree, node)
-    return next(g.key for g in schedule_of(m, tree).groups if row in g.parents)
+    return next(key for key, parents, _ in groups(schedule_of(m, tree)) if row in parents)
 
 
 class TestAggregatorKey:
@@ -105,7 +113,7 @@ class TestRegistry:
         rng = np.random.default_rng(40)
         trees = [random_tree(rng, n_edus=int(rng.integers(1, 5)), rr_arity=(2, 3)).tree for _ in range(12)]
         m = make_model(mode, ablation, trees=trees)
-        used = {g.key for tree in trees for g in schedule_of(m, tree).groups}
+        used = {s.key for tree in trees for s in schedule_of(m, tree).segments}
         vocab = m.vocab
         unk = set()
         if mode is SharingMode.ATTRIBUTE_SPECIFIC:
@@ -320,8 +328,8 @@ class TestMixedGroups:
         assert len({n.label for n in by_height[1]}) > 1
         m = make_model(SharingMode.ATTRIBUTE_SPECIFIC, trees=[tree])
         schedule = schedule_of(m, tree)
-        assert sum(len(g.parents) for g in schedule.groups) == sum(map(len, by_height.values()))
-        assert len(schedule.groups) > len(by_height)
+        assert sum(len(parents) for _, parents, _ in groups(schedule)) == sum(map(len, by_height.values()))
+        assert len(schedule.segments) > len(schedule.batches) > len(by_height)
 
     @pytest.mark.parametrize("mode", list(SharingMode))
     def test_matches_reference_and_gradcheck(self, mode):
@@ -346,6 +354,100 @@ def mixed_documents(seed=50):
     words = sorted({w for tree in trees for w in leaf_words(tree)})
     table = random_embedding_table(rng, words[::2], 8)
     return tweets, trees, table
+
+
+# At height 2, VP is first seen with one child and then with two, while the
+# batches list two children first, and VP is also used at height 3: summed
+# in batch order, VP's gradient blocks would add in another order.
+CROSSED = "(EDU (S (NP (NP (DT a) (NN b)) (VP (VBZ c))) (VP (VP (VBZ d) (RB e)) (NP (NN f)))))"
+
+
+def replay_backward(m, tree, table, y):
+    """The per-group path, as a test-local oracle: internal nodes grouped by
+    (height, registry key, child count) in the order the post-order walk
+    first reaches each group, one single-direction kernel call per group and
+    direction, and each group's gradients added in reverse group order.
+    Checks the encoder's node vectors on the way; returns the gradients."""
+    enc = encode_document(m, tree, table)
+    schedule, hd = enc.schedule, m.d // 2
+    key_of = {int(p): key for key, parents, _ in groups(schedule) for p in parents}
+    row = {node: i for i, node in enumerate(post_order(tree.root))}
+    height, order = [0] * len(row), {}
+    for node, i in row.items():
+        if i in key_of:
+            kids = [row[c] for c in node.children]
+            height[i] = 1 + max(height[c] for c in kids)
+            order.setdefault((height[i], key_of[i], len(kids)), []).append((i, kids))
+    vectors = enc.vectors.copy()
+    vectors[sorted(key_of)] = np.nan  # every Bi-GRU row is recomputed below
+    replayed = []
+    for h, key, k in sorted(order, key=lambda group: group[0]):
+        parents = np.array([i for i, _ in order[h, key, k]])
+        children = np.array([kids for _, kids in order[h, key, k]])
+        pair, xs = m.registry[key], vectors[children]
+        fwd, bwd = nn.gru_forward(pair.fwd, xs), nn.gru_forward(pair.bwd, xs[:, ::-1])
+        vectors[parents, :hd], vectors[parents, hd:] = fwd.h.mean(axis=1), bwd.h.mean(axis=1)
+        replayed.append((key, parents, children, fwd, bwd))
+    assert np.array_equal(vectors, enc.vectors)
+    assert [(key, list(parents)) for key, parents, *_ in replayed] == \
+        [(key, list(parents)) for key, parents, _ in groups(schedule)]
+
+    (document,) = schedule.documents
+    grads = replace(m, flat=np.zeros_like(m.flat))
+    dw, db, dh = nn.softmax_ce_backward(m.classifier, vectors[document].mean(axis=0), y)
+    grads.classifier.w += dw
+    grads.classifier.b += db
+    d_vectors = np.zeros_like(vectors)
+    d_vectors[document] = dh / len(document)
+    for key, parents, children, fwd, bwd in reversed(replayed):
+        up = d_vectors[parents] / children.shape[1]
+        pair, acc = m.registry[key], grads.registry[key]
+        g_fwd, dx_fwd = nn.gru_backward(pair.fwd, fwd, np.broadcast_to(up[:, None, :hd], fwd.h.shape))
+        g_bwd, dx_bwd = nn.gru_backward(pair.bwd, bwd, np.broadcast_to(up[:, None, hd:], bwd.h.shape))
+        acc.fwd.w += g_fwd.w
+        acc.fwd.u += g_fwd.u
+        acc.bwd.w += g_bwd.w
+        acc.bwd.u += g_bwd.u
+        d_vectors[children] += dx_fwd + dx_bwd[:, ::-1]
+    return enc, grads
+
+
+class TestBatchesAcrossKeys:
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    @pytest.mark.parametrize("ablation", list(AblationMode))
+    def test_backward_equals_a_per_group_replay_bit_for_bit(self, mode, ablation):
+        rng = np.random.default_rng(60)
+        news = random_tree(rng, n_edus=12, edu_words=(6, 12), rr_arity=(2, 3)).tree
+        for d, tree in ((8, parse_sexpr(CROSSED)), (8, parse_sexpr(MIXED)), (100, news)):
+            table = random_embedding_table(rng, leaf_words(tree), d)
+            m = make_model(mode, ablation, d=d, trees=[tree], seed=61)
+            enc, expected = replay_backward(m, tree, table, 1)
+            assert np.array_equal(backward(m, enc, 1).flat, expected.flat)
+
+    def test_crossed_fixture_orders_a_keys_segments_against_its_batches(self):
+        tree = parse_sexpr(CROSSED)
+        schedule = schedule_of(make_model(SharingMode.ATTRIBUTE_SPECIFIC, trees=[tree]), tree)
+        in_batches = [s for batch in schedule.batches for s in batch.segments]
+        vp = [s for s in schedule.segments if s.key == "VP"]
+        assert len(vp) == 3
+        assert [s for s in in_batches if s.key == "VP"] != vp
+
+    @pytest.mark.parametrize("single", [True, False])
+    def test_attribute_encode_calls_the_kernel_once_per_height_and_child_count(self, monkeypatch, single):
+        rng = np.random.default_rng(62)
+        trees = [random_tree(rng, n_edus=6, rr_arity=(2, 3)).tree for _ in range(2)]
+        table = random_embedding_table(rng, [w for t in trees for w in leaf_words(t)], 8)
+        m = make_model(SharingMode.ATTRIBUTE_SPECIFIC, trees=trees)
+        encoded = trees[:1] if single else trees
+        shapes = {(h, len(n.children)) for tree in encoded for h, found in internal_heights(tree).items()
+                  for n in found}
+        calls = []
+        kernel = nn.gru_forward
+        monkeypatch.setattr(nn, "gru_forward", lambda params, x: calls.append(x.shape) or kernel(params, x))
+        encode_document(m, trees[0] if single else trees, table)
+        (schedule,) = compile_tree(encoded, m)
+        assert len(calls) == len(shapes) == len(schedule.batches) < len(schedule.segments)
+        assert sorted(shape[1] for shape in calls) == sorted(k for _, k in shapes)
 
 
 class TestBatchedEncoding:
@@ -381,15 +483,15 @@ class TestBatchedEncoding:
             for document, unk, tree in zip(merged.documents, merged.unk, pending):
                 own = schedule_of(m, tree)
                 picked = []
-                for g in merged.groups:
-                    mine = (g.parents >= offset) & (g.parents < offset + own.size)
+                for key, parents, children in groups(merged):
+                    mine = (parents >= offset) & (parents < offset + own.size)
                     if mine.any():
-                        picked.append((g.key, g.parents[mine] - offset, g.children[mine] - offset))
-                assert len(picked) == len(own.groups)
+                        picked.append((key, parents[mine] - offset, children[mine] - offset))
+                assert len(picked) == len(own.segments)
                 for (key, parents, children), g in zip(sorted(picked, key=lambda p: p[1][0]),
-                                                       sorted(own.groups, key=lambda g: g.parents[0])):
-                    assert key == g.key
-                    assert np.array_equal(parents, g.parents) and np.array_equal(children, g.children)
+                                                       sorted(groups(own), key=lambda g: g[1][0])):
+                    assert key == g[0]
+                    assert np.array_equal(parents, g[1]) and np.array_equal(children, g[2])
                 assert np.array_equal(document - offset, own.documents[0])
                 assert unk == own.unk[0]
                 offset += own.size
@@ -401,7 +503,8 @@ class TestBatchedEncoding:
         m = make_model(SharingMode.ATTRIBUTE_SPECIFIC, trees=tweets)
         for tree in trees:
             enc = encode_document(m, tree, table)
-            assert enc.unk == sum(len(g.parents) for g in enc.schedule.groups if g.key in (UNK_SYNTAX, UNK_RR))
+            unk_groups = [parents for key, parents, _ in groups(enc.schedule) if key in (UNK_SYNTAX, UNK_RR)]
+            assert enc.unk == sum(map(len, unk_groups))
 
     def test_backward_on_a_batched_encoding_raises(self):
         tree = parse_sexpr(TWO_EDU)
@@ -530,15 +633,15 @@ class TestBackward:
         gen, table = gradcheck_fixture(rng, 8)
         m = make_model(mode, ablation, trees=[gen.tree], seed=8)
         enc = encode_document(m, gen.tree, table)
-        skipped = [g for g in enc.schedule.groups if not g.input_grad]
+        skipped = [b for b in enc.schedule.batches if not b.input_grad]
         if ablation is not AblationMode.NO_STRUCTURE:
             assert skipped
-        gru_rows = {i for g in enc.schedule.groups for i in g.parents}
-        for g in enc.schedule.groups:
+        gru_rows = {i for b in enc.schedule.batches for i in b.parents}
+        for b in enc.schedule.batches:
             # The children's gradient is needed iff some child is a Bi-GRU node.
-            assert g.input_grad == any(c in gru_rows for c in g.children.ravel())
+            assert b.input_grad == any(c in gru_rows for c in b.children.ravel())
         grads = backward(m, enc, 0)
-        enc.schedule = replace(enc.schedule, groups=[replace(g, input_grad=True) for g in enc.schedule.groups])
+        enc.schedule = replace(enc.schedule, batches=[replace(b, input_grad=True) for b in enc.schedule.batches])
         assert np.array_equal(backward(m, enc, 0).flat, grads.flat)
 
     def test_reused_gradient_buffer_equals_a_fresh_one(self):
@@ -803,7 +906,10 @@ class TestFlatLayout:
         m = make_model(mode, trees=[tree], seed=4, random_classifier=random_classifier)
         rng = np.random.default_rng(4)
         drawn = [mat for _ in range(2 * len(m.registry)) for mat in nn.GruParams.init(8, rng).matrices()]
-        clf = nn.ClassifierParams.init(8, rng) if random_classifier else nn.ClassifierParams.zeros(8)
+        if random_classifier:
+            clf = nn.ClassifierParams.init(8, rng)
+        else:
+            clf = nn.ClassifierParams(np.zeros((2, 8)), np.zeros(2))
         expected = np.concatenate([a.ravel() for a in (*drawn, clf.w, clf.b)])
         assert m.flat.dtype == np.float64
         assert np.array_equal(m.flat, expected)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hero.nn import (
-    ADAM_BLOCK, AdamState, ClassifierParams, GruParams, ShapeMismatchError,
+    ADAM_BLOCK, AdamState, ClassifierParams, GruBatch, GruParams, ShapeMismatchError,
     adam_step, finite_diff_check, gru_backward, gru_forward,
     sigmoid, softmax_ce, softmax_ce_backward,
 )
@@ -15,6 +15,10 @@ from reference import adam_reference, gru_sequence
 
 def flatten_gru(params):
     return np.concatenate([m.ravel() for m in params.matrices()])
+
+
+def zero_gru(d):
+    return GruParams(np.zeros((3 * d // 2, d)), np.zeros((3 * d // 2, d // 2)))
 
 
 def unflatten_gru(params, vec):
@@ -27,13 +31,13 @@ def unflatten_gru(params, vec):
 class TestGruForward:
     def test_zero_params_fix_point(self):
         rng = np.random.default_rng(0)
-        params = GruParams.zeros(6)
+        params = zero_gru(6)
         trace = gru_forward(params, rng.uniform(-2, 2, (2, 4, 6)))
         np.testing.assert_array_equal(trace.h, np.zeros((2, 4, 3)))
 
     def test_zero_input_zero_u_gives_half_gates(self):
         rng = np.random.default_rng(1)
-        params = GruParams.zeros(6)
+        params = zero_gru(6)
         for m in params.matrices()[:3]:
             m[...] = rng.uniform(-1, 1, m.shape)
         trace = gru_forward(params, np.zeros((1, 1, 6)))
@@ -60,7 +64,7 @@ class TestGruForward:
         assert np.array_equal(a.h, b.h)
 
     def test_shape_errors(self):
-        params = GruParams.zeros(6)
+        params = zero_gru(6)
         with pytest.raises(ShapeMismatchError):
             gru_forward(params, np.zeros((1, 2, 5)))
         with pytest.raises(ShapeMismatchError):
@@ -97,7 +101,7 @@ class TestGruBackward:
         weights = rng.uniform(-1, 1, (1, steps, d // 2))
         _, grads, _ = gru_loss_and_grads(params, inputs, weights)
 
-        work = params.copy()
+        work = GruParams(params.w.copy(), params.u.copy())
 
         def f(vec):
             unflatten_gru(work, vec)
@@ -165,6 +169,74 @@ class TestGruBatch:
             np.testing.assert_allclose(got, want, atol=1e-13)
 
 
+def stacked_pairs(rng, d, n):
+    """n Bi-GRU pairs laid out as in a model's flat vector: each pair's w and
+    u are (2, 3d/2, .) strided views of one block, fwd w u then bwd w u."""
+    hd = d // 2
+    flat = rng.uniform(-0.3, 0.3, n * 2 * 3 * hd * (d + hd))
+    pairs = []
+    for block in flat.reshape(n, 2, -1):
+        cut = 3 * hd * d
+        pairs.append(GruParams(block[:, :cut].reshape(2, 3 * hd, d), block[:, cut:].reshape(2, 3 * hd, hd)))
+    return pairs
+
+
+class TestSegmentedPairs:
+    """A GruBatch of pairs against one single-direction call per segment and
+    direction, the reverse direction fed x[:, ::-1]."""
+
+    @pytest.mark.parametrize("steps,sizes", [(3, (1, 4, 2, 1)), (1, (3, 1, 2))])
+    def test_equals_per_segment_single_direction_calls_bit_for_bit(self, steps, sizes):
+        rng = np.random.default_rng(22)
+        d, hd = 100, 50
+        pairs = stacked_pairs(rng, d, len(sizes))
+        stops = np.cumsum((0, *sizes))
+        rows = [slice(a, b) for a, b in zip(stops, stops[1:])]
+        batch = GruBatch(pairs, rows)
+        x = rng.uniform(-1, 1, (stops[-1], steps, d))
+        trace = gru_forward(batch, x)
+        assert trace.h.shape == (2, stops[-1], steps, hd) and len(trace) == 2 * stops[-1] * steps
+        upstream = rng.uniform(-1, 1, trace.h.shape)
+        grads, dx = gru_backward(batch, trace, upstream)
+        for pair, seg in zip(pairs, rows):
+            fwd, bwd = GruParams(pair.w[0], pair.u[0]), GruParams(pair.w[1], pair.u[1])
+            t_f, t_b = gru_forward(fwd, x[seg]), gru_forward(bwd, x[seg, ::-1])
+            assert np.array_equal(trace.h[0, seg], t_f.h) and np.array_equal(trace.h[1, seg], t_b.h)
+            g_f, dx_f = gru_backward(fwd, t_f, upstream[0, seg])
+            g_b, dx_b = gru_backward(bwd, t_b, upstream[1, seg])
+            dw, du = grads.of(seg)
+            assert np.array_equal(dw[0], g_f.w) and np.array_equal(dw[1], g_b.w)
+            if steps == 1:  # no step has a previous state: U gets no gradient
+                assert du is None
+                assert not g_f.u.any() and not g_b.u.any()
+            else:
+                assert np.array_equal(du[0], g_f.u) and np.array_equal(du[1], g_b.u)
+            assert np.array_equal(dx[seg], dx_f + dx_b[:, ::-1])
+
+    def test_a_pair_alone_equals_a_one_segment_batch(self):
+        rng = np.random.default_rng(23)
+        (pair,) = stacked_pairs(rng, 8, 1)
+        x = rng.uniform(-1, 1, (3, 2, 8))
+        batch = GruBatch([pair], [slice(0, 3)])
+        alone, batched = gru_forward(pair, x), gru_forward(batch, x)
+        assert np.array_equal(alone.h, batched.h)
+        upstream = rng.uniform(-1, 1, alone.h.shape)
+        grads, dx = gru_backward(pair, alone, upstream)
+        segments, dx_batched = gru_backward(batch, batched, upstream)
+        dw, du = segments.of(slice(0, 3))
+        assert np.array_equal(grads.w, dw) and np.array_equal(grads.u, du)
+        assert np.array_equal(dx, dx_batched)
+
+    @pytest.mark.parametrize("rows", [
+        [slice(0, 2), slice(3, 4)], [slice(0, 2), slice(1, 4)], [slice(0, 3)], [slice(1, 4)],
+    ])
+    def test_segments_must_tile_the_batch(self, rows):
+        rng = np.random.default_rng(24)
+        pairs = stacked_pairs(rng, 8, len(rows))
+        with pytest.raises(ShapeMismatchError):
+            gru_forward(GruBatch(pairs, rows), np.zeros((4, 2, 8)))
+
+
 def test_sigmoid_saturates_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -174,7 +246,7 @@ def test_sigmoid_saturates_without_warnings():
 
 class TestSoftmaxCe:
     def test_symmetric_logits(self):
-        clf = ClassifierParams.zeros(4)
+        clf = ClassifierParams(np.zeros((2, 4)), np.zeros(2))
         p, loss = softmax_ce(clf, np.zeros(4), 1)
         assert p == 0.5
         assert loss == pytest.approx(math.log(2), abs=1e-12)
