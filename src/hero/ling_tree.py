@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import re
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -56,9 +57,12 @@ class Level(enum.Enum):
     SYNTAX = "SYNTAX"
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class TreeNode:
-    """One vertex; ``children`` keeps document word order. Identity-hashed."""
+    """One vertex; ``children`` keeps document word order. Identity-hashed.
+
+    Slotted, so a node carries no ``__dict__``; parse_sexpr interns every
+    label, so nodes with the same label share one string."""
 
     label: str
     kind: NodeKind
@@ -71,7 +75,7 @@ class TreeNode:
         return Level.SYNTAX
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class LingTree:
     root: TreeNode
     doc_id: str = ""
@@ -120,12 +124,14 @@ def parse_sexpr(text: str, doc_id: str = "") -> LingTree:
 
     Node kinds are inferred from labels ("EDU", nuclearity-prefixed RR
     labels, everything else syntax; bare tokens are words) and the level
-    stratification is enforced while building.
+    stratification is enforced while building. Every label and word is
+    passed through sys.intern, so a token repeated within a document or
+    across documents is held as one string.
 
     Raises UnbalancedParensError, EmptyNodeError, KindViolationError or
     UnknownRRPrefixError on bad input.
     """
-    tokens = _tokenize(text)
+    tokens = [*map(sys.intern, _tokenize(text))]
     if not tokens:
         raise EmptyNodeError("empty input; expected one bracketed tree")
     # Each stack frame is [label, collected children].

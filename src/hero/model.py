@@ -547,8 +547,20 @@ def save_model(params: ModelParams, path) -> None:
         fh.write('"' + tail + "\n")
 
 
+# Base64 characters per chunk decoded by load_model: a multiple of 4, so
+# every chunk but the last decodes to a whole number of 3-byte groups.
+_LOAD_CHUNK = 4 << 18
+
+
 def load_model(path) -> ModelParams:
-    """Inverse of save_model; predictions of the loaded model are bit-identical."""
+    """Inverse of save_model; predictions of the loaded model are bit-identical.
+
+    The stored byte count follows from the length and padding of the base64
+    text and is checked against the header's layout before anything of that
+    size is allocated. The text is then decoded chunk by chunk straight into
+    the parameter vector, holding the checkpoint text, one model and one
+    chunk's scratch; json.load, before it, briefly holds the file text
+    twice."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -584,16 +596,31 @@ def load_model(path) -> ModelParams:
                     raise CorruptCheckpointError(
                         f"attribute_vocab {level} label {name!r} is a {found.value} label"
                     )
-        raw = base64.b64decode(doc["flat"], validate=True)
+        text = doc["flat"]
+        if not isinstance(text, str) or len(text) % 4:
+            raise ValueError("'flat' must be base64 text of whole 4-character groups")
+        # Only the last group may carry padding; decoding it first rejects a
+        # bad ending before its padding is counted.
+        base64.b64decode(text[-4:], validate=True)
+        stored = 3 * len(text) // 4 - text[-2:].count("=")
         # Checked before anything of the header's size is allocated, so a
         # corrupt d cannot ask for more memory than the file holds.
         expected = 8 * _flat_size(d, len(keys))
-        if len(raw) != expected:
+        if stored != expected:
             raise CorruptCheckpointError(
                 f"stored parameters do not fit the mode and vocabulary: "
-                f"{len(raw)} bytes stored, {expected} expected"
+                f"{stored} bytes stored, {expected} expected"
             )
-        flat = np.frombuffer(raw, dtype="<f8").astype(np.float64)
+        values = np.empty(expected // 8, dtype="<f8")
+        out = values.view(np.uint8)
+        for start in range(0, len(text), _LOAD_CHUNK):
+            raw = base64.b64decode(text[start:start + _LOAD_CHUNK], validate=True)
+            at = 3 * start // 4
+            part = out[at:at + 3 * _LOAD_CHUNK // 4]
+            if len(raw) != part.size:
+                raise CorruptCheckpointError("'=' padding before the end of the stored parameters")
+            part[:] = np.frombuffer(raw, dtype=np.uint8)
+        flat = values.astype(np.float64, copy=False)  # copies only on a big-endian host
         if not np.isfinite(flat).all():
             raise CorruptCheckpointError("stored parameters hold a non-finite value")
         params = ModelParams(d, mode, ablation, vocab, flat)

@@ -329,6 +329,13 @@ def train(split: Split, config: TrainConfig, table: EmbeddingTable) -> tuple[Mod
 
     One shared seeded generator drives initialization and the per-epoch
     shuffles, so identical (data, config) runs are bit-identical.
+
+    Training holds four model-sized buffers: the parameters, the gradients
+    and Adam's two moments. The best epoch's weights go to one snapshot
+    buffer, allocated at the first improvement and refilled at each later
+    one, so it is a fifth buffer only while an earlier epoch is the best.
+    The gradients and moments are released once the final epoch's updates
+    are done, before its snapshot is taken.
     """
     rng = np.random.default_rng(config.seed)
     if config.mode is SharingMode.ATTRIBUTE_SPECIFIC:
@@ -343,7 +350,7 @@ def train(split: Split, config: TrainConfig, table: EmbeddingTable) -> tuple[Mod
     best_epoch = 0
     best_score = -math.inf
     # max_epochs >= 1 and scores are never NaN, so epoch 1 always sets it.
-    best_params: ModelParams | None = None
+    snapshot: ModelParams | None = None
     for epoch in range(1, config.max_epochs + 1):
         total_loss = 0.0
         for i in rng.permutation(len(split.train)):
@@ -355,15 +362,20 @@ def train(split: Split, config: TrainConfig, table: EmbeddingTable) -> tuple[Mod
             grads = backward(params, enc, doc.y, out=grads)
             nn.adam_step(adam, params.flat, grads.flat)
             total_loss += loss
+        if epoch == config.max_epochs:
+            grads = adam = None  # training is over: free them before the snapshot
         val, _, _ = evaluate(params, split.val, table)
         logs.append(EpochLog(epoch, total_loss / len(split.train), val))
         score = selection_score(val)
         if score > best_score:
             best_score = score
             best_epoch = epoch
-            best_params = copy_model(params)
-    test, _, _ = evaluate(best_params, split.test, table)
-    return best_params, TrainReport(config, logs, best_epoch, test)
+            if snapshot is None:
+                snapshot = copy_model(params)
+            else:
+                np.copyto(snapshot.flat, params.flat)
+    test, _, _ = evaluate(snapshot, split.test, table)
+    return snapshot, TrainReport(config, logs, best_epoch, test)
 
 
 @dataclass

@@ -20,7 +20,10 @@ and ablation (12 combinations) it covers:
 - the same at width 100 on two news-sized trees, and the document vectors
   of both trees and the corpus scored as one list (merged batches);
 
-and one ``hero train --grid`` run. A change meant to keep every result
+and one ``hero train --grid`` run. It also covers the re-serialised form of
+every tree parsed back from the corpus and unseen-label datasets, ``hero
+stats`` CSV output on the corpus, and the parameter bytes of a width-100
+attribute-specific checkpoint after ``load_model``. A change meant to keep every result
 bit-identical must leave the output unchanged. Pytest does not collect this
 file (its name does not start with ``test_``); it takes a few seconds.
 """
@@ -40,9 +43,11 @@ import numpy as np
 from hero.cli import run
 from hero.embed import EmbeddingTable
 from hero.ling_tree import leaf_words, serialize_sexpr
-from hero.model import AblationMode, AttributeVocab, SharingMode, backward, encode_document, init_model
+from hero.model import (
+    AblationMode, AttributeVocab, SharingMode, backward, encode_document, init_model, load_model, save_model,
+)
 from hero.synthetic import marker_corpus, random_embedding_table, random_tree
-from hero.trainer import LabeledDocument, write_dataset
+from hero.trainer import LabeledDocument, read_dataset, write_dataset
 
 D = 8
 WIDE = 100
@@ -92,6 +97,14 @@ def main() -> None:
     merged = EmbeddingTable(D, {**table.vectors, **side_table.vectors})
     write_table(merged, "partial.txt", skip_every=3)
     Path("news.tree").write_text(serialize_sexpr(news), encoding="utf-8")
+
+    for name in ("train.jsonl", "unseen.jsonl"):
+        digest(f"parsed {name}", "\n".join(serialize_sexpr(doc.tree) for doc in read_dataset(name)))
+    hero("stats train", ["stats", "--data", "train.jsonl"])
+    vocab = AttributeVocab.from_trees([news, news2, *unseen])
+    save_model(init_model(WIDE, SharingMode.ATTRIBUTE_SPECIFIC, vocab=vocab, seed=9, random_classifier=True),
+               "wide.json")
+    digest(f"d={WIDE} attribute_specific load_model flat", load_model("wide.json").flat.tobytes())
 
     for mode in SharingMode:
         for ablation in AblationMode:

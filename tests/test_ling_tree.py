@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,40 @@ class TestLeafWords:
         gen = random_tree(rng, n_edus=5)
         again = parse_sexpr(serialize_sexpr(gen.tree))
         assert leaf_words(again) == gen.words
+
+
+class TestLayout:
+    def test_nodes_and_trees_carry_no_instance_dict(self):
+        tree = parse_sexpr(NEWS_TREE)
+        assert not hasattr(tree, "__dict__")
+        assert not any(hasattr(node, "__dict__") for node in iter_nodes(tree.root))
+
+    def test_nodes_stay_identity_hashed(self):
+        a, b = parse_sexpr(MINIMAL).root, parse_sexpr(MINIMAL).root
+        assert a != b and len({a, b}) == 2
+
+    def test_two_parses_share_label_and_word_strings(self):
+        first, second = parse_sexpr(NEWS_TREE), parse_sexpr(NEWS_TREE)
+        pairs = list(zip(iter_nodes(first.root), iter_nodes(second.root)))
+        assert len(pairs) == len(list(iter_nodes(first.root)))
+        assert all(x.label is y.label for x, y in pairs)
+        # Within one document, a repeated token is one string too.
+        nnp = [n.label for n in iter_nodes(first.root) if n.label == "NNP"]
+        assert len(nnp) == 6 and all(label is nnp[0] for label in nnp)
+
+    def test_parsed_bytes_per_node_bound(self):
+        # A slotted node with interned labels takes ~80 traced bytes; with an
+        # instance dict and a string per node it took ~170.
+        rng = np.random.default_rng(5)
+        texts = [serialize_sexpr(random_tree(rng).tree) for _ in range(300)]
+        tracemalloc.start()
+        try:
+            trees = [parse_sexpr(text) for text in texts]
+            size, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        nodes = sum(1 for tree in trees for _ in iter_nodes(tree.root))
+        assert size / nodes < 120, f"{size / nodes:.1f} bytes per node"
 
 
 def test_kind_stratification():

@@ -1,6 +1,7 @@
 import base64
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -887,6 +888,65 @@ def test_save_matches_the_single_dump_bytes(tmp_path, monkeypatch, mode, ablatio
     save_model(params, tmp_path / "new.json")
     legacy_save(params, tmp_path / "old.json")
     assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
+
+# Unified full models of 306, 472 and 674 values: base64 text with 0, 1 and
+# 2 padding characters.
+PADDED_WIDTHS = {0: 8, 1: 10, 2: 12}
+
+
+def unified_checkpoint(tmp_path, d):
+    params = init_model(d, SharingMode.UNIFIED, seed=d, random_classifier=True)
+    path = tmp_path / "model.json"
+    save_model(params, path)
+    return params, path, json.loads(path.read_text())["flat"]
+
+
+class TestChunkedLoad:
+    @pytest.mark.parametrize("padding", list(PADDED_WIDTHS))
+    @pytest.mark.parametrize("chunk", ["4", "8", "12", "len-4", "len", "len+4"])
+    def test_round_trip_straddling_the_chunk(self, tmp_path, monkeypatch, padding, chunk):
+        params, path, text = unified_checkpoint(tmp_path, PADDED_WIDTHS[padding])
+        assert text[-2:].count("=") == padding
+        size = int(chunk) if chunk.isdigit() else len(text) + int(chunk[3:] or 0)
+        monkeypatch.setattr("hero.model._LOAD_CHUNK", size)
+        loaded = load_model(path)
+        assert loaded.flat.dtype == np.float64 and loaded.flat.flags.c_contiguous
+        assert loaded.flat.tobytes() == params.flat.tobytes()
+
+    @pytest.mark.parametrize("padded", [
+        lambda text: text[:6] + "==" + text[8:],
+        lambda text: text[:7] + "=" + text[8:],
+        lambda text: text[:2] + "==" + text[4:],
+    ], ids=["two_at_chunk_end", "one_at_chunk_end", "inside_chunk"])
+    def test_padding_inside_a_non_final_chunk_is_rejected(self, tmp_path, monkeypatch, padded):
+        # The byte count follows from the last group's padding only, so this
+        # text has the right count and is rejected while decoding.
+        _, path, text = unified_checkpoint(tmp_path, PADDED_WIDTHS[0])
+        doc = json.loads(path.read_text())
+        doc["flat"] = padded(text)
+        path.write_text(json.dumps(doc))
+        monkeypatch.setattr("hero.model._LOAD_CHUNK", 8)
+        with pytest.raises(CorruptCheckpointError):
+            load_model(path)
+
+    def test_peak_is_the_text_plus_about_one_model(self, tmp_path):
+        # The old decode held the text, its bytes, the decoded bytes and an
+        # astype copy (text + 2.3 models). json.load holds the file text and
+        # the parsed string at once, text + 1.33 models, so that sets the
+        # floor; the chunked decode stays under it.
+        vocab = AttributeVocab(tuple(f"P{i}" for i in range(10)), tuple(f"NS-r{j}" for j in range(8)))
+        params = init_model(100, SharingMode.ATTRIBUTE_SPECIFIC, vocab=vocab, seed=3)
+        path = tmp_path / "model.json"
+        save_model(params, path)
+        tracemalloc.start()
+        try:
+            load_model(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        model = params.flat.nbytes
+        assert peak < path.stat().st_size + 1.5 * model, f"text + {(peak - path.stat().st_size) / model:.2f} models"
 
 
 def layout_views(m):

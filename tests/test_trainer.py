@@ -1,10 +1,12 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import hero.trainer
 from hero.embed import EmbeddingTable
 from hero.ling_tree import leaf_words, parse_sexpr, post_order
 from hero.model import (
@@ -280,6 +282,78 @@ class TestTrain:
         cfg = TrainConfig(lr=0.01, max_epochs=1, seed=0, d=16)
         with pytest.raises(DimMismatchError):
             train(split, cfg, table)
+
+
+class TestReturnedWeights:
+    """train returns the weights of the best validation epoch from one
+    snapshot buffer, allocated at the first improvement and refilled at
+    each later one."""
+
+    CASES = {"last": [1, 2, 3, 4], "earlier": [4, 1, 2, 3], "several": [1, 2, 3, 0]}
+
+    def scripted(self, monkeypatch, split, table, mode, scores):
+        """Train 4 epochs with epoch e's selection score set to scores[e-1].
+        Returns the weights, the report, the weights each validation saw,
+        the live parameters and the number of snapshot copies."""
+        seen, live, copies = [], [], []
+        real_evaluate, real_copy = hero.trainer.evaluate, hero.trainer.copy_model
+
+        def evaluate(params, docs, table):
+            if docs is split.val:
+                seen.append(params.flat.copy())
+                live.append(params)
+            return real_evaluate(params, docs, table)
+
+        def copy_model(params):
+            copies.append(params)
+            return real_copy(params)
+
+        script = iter(scores)
+        monkeypatch.setattr(hero.trainer, "evaluate", evaluate)
+        monkeypatch.setattr(hero.trainer, "copy_model", copy_model)
+        monkeypatch.setattr(hero.trainer, "selection_score", lambda metrics: next(script))
+        cfg = TrainConfig(lr=0.05, max_epochs=len(scores), seed=4, d=8, mode=mode)
+        params, report = train(split, cfg, table)
+        monkeypatch.undo()
+        assert len(set(map(id, live))) == 1
+        return params, report, seen, live[0], len(copies)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    def test_best_epoch_weights(self, monkeypatch, mode, case):
+        split, table = quick_corpus(seed=4, n=30)
+        scores = self.CASES[case]
+        params, report, seen, live, copies = self.scripted(monkeypatch, split, table, mode, scores)
+        best = scores.index(max(scores)) + 1
+        assert report.best_epoch == best
+        val, _, _ = evaluate(params, split.val, table)
+        assert val == report.best_val
+        # Later epochs moved the live weights but not the returned ones.
+        assert np.array_equal(params.flat, seen[best - 1])
+        if best < len(scores):
+            assert not np.array_equal(seen[-1], seen[best - 1])
+        assert copies == 1  # later improvements refill the first snapshot
+        assert not np.shares_memory(params.flat, live.flat)
+        again, report_again, _, _, _ = self.scripted(monkeypatch, split, table, mode, scores)
+        assert again.flat.tobytes() == params.flat.tobytes()
+        assert report_again.to_json() == report.to_json()
+
+    def test_attribute_training_peaks_below_five_models(self):
+        # Parameters, gradients and Adam's two moments are the four
+        # model-sized buffers of a one-epoch run; the gradients and moments
+        # are released before the snapshot is taken.
+        rng = np.random.default_rng(6)
+        docs, table = marker_corpus(rng, 12, 100)
+        split = split_dataset(docs, seed=6)
+        cfg = TrainConfig(lr=1e-3, max_epochs=1, seed=6, d=100, mode=SharingMode.ATTRIBUTE_SPECIFIC)
+        tracemalloc.start()
+        try:
+            params, _ = train(split, cfg, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert params.flat.nbytes > 4_000_000
+        assert peak < 5 * params.flat.nbytes, f"peak {peak / params.flat.nbytes:.2f} models"
 
 
 def overflow_corpus(seed=0):
