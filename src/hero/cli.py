@@ -124,6 +124,8 @@ def cmd_predict(args) -> int:
 def cmd_gradcheck(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {args.seed}")
+    if args.d <= 0 or args.d % 2:
+        raise ConfigError(f"d must be a positive even integer, got {args.d}")
     rng = np.random.default_rng(args.seed)
     gen, table = synthetic.gradcheck_fixture(rng, args.d)
     vocab = AttributeVocab.from_trees([gen.tree])

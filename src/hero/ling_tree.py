@@ -233,11 +233,6 @@ def leaf_words(tree: LingTree) -> list[str]:
     return [n.label for n in iter_nodes(tree.root) if n.kind is NodeKind.WORD]
 
 
-def edu_nodes(tree: LingTree) -> list[TreeNode]:
-    """EDU nodes in document order."""
-    return [n for n in iter_nodes(tree.root) if n.kind is NodeKind.EDU]
-
-
 def tree_equal(a: TreeNode, b: TreeNode) -> bool:
     """Structural equality: same labels, kinds and child shapes."""
     stack = [(a, b)]

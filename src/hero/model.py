@@ -410,7 +410,7 @@ def encode_document(params: ModelParams, trees, table: EmbeddingTable):
 
 
 def _weights(params: ModelParams, batch: Batch) -> nn.GruBatch:
-    """The Bi-GRU pair of each segment of ``batch``."""
+    """The Bi-GRU pair of each segment of ``batch``: the kernels' one input form."""
     return nn.GruBatch([params.registry[s.key] for s in batch.segments], [s.rows for s in batch.segments])
 
 

@@ -1,5 +1,5 @@
-"""Minimal float64 numeric kernel: GRU cell, softmax cross-entropy, Adam,
-and a central-finite-difference gradient checker.
+"""Minimal float64 numeric kernel: bidirectional GRU, softmax cross-entropy,
+Adam, and a central-finite-difference gradient checker.
 
 The GRU over a sequence x_1..x_T (each of width d, hidden width d/2):
 
@@ -12,14 +12,15 @@ There are no bias terms. The six matrices, the only learnable tensors, are
 stored stacked by gate as W = [W_r; W_z; W_h] and U = [U_r; U_z; U_h], and
 the kernels multiply by W and U as stored.
 
-The GRU kernels run a batch of B equal-length sequences at once, as
-(B, T, d) arrays. The forward kernel computes each row's matrix products on
-its own, so a sequence's result is bit-identical whatever else shares its
-batch; a single GEMM over the batch would make the last bits of a row
-depend on the other rows. A bidirectional pair runs both directions in the
-same call, and a GruBatch gives each segment of rows its own pair: only the
-matrix products loop over segments, and each segment's backward products
-cover its own rows, as a call for that segment alone would.
+The kernels take one form: a GruBatch, B equal-length sequences as a
+(B, T, d) array whose rows run in segments, each segment with its own
+bidirectional pair. Both directions run in the same call, direction 1 over
+each sequence reversed; only the matrix products loop over segments. The
+forward kernel computes each row's matrix products on its own, so a
+sequence's result is bit-identical whatever else shares its batch (a single
+GEMM over the batch would make the last bits of a row depend on the other
+rows), and each segment's backward products cover its own rows, as a call
+for that segment alone would.
 """
 
 from __future__ import annotations
@@ -50,23 +51,16 @@ def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 class GruParams:
     """The GRU's matrices stacked by gate, rows r, z, h: w is [W_r; W_z; W_h],
     (3d/2, d), and u is [U_r; U_z; U_h], (3d/2, d/2). A leading axis of 2 on
-    both, (2, 3d/2, d) and (2, 3d/2, d/2), makes a bidirectional pair: [0]
-    reads each sequence left to right and [1] reads it right to left."""
+    both, (2, 3d/2, d) and (2, 3d/2, d/2), makes the bidirectional pair the
+    kernels run: [0] reads each sequence left to right and [1] reads it
+    right to left."""
 
     w: np.ndarray
     u: np.ndarray
 
     @property
-    def input_dim(self) -> int:
-        return self.w.shape[-1]
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.u.shape[-1]
-
-    @property
     def w_r(self) -> np.ndarray:
-        return self.w[..., :self.hidden_dim, :]
+        return self.w[..., :self.u.shape[-1], :]
 
     @classmethod
     def init(cls, d: int, rng: np.random.Generator) -> "GruParams":
@@ -83,49 +77,39 @@ class GruParams:
 
 @dataclass(frozen=True)
 class GruBatch:
-    """A batch whose rows run in segments, each with its own GRU: grus[j]
-    runs rows[j]. The slices tile the batch in order; the GRUs share one
-    shape, so they are all single GRUs or all pairs."""
+    """A batch whose rows run in segments, each with its own bidirectional
+    pair: grus[j] runs rows[j]. The slices tile the batch in order, and the
+    pairs share one shape."""
 
     grus: Sequence[GruParams]
     rows: Sequence[slice]
 
     @property
     def input_dim(self) -> int:
-        return self.grus[0].input_dim
+        return self.grus[0].w.shape[-1]
 
     @property
     def hidden_dim(self) -> int:
-        return self.grus[0].hidden_dim
+        return self.grus[0].u.shape[-1]
 
 
-def _segments(
-    params: GruParams | GruBatch, batch: int
-) -> tuple[list[tuple[np.ndarray, np.ndarray, slice]], bool]:
-    """(w, u, rows) per segment, w and u with a leading direction axis, and
-    whether the GRUs are pairs."""
-    if isinstance(params, GruParams):
-        grus, rows = (params,), (slice(0, batch),)
-    else:
-        grus, rows = params.grus, params.rows
-        stops = [0, *(r.stop for r in rows)]
-        if len(grus) != len(rows) or [r.start for r in rows] != stops[:-1] or stops[-1] != batch:
-            raise ShapeMismatchError(f"segments {list(rows)} do not tile a batch of {batch}")
-    pair = grus[0].w.ndim == 3
-    if pair:
-        return [(g.w, g.u, r) for g, r in zip(grus, rows)], True
-    return [(g.w[None], g.u[None], r) for g, r in zip(grus, rows)], False
+def _segments(params: GruBatch, batch: int) -> list[tuple[np.ndarray, np.ndarray, slice]]:
+    """(w, u, rows) per segment, w and u with the direction axis."""
+    grus, rows = params.grus, params.rows
+    stops = [0, *(r.stop for r in rows)]
+    if len(grus) != len(rows) or [r.start for r in rows] != stops[:-1] or stops[-1] != batch:
+        raise ShapeMismatchError(f"segments {list(rows)} do not tile a batch of {batch}")
+    return [(g.w, g.u, r) for g, r in zip(grus, rows)]
 
 
 @dataclass
 class GruTrace:
-    """Per-step activations of a batch, kept for backprop; [b, i] is step i+1
-    of sequence b. For a pair, every array but ``inputs`` has a leading
-    direction axis, and direction 1 holds the steps over each sequence
-    reversed."""
+    """Per-step activations of a batch, kept for backprop; [k, b, i] is step
+    i+1 of sequence b in direction k, and direction 1 holds the steps over
+    each sequence reversed."""
 
     inputs: np.ndarray  # (B, T, d), as passed
-    r: np.ndarray       # (B, T, d/2) or (2, B, T, d/2)
+    r: np.ndarray       # (2, B, T, d/2)
     z: np.ndarray
     hhat: np.ndarray
     h: np.ndarray
@@ -141,39 +125,33 @@ def _rowwise(x: np.ndarray, wt: np.ndarray, out: np.ndarray) -> None:
     np.matmul(x[..., None, :], wt, out=out[..., None, :])
 
 
-def _directions(x: np.ndarray, dirs: int) -> tuple[np.ndarray, ...]:
-    """The sequences each direction reads: x, then x reversed in time."""
-    return (x, x[:, ::-1])[:dirs]
-
-
-def gru_forward(params: GruParams | GruBatch, inputs) -> GruTrace:
-    """Run the GRU over B sequences of T d-wide vectors, keeping all activations.
-
-    A pair runs both directions in one pass, direction 1 over x[:, ::-1]. A
-    GruBatch runs each segment of rows with its own GRU: only the matrix
-    products loop over segments, the gate arithmetic runs once per step.
+def gru_forward(params: GruBatch, inputs) -> GruTrace:
+    """Run each segment's pair over its rows of B sequences of T d-wide
+    vectors, keeping all activations. Direction 1 runs over x[:, ::-1]; only
+    the matrix products loop over segments, the gate arithmetic runs once
+    per step for both directions and every segment.
     """
     x = np.ascontiguousarray(inputs, dtype=np.float64)
     if x.ndim != 3 or x.shape[0] == 0 or x.shape[1] == 0:
         raise ShapeMismatchError(f"inputs must be a non-empty (B, T, d) array, got {x.shape}")
     if x.shape[2] != params.input_dim:
         raise ShapeMismatchError(f"input width {x.shape[2]} != parameter width {params.input_dim}")
-    segments, pair = _segments(params, x.shape[0])
-    dirs, (batch, steps, _), hd = 1 + pair, x.shape, params.hidden_dim
+    segments = _segments(params, x.shape[0])
+    (batch, steps, _), hd = x.shape, params.hidden_dim
     # The input contributions do not depend on the recurrence. The buffer
     # holds pre-activations and is turned into [r, z, hhat] in place.
-    gates = np.empty((dirs, batch, steps, 3 * hd))
+    gates = np.empty((2, batch, steps, 3 * hd))
     for w, _, rows in segments:
-        for k, x_k in enumerate(_directions(x, dirs)):
+        for k, x_k in enumerate((x, x[:, ::-1])):
             _rowwise(x_k[rows], w[k].T, gates[k, rows])
-    h = np.empty((dirs, batch, steps, hd))
+    h = np.empty((2, batch, steps, hd))
     if steps > 1:
         # Per segment, U_rz^T and U_h^T of each direction, shaped to
-        # broadcast over the rows of a (dirs, B, d/2) step; scratch for the
+        # broadcast over the rows of a (2, B, d/2) step; scratch for the
         # recurrent products and the gated state.
         recurrence = [(rows, u[:, :2 * hd].swapaxes(1, 2)[:, None], u[:, 2 * hd:].swapaxes(1, 2)[:, None])
                       for _, u, rows in segments]
-        recurrent, gated = np.empty((dirs, batch, 2 * hd)), np.empty((dirs, batch, hd))
+        recurrent, gated = np.empty((2, batch, 2 * hd)), np.empty((2, batch, hd))
     for i in range(steps):
         a_rz, a_h, h_i = gates[:, :, i, :2 * hd], gates[:, :, i, 2 * hd:], h[:, :, i]
         h_prev = h[:, :, i - 1]
@@ -193,8 +171,6 @@ def gru_forward(params: GruParams | GruBatch, inputs) -> GruTrace:
             carry = np.subtract(1.0, z_i, out=gated)
             carry *= h_prev
             h_i += carry
-    if not pair:
-        gates, h = gates[0], h[0]
     return GruTrace(x, gates[..., :hd], gates[..., hd:2 * hd], gates[..., 2 * hd:], h)
 
 
@@ -205,51 +181,47 @@ class SegmentGrads:
     sums segments of several batches into one buffer so picks the order of
     the additions, which fixes the last bits of the sums."""
 
-    trace: GruTrace  # r and h with a leading direction axis
-    da: np.ndarray   # (dirs, B, T, 3d/2): pre-activation gradients [r, z, hhat]
+    trace: GruTrace
+    da: np.ndarray   # (2, B, T, 3d/2): pre-activation gradients [r, z, hhat]
 
     def of(self, rows: slice) -> tuple[np.ndarray, np.ndarray | None]:
-        """dW and dU of the GRU that runs ``rows``, summed over those rows,
+        """dW and dU of the pair that runs ``rows``, summed over those rows,
         each with the direction axis. dU is None for one-step sequences:
         their only previous state is h_0 = 0, so U gets no gradient."""
-        da, h, r = self.da[:, rows], self.trace.h[:, rows], self.trace.r[:, rows]
-        dirs, batch, steps, hd = h.shape
-        dw = np.empty((dirs, 3 * hd, self.trace.inputs.shape[-1]))
-        for k, xs in enumerate(_directions(self.trace.inputs[rows], dirs)):
+        da, h, r, x = self.da[:, rows], self.trace.h[:, rows], self.trace.r[:, rows], self.trace.inputs[rows]
+        _, batch, steps, hd = h.shape
+        dw = np.empty((2, 3 * hd, x.shape[-1]))
+        for k, xs in enumerate((x, x[:, ::-1])):
             np.matmul(da[k].reshape(-1, 3 * hd).T, xs.reshape(batch * steps, -1), out=dw[k])
         if steps == 1:
             return dw, None
         # h_prev = 0 at the first step, so only later steps reach the U matrices.
-        later = da[:, :, 1:].reshape(dirs, -1, 3 * hd).swapaxes(1, 2)
-        h_prev = h[:, :, :-1].reshape(dirs, -1, hd)
-        du = np.empty((dirs, 3 * hd, hd))
+        later = da[:, :, 1:].reshape(2, -1, 3 * hd).swapaxes(1, 2)
+        h_prev = h[:, :, :-1].reshape(2, -1, hd)
+        du = np.empty((2, 3 * hd, hd))
         np.matmul(later[:, :2 * hd], h_prev, out=du[:, :2 * hd])
-        np.matmul(later[:, 2 * hd:], h_prev * r[:, :, 1:].reshape(dirs, -1, hd), out=du[:, 2 * hd:])
+        np.matmul(later[:, 2 * hd:], h_prev * r[:, :, 1:].reshape(2, -1, hd), out=du[:, 2 * hd:])
         return dw, du
 
 
 def gru_backward(
-    params: GruParams | GruBatch, trace: GruTrace, grad_h, input_grad: bool = True
-) -> tuple[GruParams | SegmentGrads, np.ndarray | None]:
-    """Exact reverse-mode pass given an upstream gradient for every h_i.
+    params: GruBatch, trace: GruTrace, grad_h, input_grad: bool = True
+) -> tuple[SegmentGrads, np.ndarray | None]:
+    """Exact reverse-mode pass given an upstream gradient for every h_i of
+    both directions.
 
-    Returns the weight gradients and a (B, T, d) array of gradients w.r.t.
-    the inputs as passed to gru_forward (a pair's two directions summed), or
-    None without ``input_grad`` (inputs that are constants). For a
-    GruParams the weight gradients are a GruParams of its layout, summed
-    over the batch; for a GruBatch they are a SegmentGrads, which computes
-    each segment's on request.
+    Returns the SegmentGrads, which computes each segment's weight gradients
+    on request, and a (B, T, d) array of gradients w.r.t. the inputs as
+    passed to gru_forward (the two directions summed), or None without
+    ``input_grad`` (inputs that are constants).
     """
     gh = np.asarray(grad_h, dtype=np.float64)
     if gh.shape != trace.h.shape:
         raise ShapeMismatchError(f"grad_h shape {gh.shape} != trace shape {trace.h.shape}")
-    segments, pair = _segments(params, gh.shape[-3])
-    if not pair:
-        gh = gh[None]
-        trace = GruTrace(trace.inputs, trace.r[None], trace.z[None], trace.hhat[None], trace.h[None])
-    dirs, batch, steps, hd = gh.shape
-    da = np.empty((dirs, batch, steps, 3 * hd))
-    dgated, recurrent = np.empty((2, dirs, batch, hd))
+    segments = _segments(params, gh.shape[1])
+    _, batch, steps, hd = gh.shape
+    da = np.empty((2, batch, steps, 3 * hd))
+    dgated, recurrent = np.empty((2, 2, batch, hd))
     g = gh[:, :, -1]
     for i in range(steps - 1, -1, -1):
         r_i, z_i, c_i = trace.r[:, :, i], trace.z[:, :, i], trace.hhat[:, :, i]
@@ -267,17 +239,12 @@ def gru_backward(
             np.matmul(da[:, rows, i, :2 * hd], u[:, :2 * hd], out=recurrent[:, rows])
         g = gh[:, :, i - 1] + (g * (1.0 - z_i) + dgated * r_i + recurrent)
     grads = SegmentGrads(trace, da)
-    if isinstance(params, GruParams):
-        dw, du = grads.of(slice(None))
-        if du is None:
-            du = np.zeros((dirs, 3 * hd, hd))
-        grads = GruParams(dw, du) if pair else GruParams(dw[0], du[0])
     if not input_grad:
         return grads, None
-    dx = np.empty((dirs, *trace.inputs.shape))
+    dx = np.empty((2, *trace.inputs.shape))
     for w, _, rows in segments:
-        np.matmul(da[:, rows].reshape(dirs, -1, 3 * hd), w, out=dx[:, rows].reshape(dirs, -1, w.shape[2]))
-    return grads, dx[0] + dx[1][:, ::-1] if pair else dx[0]
+        np.matmul(da[:, rows].reshape(2, -1, 3 * hd), w, out=dx[:, rows].reshape(2, -1, w.shape[2]))
+    return grads, dx[0] + dx[1][:, ::-1]
 
 
 @dataclass

@@ -279,6 +279,12 @@ def test_negative_gradcheck_seed_is_config_error(capsys):
     assert captured.err == "error: seed must be non-negative, got -3\n"
 
 
+@pytest.mark.parametrize("d", [-2, 0, 3])
+def test_gradcheck_width_must_be_positive_and_even(d):
+    line = assert_one_line_exit(["gradcheck", "--mode", "unified", "--d", str(d)], 2)
+    assert line == f"error: d must be a positive even integer, got {d}"
+
+
 def test_table_duplicates_are_logged(workspace, tmp_path, capsys):
     lines = workspace["emb"].read_text().splitlines(keepends=True)
     emb = tmp_path / "dup.txt"

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hero.ling_tree import (
     EmptyNodeError, KindViolationError, Level, NodeKind,
     UnbalancedParensError, UnknownRRPrefixError, _tokenize,
-    edu_nodes, iter_nodes, leaf_words,
+    iter_nodes, leaf_words,
     parse_sexpr, serialize_sexpr, tree_equal, validate_tree,
 )
 from hero.synthetic import random_tree
@@ -207,16 +207,6 @@ def test_validate_tree_accepts_generated_and_parsed():
     rng = np.random.default_rng(9)
     validate_tree(random_tree(rng).tree)
     validate_tree(parse_sexpr(NEWS_TREE))
-
-
-def test_edu_nodes_in_document_order():
-    tree = parse_sexpr(FIG_SHAPED)
-    labels = [leaf_words_of(e) for e in edu_nodes(tree)]
-    assert labels == [["X"], ["Y"]]
-
-
-def leaf_words_of(node):
-    return [n.label for n in iter_nodes(node) if n.kind is NodeKind.WORD]
 
 
 _token = st.text(

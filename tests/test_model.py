@@ -9,7 +9,7 @@ import pytest
 
 from hero import nn
 from hero.embed import EmbeddingTable
-from hero.ling_tree import LingTree, NodeKind, TreeNode, edu_nodes, leaf_words, parse_sexpr, post_order
+from hero.ling_tree import LingTree, NodeKind, TreeNode, iter_nodes, leaf_words, parse_sexpr, post_order
 from hero.model import (
     CHUNK_ROWS, AblationMode, AttributeVocab, CorruptCheckpointError,
     DimMismatchError, DocumentEncoding, MissingTraceError, ModelParams,
@@ -182,11 +182,10 @@ class TestEncode:
         enc = encode_document(m, tree, table)
         pair = m.registry[UNIFIED_KEY]
         x_word = table.vectors["word"][None, None, :]
-        fwd = nn.gru_forward(pair.fwd, x_word)
-        bwd = nn.gru_forward(pair.bwd, x_word)
+        trace = nn.gru_forward(nn.GruBatch([pair], [slice(0, 1)]), x_word)
         pos_node = tree.root.children[0]
         np.testing.assert_array_equal(
-            enc.vectors[row_of(tree, pos_node)], np.concatenate([fwd.h[0, 0], bwd.h[0, 0]])
+            enc.vectors[row_of(tree, pos_node)], np.concatenate([trace.h[0, 0, 0], trace.h[1, 0, 0]])
         )
 
     def test_matches_reference_on_three_edu_tree(self):
@@ -264,7 +263,7 @@ class TestModeNesting:
 
 def reversed_edus(tree):
     """The same discourse skeleton with the EDUs in reverse document order."""
-    edus = iter(edu_nodes(tree)[::-1])
+    edus = iter([node for node in iter_nodes(tree.root) if node.kind is NodeKind.EDU][::-1])
 
     def rebuild(node):
         if node.kind is NodeKind.EDU:
@@ -366,8 +365,8 @@ CROSSED = "(EDU (S (NP (NP (DT a) (NN b)) (VP (VBZ c))) (VP (VP (VBZ d) (RB e)) 
 def replay_backward(m, tree, table, y):
     """The per-group path, as a test-local oracle: internal nodes grouped by
     (height, registry key, child count) in the order the post-order walk
-    first reaches each group, one single-direction kernel call per group and
-    direction, and each group's gradients added in reverse group order.
+    first reaches each group, one one-segment kernel call per group, and
+    each group's gradients added in reverse group order.
     Checks the encoder's node vectors on the way; returns the gradients."""
     enc = encode_document(m, tree, table)
     schedule, hd = enc.schedule, m.d // 2
@@ -385,10 +384,10 @@ def replay_backward(m, tree, table, y):
     for h, key, k in sorted(order, key=lambda group: group[0]):
         parents = np.array([i for i, _ in order[h, key, k]])
         children = np.array([kids for _, kids in order[h, key, k]])
-        pair, xs = m.registry[key], vectors[children]
-        fwd, bwd = nn.gru_forward(pair.fwd, xs), nn.gru_forward(pair.bwd, xs[:, ::-1])
-        vectors[parents, :hd], vectors[parents, hd:] = fwd.h.mean(axis=1), bwd.h.mean(axis=1)
-        replayed.append((key, parents, children, fwd, bwd))
+        group = nn.GruBatch([m.registry[key]], [slice(0, len(parents))])
+        trace = nn.gru_forward(group, vectors[children])
+        vectors[parents, :hd], vectors[parents, hd:] = trace.h.mean(axis=2)
+        replayed.append((key, parents, children, group, trace))
     assert np.array_equal(vectors, enc.vectors)
     assert [(key, list(parents)) for key, parents, *_ in replayed] == \
         [(key, list(parents)) for key, parents, _ in groups(schedule)]
@@ -400,16 +399,16 @@ def replay_backward(m, tree, table, y):
     grads.classifier.b += db
     d_vectors = np.zeros_like(vectors)
     d_vectors[document] = dh / len(document)
-    for key, parents, children, fwd, bwd in reversed(replayed):
+    for key, parents, children, group, trace in reversed(replayed):
         up = d_vectors[parents] / children.shape[1]
-        pair, acc = m.registry[key], grads.registry[key]
-        g_fwd, dx_fwd = nn.gru_backward(pair.fwd, fwd, np.broadcast_to(up[:, None, :hd], fwd.h.shape))
-        g_bwd, dx_bwd = nn.gru_backward(pair.bwd, bwd, np.broadcast_to(up[:, None, hd:], bwd.h.shape))
-        acc.fwd.w += g_fwd.w
-        acc.fwd.u += g_fwd.u
-        acc.bwd.w += g_bwd.w
-        acc.bwd.u += g_bwd.u
-        d_vectors[children] += dx_fwd + dx_bwd[:, ::-1]
+        upstream = np.stack([up[:, None, :hd], up[:, None, hd:]])
+        segment, dx = nn.gru_backward(group, trace, np.broadcast_to(upstream, trace.h.shape))
+        dw, du = segment.of(group.rows[0])
+        acc = grads.registry[key]
+        acc.w += dw
+        if du is not None:  # one-step sequences: U gets no gradient
+            acc.u += du
+        d_vectors[children] += dx
     return enc, grads
 
 

@@ -17,10 +17,6 @@ def flatten_gru(params):
     return np.concatenate([m.ravel() for m in params.matrices()])
 
 
-def zero_gru(d):
-    return GruParams(np.zeros((3 * d // 2, d)), np.zeros((3 * d // 2, d // 2)))
-
-
 def unflatten_gru(params, vec):
     offset = 0
     for m in params.matrices():
@@ -28,144 +24,172 @@ def unflatten_gru(params, vec):
         offset += m.size
 
 
+def zero_pair(d):
+    return GruParams(np.zeros((2, 3 * d // 2, d)), np.zeros((2, 3 * d // 2, d // 2)))
+
+
+def init_pair(d, rng):
+    """A Bi-GRU pair: two GruParams.init draws stacked on the direction axis."""
+    fwd, bwd = GruParams.init(d, rng), GruParams.init(d, rng)
+    return GruParams(np.stack([fwd.w, bwd.w]), np.stack([fwd.u, bwd.u]))
+
+
+def whole(pair, batch):
+    """A GruBatch in which ``pair`` runs all ``batch`` rows."""
+    return GruBatch([pair], [slice(0, batch)])
+
+
+def tiling(sizes):
+    stops = np.cumsum((0, *sizes))
+    return [slice(a, b) for a, b in zip(stops, stops[1:])]
+
+
 class TestGruForward:
     def test_zero_params_fix_point(self):
         rng = np.random.default_rng(0)
-        params = zero_gru(6)
-        trace = gru_forward(params, rng.uniform(-2, 2, (2, 4, 6)))
-        np.testing.assert_array_equal(trace.h, np.zeros((2, 4, 3)))
+        trace = gru_forward(whole(zero_pair(6), 2), rng.uniform(-2, 2, (2, 4, 6)))
+        np.testing.assert_array_equal(trace.h, np.zeros((2, 2, 4, 3)))
 
     def test_zero_input_zero_u_gives_half_gates(self):
         rng = np.random.default_rng(1)
-        params = zero_gru(6)
-        for m in params.matrices()[:3]:
+        pair = zero_pair(6)
+        for m in pair.matrices()[:3]:
             m[...] = rng.uniform(-1, 1, m.shape)
-        trace = gru_forward(params, np.zeros((1, 1, 6)))
-        np.testing.assert_allclose(trace.r[0, 0], 0.5)
-        np.testing.assert_allclose(trace.z[0, 0], 0.5)
-        np.testing.assert_array_equal(trace.h[0, 0], np.zeros(3))
+        trace = gru_forward(whole(pair, 1), np.zeros((1, 1, 6)))
+        np.testing.assert_allclose(trace.r[:, 0, 0], 0.5)
+        np.testing.assert_allclose(trace.z[:, 0, 0], 0.5)
+        np.testing.assert_array_equal(trace.h[:, 0, 0], np.zeros((2, 3)))
 
     def test_matches_scalar_loop_oracle(self):
+        """Each direction of each segment's pair against the scalar loop;
+        direction 1 reads the sequence reversed."""
         rng = np.random.default_rng(2)
-        params = GruParams.init(4, rng)
-        inputs = rng.uniform(-1, 1, (3, 4))
-        trace = gru_forward(params, inputs[None])
-        expected = gru_sequence(
-            tuple(m.tolist() for m in params.matrices()), inputs.tolist()
-        )
-        np.testing.assert_allclose(trace.h[0], expected, atol=1e-12)
+        pairs, rows = [init_pair(4, rng), init_pair(4, rng)], tiling((1, 2))
+        inputs = rng.uniform(-1, 1, (3, 3, 4))
+        trace = gru_forward(GruBatch(pairs, rows), inputs)
+        for pair, seg in zip(pairs, rows):
+            for b in range(seg.start, seg.stop):
+                for k, seq in enumerate((inputs[b], inputs[b, ::-1])):
+                    expected = gru_sequence(tuple(m[k].tolist() for m in pair.matrices()), seq.tolist())
+                    np.testing.assert_allclose(trace.h[k, b], expected, atol=1e-12)
 
     def test_pure_and_deterministic(self):
         rng = np.random.default_rng(3)
-        params = GruParams.init(8, rng)
+        batch = whole(init_pair(8, rng), 2)
         inputs = rng.uniform(-1, 1, (2, 5, 8))
-        a = gru_forward(params, inputs)
-        b = gru_forward(params, inputs)
+        a = gru_forward(batch, inputs)
+        b = gru_forward(batch, inputs)
         assert np.array_equal(a.h, b.h)
 
     def test_shape_errors(self):
-        params = zero_gru(6)
+        batch = whole(zero_pair(6), 1)
         with pytest.raises(ShapeMismatchError):
-            gru_forward(params, np.zeros((1, 2, 5)))
+            gru_forward(batch, np.zeros((1, 2, 5)))
         with pytest.raises(ShapeMismatchError):
-            gru_forward(params, np.zeros((1, 0, 6)))
+            gru_forward(batch, np.zeros((1, 0, 6)))
         with pytest.raises(ShapeMismatchError):
-            gru_forward(params, np.zeros((0, 2, 6)))
+            gru_forward(batch, np.zeros((0, 2, 6)))
         with pytest.raises(ShapeMismatchError):
-            gru_forward(params, np.zeros((2, 6)))
+            gru_forward(batch, np.zeros((2, 6)))
 
 
-def gru_loss_and_grads(params, inputs, weights):
-    """Scalar objective sum_i <weights_i, h_i> and its analytic gradients."""
-    trace = gru_forward(params, inputs)
+def gru_loss_and_grads(batch, inputs, weights):
+    """Scalar objective sum_{k,i} <weights_{k,i}, h_{k,i}> and its analytic
+    gradients."""
+    trace = gru_forward(batch, inputs)
     loss = float((trace.h * weights).sum())
-    grads, dx = gru_backward(params, trace, weights)
+    grads, dx = gru_backward(batch, trace, weights)
     return loss, grads, dx
 
 
 class TestGruBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(4)
-        params = GruParams.init(6, rng)
-        trace = gru_forward(params, rng.uniform(-1, 1, (2, 3, 6)))
-        grads, dx = gru_backward(params, trace, np.zeros((2, 3, 3)))
-        for m in grads.matrices():
+        batch = whole(init_pair(6, rng), 2)
+        trace = gru_forward(batch, rng.uniform(-1, 1, (2, 3, 6)))
+        grads, dx = gru_backward(batch, trace, np.zeros((2, 2, 3, 3)))
+        for m in grads.of(slice(0, 2)):
             np.testing.assert_array_equal(m, np.zeros_like(m))
         np.testing.assert_array_equal(dx, np.zeros((2, 3, 6)))
 
     @pytest.mark.parametrize("d,steps,bound", [(2, 1, 1e-6), (8, 5, 1e-4)])
     def test_param_grads_match_finite_differences(self, d, steps, bound):
         rng = np.random.default_rng(5)
-        params = GruParams.init(d, rng)
+        pair = init_pair(d, rng)
         inputs = rng.uniform(-1, 1, (1, steps, d))
-        weights = rng.uniform(-1, 1, (1, steps, d // 2))
-        _, grads, _ = gru_loss_and_grads(params, inputs, weights)
+        weights = rng.uniform(-1, 1, (2, 1, steps, d // 2))
+        _, grads, _ = gru_loss_and_grads(whole(pair, 1), inputs, weights)
 
-        work = GruParams(params.w.copy(), params.u.copy())
+        work = GruParams(pair.w.copy(), pair.u.copy())
 
         def f(vec):
             unflatten_gru(work, vec)
-            return float((gru_forward(work, inputs).h * weights).sum())
+            return float((gru_forward(whole(work, 1), inputs).h * weights).sum())
 
-        err = finite_diff_check(f, flatten_gru(params), flatten_gru(grads))
+        dw, du = grads.of(slice(0, 1))  # du is None for one-step sequences
+        analytic = GruParams(dw, np.zeros_like(pair.u) if du is None else du)
+        err = finite_diff_check(f, flatten_gru(pair), flatten_gru(analytic))
         assert err < bound
 
     def test_input_grads_match_finite_differences(self):
         rng = np.random.default_rng(6)
-        params = GruParams.init(6, rng)
+        batch = whole(init_pair(6, rng), 1)
         inputs = rng.uniform(-1, 1, (1, 4, 6))
-        weights = rng.uniform(-1, 1, (1, 4, 3))
-        _, _, dx = gru_loss_and_grads(params, inputs, weights)
+        weights = rng.uniform(-1, 1, (2, 1, 4, 3))
+        _, _, dx = gru_loss_and_grads(batch, inputs, weights)
 
         def f(vec):
-            return float((gru_forward(params, vec.reshape(1, 4, 6)).h * weights).sum())
+            return float((gru_forward(batch, vec.reshape(1, 4, 6)).h * weights).sum())
 
         err = finite_diff_check(f, inputs.ravel(), dx.ravel())
         assert err < 1e-6
 
     def test_without_input_grad_param_grads_are_bit_identical(self):
         rng = np.random.default_rng(8)
-        params = GruParams.init(6, rng)
-        trace = gru_forward(params, rng.uniform(-1, 1, (3, 4, 6)))
-        upstream = rng.uniform(-1, 1, (3, 4, 3))
-        grads, dx = gru_backward(params, trace, upstream)
-        only, none = gru_backward(params, trace, upstream, input_grad=False)
+        rows = tiling((1, 2))
+        batch = GruBatch([init_pair(6, rng), init_pair(6, rng)], rows)
+        trace = gru_forward(batch, rng.uniform(-1, 1, (3, 4, 6)))
+        upstream = rng.uniform(-1, 1, (2, 3, 4, 3))
+        grads, dx = gru_backward(batch, trace, upstream)
+        only, none = gru_backward(batch, trace, upstream, input_grad=False)
         assert dx.shape == (3, 4, 6) and none is None
-        for a, b in zip(grads.matrices(), only.matrices()):
-            np.testing.assert_array_equal(a, b)
+        for seg in rows:
+            for a, b in zip(grads.of(seg), only.of(seg)):
+                np.testing.assert_array_equal(a, b)
 
     def test_grad_h_shape_checked(self):
         rng = np.random.default_rng(7)
-        params = GruParams.init(6, rng)
-        trace = gru_forward(params, rng.uniform(-1, 1, (1, 3, 6)))
-        with pytest.raises(ShapeMismatchError):
-            gru_backward(params, trace, np.zeros((1, 2, 3)))
+        batch = whole(init_pair(6, rng), 1)
+        trace = gru_forward(batch, rng.uniform(-1, 1, (1, 3, 6)))
+        for shape in ((2, 1, 2, 3), (1, 3, 3), (1, 1, 3, 3)):
+            with pytest.raises(ShapeMismatchError):
+                gru_backward(batch, trace, np.zeros(shape))
 
 
 class TestGruBatch:
     def test_rows_are_bit_identical_to_single_runs(self):
         rng = np.random.default_rng(20)
-        params = GruParams.init(100, rng)
+        pair = init_pair(100, rng)
         inputs = rng.uniform(-1, 1, (7, 3, 100))
-        batch = gru_forward(params, inputs)
-        assert len(batch) == 7 * 3
+        batch = gru_forward(whole(pair, 7), inputs)
+        assert len(batch) == 2 * 7 * 3
         for b in range(7):
-            alone = gru_forward(params, inputs[b:b + 1])
-            np.testing.assert_array_equal(batch.h[b], alone.h[0])
+            alone = gru_forward(whole(pair, 1), inputs[b:b + 1])
+            np.testing.assert_array_equal(batch.h[:, b], alone.h[:, 0])
 
     def test_backward_sums_per_sequence_gradients(self):
         rng = np.random.default_rng(21)
-        params = GruParams.init(8, rng)
+        pair = init_pair(8, rng)
         inputs = rng.uniform(-1, 1, (4, 3, 8))
-        weights = rng.uniform(-1, 1, (4, 3, 4))
-        _, grads, dx = gru_loss_and_grads(params, inputs, weights)
-        total = [np.zeros_like(m) for m in params.matrices()]
+        weights = rng.uniform(-1, 1, (2, 4, 3, 4))
+        _, grads, dx = gru_loss_and_grads(whole(pair, 4), inputs, weights)
+        total = [np.zeros_like(m) for m in grads.of(slice(0, 4))]
         for b in range(4):
-            _, g, dx_b = gru_loss_and_grads(params, inputs[b:b + 1], weights[b:b + 1])
-            for acc, m in zip(total, g.matrices()):
+            _, g, dx_b = gru_loss_and_grads(whole(pair, 1), inputs[b:b + 1], weights[:, b:b + 1])
+            for acc, m in zip(total, g.of(slice(0, 1))):
                 acc += m
             np.testing.assert_allclose(dx[b], dx_b[0], atol=1e-14)
-        for got, want in zip(grads.matrices(), total):
+        for got, want in zip(grads.of(slice(0, 4)), total):
             np.testing.assert_allclose(got, want, atol=1e-13)
 
 
@@ -181,51 +205,79 @@ def stacked_pairs(rng, d, n):
     return pairs
 
 
+def run_batch(pairs, rows, x, upstream):
+    """Forward and backward of one GruBatch: the trace, each segment's
+    (dW, dU) and dx."""
+    batch = GruBatch(pairs, rows)
+    trace = gru_forward(batch, x)
+    grads, dx = gru_backward(batch, trace, upstream)
+    return trace, [grads.of(seg) for seg in rows], dx
+
+
+def assert_grads_equal(got, want):
+    (dw, du), (dw_want, du_want) = got, want
+    assert np.array_equal(dw, dw_want)
+    assert (du is None and du_want is None) or np.array_equal(du, du_want)
+
+
 class TestSegmentedPairs:
-    """A GruBatch of pairs against one single-direction call per segment and
-    direction, the reverse direction fed x[:, ::-1]."""
+    """A GruBatch of several segments against one one-segment call per
+    segment, and direction 1 against direction 0 of the swapped pair."""
 
     @pytest.mark.parametrize("steps,sizes", [(3, (1, 4, 2, 1)), (1, (3, 1, 2))])
-    def test_equals_per_segment_single_direction_calls_bit_for_bit(self, steps, sizes):
+    def test_equals_per_segment_calls_bit_for_bit(self, steps, sizes):
         rng = np.random.default_rng(22)
         d, hd = 100, 50
-        pairs = stacked_pairs(rng, d, len(sizes))
-        stops = np.cumsum((0, *sizes))
-        rows = [slice(a, b) for a, b in zip(stops, stops[1:])]
-        batch = GruBatch(pairs, rows)
-        x = rng.uniform(-1, 1, (stops[-1], steps, d))
-        trace = gru_forward(batch, x)
-        assert trace.h.shape == (2, stops[-1], steps, hd) and len(trace) == 2 * stops[-1] * steps
-        upstream = rng.uniform(-1, 1, trace.h.shape)
-        grads, dx = gru_backward(batch, trace, upstream)
-        for pair, seg in zip(pairs, rows):
-            fwd, bwd = GruParams(pair.w[0], pair.u[0]), GruParams(pair.w[1], pair.u[1])
-            t_f, t_b = gru_forward(fwd, x[seg]), gru_forward(bwd, x[seg, ::-1])
-            assert np.array_equal(trace.h[0, seg], t_f.h) and np.array_equal(trace.h[1, seg], t_b.h)
-            g_f, dx_f = gru_backward(fwd, t_f, upstream[0, seg])
-            g_b, dx_b = gru_backward(bwd, t_b, upstream[1, seg])
-            dw, du = grads.of(seg)
-            assert np.array_equal(dw[0], g_f.w) and np.array_equal(dw[1], g_b.w)
+        pairs, rows = stacked_pairs(rng, d, len(sizes)), tiling(sizes)
+        x = rng.uniform(-1, 1, (sum(sizes), steps, d))
+        upstream = rng.uniform(-1, 1, (2, sum(sizes), steps, hd))
+        trace, grads, dx = run_batch(pairs, rows, x, upstream)
+        assert trace.h.shape == (2, sum(sizes), steps, hd) and len(trace) == 2 * sum(sizes) * steps
+        for pair, seg, got in zip(pairs, rows, grads):
+            n = seg.stop - seg.start
+            t_seg, (g_seg,), dx_seg = run_batch([pair], [slice(0, n)], x[seg], upstream[:, seg])
+            assert np.array_equal(trace.h[:, seg], t_seg.h)
             if steps == 1:  # no step has a previous state: U gets no gradient
-                assert du is None
-                assert not g_f.u.any() and not g_b.u.any()
-            else:
-                assert np.array_equal(du[0], g_f.u) and np.array_equal(du[1], g_b.u)
-            assert np.array_equal(dx[seg], dx_f + dx_b[:, ::-1])
+                assert got[1] is None
+            assert_grads_equal(got, g_seg)
+            assert np.array_equal(dx[seg], dx_seg)
 
-    def test_a_pair_alone_equals_a_one_segment_batch(self):
+    @pytest.mark.parametrize("steps,sizes", [(1, (1,)), (1, (3, 1, 2)), (4, (1,)), (4, (2, 1, 3))])
+    def test_direction_one_is_direction_zero_of_the_swapped_pair(self, steps, sizes):
+        """P' = (P.w[::-1], P.u[::-1]) shares P's memory. Direction k of P on
+        x is direction 1 - k of P' on x[:, ::-1], bit for bit: h, each
+        segment's weight gradients, and dx read back in time."""
+        rng = np.random.default_rng(25)
+        d, hd = 100, 50
+        pairs, rows = stacked_pairs(rng, d, len(sizes)), tiling(sizes)
+        swapped = [GruParams(p.w[::-1], p.u[::-1]) for p in pairs]
+        assert all(np.shares_memory(p.w, q.w) and np.shares_memory(p.u, q.u) for p, q in zip(pairs, swapped))
+        x = rng.uniform(-1, 1, (sum(sizes), steps, d))
+        upstream = rng.uniform(-1, 1, (2, sum(sizes), steps, hd))
+        trace, grads, dx = run_batch(pairs, rows, x, upstream)
+        t_swap, g_swap, dx_swap = run_batch(swapped, rows, x[:, ::-1], upstream[::-1])
+        assert np.array_equal(trace.h[1], t_swap.h[0]) and np.array_equal(trace.h[0], t_swap.h[1])
+        for (dw, du), (dw_swap, du_swap) in zip(grads, g_swap):
+            assert np.array_equal(dw, dw_swap[::-1])
+            assert (du is None) == (du_swap is None) == (steps == 1)
+            if du is not None:
+                assert np.array_equal(du, du_swap[::-1])
+        assert np.array_equal(dx, dx_swap[:, ::-1])
+
+    def test_strided_pair_views_equal_contiguous_copies(self):
+        """The kernels read a pair through any strides: a model's pair, two
+        strided views of one block, gives the bits of contiguous copies."""
         rng = np.random.default_rng(23)
         (pair,) = stacked_pairs(rng, 8, 1)
+        assert not pair.w.flags.c_contiguous
+        copy = GruParams(np.ascontiguousarray(pair.w), np.ascontiguousarray(pair.u))
         x = rng.uniform(-1, 1, (3, 2, 8))
-        batch = GruBatch([pair], [slice(0, 3)])
-        alone, batched = gru_forward(pair, x), gru_forward(batch, x)
-        assert np.array_equal(alone.h, batched.h)
-        upstream = rng.uniform(-1, 1, alone.h.shape)
-        grads, dx = gru_backward(pair, alone, upstream)
-        segments, dx_batched = gru_backward(batch, batched, upstream)
-        dw, du = segments.of(slice(0, 3))
-        assert np.array_equal(grads.w, dw) and np.array_equal(grads.u, du)
-        assert np.array_equal(dx, dx_batched)
+        upstream = rng.uniform(-1, 1, (2, 3, 2, 4))
+        t_view, (g_view,), dx_view = run_batch([pair], [slice(0, 3)], x, upstream)
+        t_copy, (g_copy,), dx_copy = run_batch([copy], [slice(0, 3)], x, upstream)
+        assert np.array_equal(t_view.h, t_copy.h)
+        assert_grads_equal(g_view, g_copy)
+        assert np.array_equal(dx_view, dx_copy)
 
     @pytest.mark.parametrize("rows", [
         [slice(0, 2), slice(3, 4)], [slice(0, 2), slice(1, 4)], [slice(0, 3)], [slice(1, 4)],
