@@ -9,6 +9,8 @@ through the regularized incomplete beta function.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -260,13 +262,18 @@ class CorpusReport:
     rows: list[ComparisonRow]
 
     def to_csv(self) -> str:
-        lines = ["statistic,fake_mean,true_mean,t,dof,p_value"]
+        """One header and one row per statistic; floats by repr, a missing
+        t, dof or p as an empty cell. A cell holding a comma, quote or line
+        break (a ``label_prop:,`` row) is quoted, so every row has 6 cells."""
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["statistic", "fake_mean", "true_mean", "t", "dof", "p_value"])
         for row in self.rows:
             cells = [row.statistic, repr(row.fake_mean), repr(row.true_mean)]
             for value in (row.t, row.dof, row.p_value):
                 cells.append("" if value is None else repr(value))
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+            writer.writerow(cells)
+        return out.getvalue()
 
     def to_json(self) -> str:
         return json.dumps([row.as_dict() for row in self.rows], sort_keys=True, indent=2)

@@ -8,6 +8,7 @@ and returns the parameters of the epoch with the best validation AUC.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import typing
@@ -63,8 +64,26 @@ def scan_dataset(path) -> tuple[list[LabeledDocument], list[tuple[int, str]]]:
 
     Each line must be {"id": str, "label": 0|1, "tree": "<s-expression>"}.
     Returns (valid documents, [(line_no, message), ...]). A line that is not
-    UTF-8, or nests too deeply to parse, is a problem of that line.
+    UTF-8 (raw bytes, or a JSON escape that decodes to a lone surrogate) or
+    that json cannot parse (nested too deeply, an integer over the digit
+    limit) is a problem of that line.
+
+    The cyclic garbage collector is paused for the whole scan and turned back
+    on afterwards if it was on before. A parsed tree points only downward
+    (children are tuples of nodes), so the scan makes no reference cycles and
+    reference counting frees all it discards; left on, the collector would
+    re-walk every live tree each time a scan allocates enough new nodes.
     """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _scan_lines(path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _scan_lines(path) -> tuple[list[LabeledDocument], list[tuple[int, str]]]:
     docs: list[LabeledDocument] = []
     problems: list[tuple[int, str]] = []
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -77,7 +96,7 @@ def scan_dataset(path) -> tuple[list[LabeledDocument], list[tuple[int, str]]]:
             except UnicodeDecodeError as exc:
                 problems.append((line_no, f"not UTF-8: {exc}"))
                 continue
-            except (json.JSONDecodeError, RecursionError) as exc:
+            except (ValueError, RecursionError) as exc:  # ValueError: also an over-long integer
                 problems.append((line_no, f"bad JSON: {exc}"))
                 continue
             if not isinstance(record, dict):
@@ -95,6 +114,12 @@ def scan_dataset(path) -> tuple[list[LabeledDocument], list[tuple[int, str]]]:
                 continue
             if not isinstance(tree_text, str):
                 problems.append((line_no, "field 'tree' must be a string"))
+                continue
+            try:  # a JSON escape such as \ud800 decodes to a lone surrogate
+                doc_id.encode()
+                tree_text.encode()
+            except UnicodeEncodeError as exc:
+                problems.append((line_no, f"not UTF-8: {exc}"))
                 continue
             try:
                 tree = parse_sexpr(tree_text, doc_id)

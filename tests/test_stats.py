@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -305,3 +307,18 @@ class TestCorpusReport:
     "true_mean": 0.0
   }
 ]"""
+
+    def test_csv_quotes_punctuation_labels(self):
+        """Penn Treebank punctuation tags such as ',' and "''" become
+        label_prop rows; each row still reads back as 6 cells."""
+        fake = "(EDU (S (NP (NNP X)) (, ,) ('' '') (. .)))"
+        true = "(EDU (S (NP (NNP Y)) (, ,) (VP (VBD went)) (. .)))"
+        docs = [
+            LabeledDocument(f"d{i}", parse_sexpr(fake if i % 2 else true), i % 2)
+            for i in range(6)
+        ]
+        text = corpus_report(docs).to_csv()
+        rows = list(csv.reader(io.StringIO(text)))
+        assert all(len(row) == 6 for row in rows)
+        assert {"label_prop:,", "label_prop:.", "label_prop:''"} <= {row[0] for row in rows}
+        assert '"label_prop:,"' in text

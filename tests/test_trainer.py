@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import tracemalloc
@@ -205,6 +206,48 @@ class TestDatasetIO:
         assert [d.doc_id for d in docs] == ["a", "e"]
         assert [type(d.y) for d in docs] == [int, int]
         assert [line for line, _ in problems] == [2, 3, 4]
+
+    def test_scan_leaves_no_cycles(self, tmp_path):
+        """The scan pauses the cyclic collector, so it must make no reference
+        cycles: everything it discards, or drops with its result, is freed by
+        reference counting alone."""
+        path = tmp_path / "data.jsonl"
+        lines = [
+            '{"id": "a", "label": 1, "tree": "(NS-elaboration (EDU (NNP x)) (EDU (VBD y)))"}',
+            '{"id": "b", "label": 0, "tree": "(EDU (NNP x)"}',  # UnbalancedParensError
+            '{"id": "c", "label": 0, "tree": "(EDU ( x))"}',  # EmptyNodeError
+            '{"id": "d", "label": 1, "tree": "(NNP x)"}',  # KindViolationError
+            '{"id": "e", "label": 1, "tree": "(SS-joint (EDU (NNP x)))"}',  # UnknownRRPrefixError
+            "not json",
+            "[" * 100_000,
+            '{"id": "f", "label": 2, "tree": "(EDU (NNP x))"}',
+            '{"id": "g", "label": 1' + "0" * 5000 + ', "tree": "(EDU (NNP x))"}',
+            '{"id": "h", "label": 0, "tree": "(EDU (NNP \\ud800))"}',
+            '{"id": "i", "label": 0, "tree": "(EDU (NNP \u00e9))"}',
+        ]
+        data = "\n".join(lines).encode() + b'\n{"id": "j", "label": 1, "tree": "(EDU (NNP \xff))"}\n'
+        path.write_bytes(data)
+        gc.collect()
+        docs, problems = scan_dataset(path)
+        assert [d.doc_id for d in docs] == ["a", "i"]
+        assert [line for line, _ in problems] == [2, 3, 4, 5, 6, 7, 8, 9, 10, 12]
+        del docs, problems
+        assert gc.collect() == 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_scan_restores_collector_state(self, tmp_path, enabled):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"id": "a", "label": 1, "tree": "(EDU (NNP x))"}\n', encoding="utf-8")
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            scan_dataset(path)
+            assert gc.isenabled() is enabled
+            with pytest.raises(FileNotFoundError):
+                scan_dataset(tmp_path / "missing.jsonl")
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
 
     def test_read_raises_with_line_number(self, tmp_path):
         path = tmp_path / "data.jsonl"
