@@ -15,20 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from . import model as hero_model
-from . import nn
-from . import stats as hero_stats
-from . import synthetic, trainer
-from .embed import EmbeddingError, load_table
+from .embed import load_table
 from .ling_tree import TreeError, leaf_words, parse_sexpr
 from .model import (
     AblationMode, AttributeVocab, SharingMode,
-    CorruptCheckpointError, VersionMismatchError,
     gradient_check_model, init_model, load_model, save_model,
-)
-from .stats import StatsError
-from .trainer import (
-    ConfigError, DatasetError, EmptyEvalSetError, NonFiniteLossError,
-    TooFewDocumentsError,
 )
 
 GRADCHECK_THRESHOLD = 1e-4
@@ -52,6 +43,8 @@ def _log_fallbacks(oov: int, unk: int, leaves: int) -> None:
 
 
 def cmd_validate(args) -> int:
+    from . import trainer
+
     docs, problems = trainer.scan_dataset(args.data)
     for line_no, message in problems:
         _log(f"{args.data}: line {line_no}: {message}")
@@ -60,6 +53,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    from . import trainer
+
     config = trainer.parse_config(Path(args.config).read_text(encoding="utf-8"))
     docs = trainer.read_dataset(args.data)
     table = _load_table(args.embeddings, config.d, {w for doc in docs for w in leaf_words(doc.tree)})
@@ -94,6 +89,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from . import trainer
+
     params = load_model(args.model)
     docs = trainer.read_dataset(args.data)
     words = [w for doc in docs for w in leaf_words(doc.tree)]
@@ -122,6 +119,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    from . import synthetic
+    from .trainer import ConfigError
+
     if args.seed < 0:
         raise ConfigError(f"seed must be non-negative, got {args.seed}")
     if args.d <= 0 or args.d % 2:
@@ -139,6 +139,9 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_stats(args) -> int:
+    from . import stats as hero_stats
+    from . import trainer
+
     docs = trainer.read_dataset(args.data)
     report = hero_stats.corpus_report(docs)
     if args.csv:
@@ -201,25 +204,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The failures the CLI reports, first match wins: (module, exception type
+# names, exit code, stderr prefix). A command imports only the modules it
+# runs, so the types are looked up only in modules already loaded: an
+# exception from a module that was never imported cannot have been raised.
+FAILURES = (
+    ("hero.trainer", ("NonFiniteLossError",), 3, "numeric failure: "),
+    ("hero.trainer", ("DatasetError", "ConfigError", "TooFewDocumentsError", "EmptyEvalSetError"), 2, "error: "),
+    ("hero.stats", ("StatsError",), 2, "error: "),
+    ("hero.ling_tree", ("TreeError",), 2, "error: "),
+    ("hero.embed", ("EmbeddingError",), 2, "error: "),
+    ("hero.model", ("CorruptCheckpointError", "VersionMismatchError"), 2, "error: "),
+    ("hero.nn", ("ShapeMismatchError",), 2, "error: "),
+    ("builtins", ("UnicodeDecodeError",), 2, "error: not UTF-8: "),  # a config or tree file
+    ("builtins", ("OSError",), 2, "I/O error: "),
+)
+
+
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NonFiniteLossError as exc:
-        _log(f"numeric failure: {exc}")
-        return 3
-    except (DatasetError, TreeError, EmbeddingError, ConfigError,
-            CorruptCheckpointError, VersionMismatchError, StatsError,
-            TooFewDocumentsError, EmptyEvalSetError, nn.ShapeMismatchError) as exc:
-        _log(f"error: {exc}")
-        return 2
-    except UnicodeDecodeError as exc:  # a config or tree file
-        _log(f"error: not UTF-8: {exc}")
-        return 2
-    except OSError as exc:
-        _log(f"I/O error: {exc}")
-        return 2
+    except Exception as exc:
+        for module, names, code, prefix in FAILURES:
+            loaded = sys.modules.get(module)
+            if loaded is not None and isinstance(exc, tuple(getattr(loaded, name) for name in names)):
+                _log(f"{prefix}{exc}")
+                return code
+        raise
 
 
 def entry() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    entry()

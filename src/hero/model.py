@@ -564,7 +564,7 @@ def load_model(path) -> ModelParams:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8, an over-long integer
         raise CorruptCheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict) or "version" not in doc:
         raise CorruptCheckpointError(f"{path} is not a model checkpoint")

@@ -39,3 +39,22 @@ def assert_one_line_exit(argv, code, stdin=""):
     lines = err.splitlines()
     assert (got, len(lines)) == (code, 1), f"hero {argv[0]}: exit {got}, stderr {err!r}"
     return lines[0]
+
+
+def mutate(data: bytes, ops) -> bytes:
+    """Apply each op in turn; positions wrap around the current length."""
+    for op in ops:
+        size = len(data) or 1
+        if op[0] == "truncate":
+            data = data[:op[1] % size]
+        elif op[0] == "flip":
+            if data:
+                pos = op[1] % size
+                data = data[:pos] + bytes([data[pos] ^ (1 << op[2])]) + data[pos + 1:]
+        elif op[0] == "splice":
+            start, length, dst = op[1] % size, op[2], op[3] % size
+            data = data[:dst] + data[start:start + length] + data[dst:]
+        else:
+            pos = op[1] % size
+            data = data[:pos] + op[2] + data[pos:]
+    return data

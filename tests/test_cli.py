@@ -231,6 +231,20 @@ def test_version_2_model_is_io_error(workspace, tmp_path, capsys):
     assert "version 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["predict", "eval"])
+@pytest.mark.parametrize("field", ["d", "version"])
+def test_over_long_integer_in_model_is_io_error(workspace, tmp_path, command, field):
+    """A JSON integer past the int-to-str digit limit is a corrupt checkpoint."""
+    text = workspace["model"].read_text(encoding="utf-8")
+    value = f'"{field}": {json.loads(text)[field]}'
+    bad = tmp_path / "huge_int_model.json"
+    bad.write_text(text.replace(value, value + "0" * 5000, 1), encoding="utf-8")
+    files = {name: str(workspace[name]) for name in ("data", "config", "tree")}
+    files.update(model=str(bad), table=str(workspace["emb"]))
+    line = assert_one_line_exit(_argv(command, files, tmp_path), 2)
+    assert "unreadable checkpoint" in line and "digits" in line
+
+
 def test_predict_logs_oov_leaves_and_unk_nodes(workspace, tmp_path, capsys):
     vocab = AttributeVocab.from_trees(d.tree for d in workspace["docs"])
     params = init_model(8, SharingMode.ATTRIBUTE_SPECIFIC, vocab=vocab, seed=2)

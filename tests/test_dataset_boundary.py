@@ -15,7 +15,7 @@ import re
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cli_contract import run_cli
+from cli_contract import mutate, run_cli
 
 TREES = (
     "(NS-elaboration (EDU (S (NP (NNP Obama)) (VP (VBD spoke)) (, ,))) (EDU (NP (PRP He))))",
@@ -36,25 +36,6 @@ _mutation = st.one_of(
     st.tuples(st.just("splice"), st.integers(0, 10**6), st.integers(1, 64), st.integers(0, 10**6)),
     st.tuples(st.just("insert"), st.integers(0, 10**6), _payload),
 )
-
-
-def mutate(data: bytes, ops) -> bytes:
-    """Apply each op in turn; positions wrap around the current length."""
-    for op in ops:
-        size = len(data) or 1
-        if op[0] == "truncate":
-            data = data[:op[1] % size]
-        elif op[0] == "flip":
-            if data:
-                pos = op[1] % size
-                data = data[:pos] + bytes([data[pos] ^ (1 << op[2])]) + data[pos + 1:]
-        elif op[0] == "splice":
-            start, length, dst = op[1] % size, op[2], op[3] % size
-            data = data[:dst] + data[start:start + length] + data[dst:]
-        else:
-            pos = op[1] % size
-            data = data[:pos] + op[2] + data[pos:]
-    return data
 
 
 def _after(marker: bytes) -> int:
