@@ -126,6 +126,7 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError(f"seed must be non-negative, got {args.seed}")
     if args.d <= 0 or args.d % 2:
         raise ConfigError(f"d must be a positive even integer, got {args.d}")
+    hero_model.flat_size(args.d, 1)  # a width no array can hold raises before the fixture draws it
     rng = np.random.default_rng(args.seed)
     gen, table = synthetic.gradcheck_fixture(rng, args.d)
     vocab = AttributeVocab.from_trees([gen.tree])

@@ -15,10 +15,9 @@ and the ablation's mean-pools. A batch lists its rows as segments, one per
 registry key, and runs as one kernel call over both GRU directions and
 every segment's weights; each row is multiplied on its own, so a node's
 vector does not depend on what else shares its batch. The backward pass
-replays the batches in reverse, height by height. After the batches of a
-height it adds each segment's weight gradients in the reverse of the order
-in which the walk first reaches each (height, key, child count), so a key's
-sums do not depend on how its segments are batched. For inference,
+replays the batches in reverse, and each batch's kernel call adds its
+segments' weight gradients, in row order, as it finishes: one walk, run
+forward and then backward, fixes every sum's order. For inference,
 consecutive trees compile into merged schedules whose batches span
 documents, and they run forward only.
 """
@@ -30,7 +29,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field, replace
-from itertools import groupby, islice
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -136,7 +135,7 @@ class ModelParams:
     def __post_init__(self):
         keys = registry_keys(self.mode, self.ablation, self.vocab)
         hd = self.d // 2
-        size = _flat_size(self.d, len(keys))
+        size = flat_size(self.d, len(keys))
         if self.flat is None:
             self.flat = np.zeros(size)
         if self.flat.shape != (size,) or self.flat.dtype != np.float64 or not self.flat.flags.c_contiguous:
@@ -182,11 +181,15 @@ def registry_keys(mode: SharingMode, ablation: AblationMode, vocab: AttributeVoc
     return keys
 
 
-def _flat_size(d: int, n_keys: int) -> int:
+def flat_size(d: int, n_keys: int) -> int:
     """Length of ModelParams.flat: two GRUs of 3d/2 x (d + d/2) weights per
-    registry key, then the classifier's 2 x d weights and 2 biases."""
+    registry key, then the classifier's 2 x d weights and 2 biases; raises
+    DimMismatchError for a length no float64 array can hold."""
     hd = d // 2
-    return 2 * n_keys * 3 * hd * (d + hd) + 2 * d + 2
+    size = 2 * n_keys * 3 * hd * (d + hd) + 2 * d + 2
+    if 8 * size > np.iinfo(np.intp).max:
+        raise DimMismatchError(f"embedding width {d} needs {size} parameters, more than an array can hold")
+    return size
 
 
 def init_model(
@@ -231,21 +234,12 @@ def _aggregator_key(params: ModelParams, node: TreeNode) -> str:
 
 
 @dataclass(frozen=True)
-class Segment:
-    """The rows of a batch that one registry key embeds."""
-
-    key: str
-    batch: int   # index into Schedule.batches
-    rows: slice  # of the batch's rows
-
-
-@dataclass(frozen=True)
 class Batch:
     """Internal nodes of one height with the same child count: one Bi-GRU
     kernel call, its rows in per-key segments."""
 
-    height: int
-    segments: tuple[Segment, ...]  # in row order
+    keys: tuple[str, ...]    # each segment's registry key, in row order
+    rows: tuple[slice, ...]  # each segment's slice of the batch's rows
     parents: np.ndarray   # (B,) rows
     children: np.ndarray  # (B, k) rows, in document order
     # Whether any child is itself a Bi-GRU node, i.e. the batch is above
@@ -263,10 +257,6 @@ class Schedule:
     words: np.ndarray  # rows of the word leaves, in document order
     word_means: list[tuple[int, list[int]]]  # (row, its word rows): a mean, not a Bi-GRU
     batches: list[Batch]  # by ascending height, then first-seen child count
-    # Every batch's segments, by ascending height, then in the order in
-    # which the trees first reach each (key, child count). backward adds
-    # each key's weight gradients in the reverse of this order.
-    segments: list[Segment]
     documents: list[np.ndarray]  # per tree, the rows whose mean is its document vector
     unk: list[int]  # per tree, the Bi-GRU nodes routed to an UNK key
 
@@ -302,7 +292,7 @@ def compile_tree(trees: list[LingTree], params: ModelParams) -> Iterator[Schedul
         # Heights count Bi-GRU nodes only, so under no_syntax the RR nodes
         # batch by discourse depth alone.
         height: list[int] = []
-        groups: dict[tuple[int, int, str], tuple[list[int], list[int]]] = {}
+        groups = {}  # (height, child count) -> registry key -> (parent rows, child rows)
         words, means, documents, unk = [], [], [], []
         for tree in pending:
             nodes = post_order(tree.root)
@@ -320,7 +310,7 @@ def compile_tree(trees: list[LingTree], params: ModelParams) -> Iterator[Schedul
                 height[i] = 1 + max(height[c] for c in kids)
                 key = _aggregator_key(params, node)
                 unk[-1] += key in (UNK_SYNTAX, UNK_RR)
-                parents, children = groups.setdefault((height[i], len(kids), key), ([], []))
+                parents, children = groups.setdefault((height[i], len(kids)), {}).setdefault(key, ([], []))
                 parents.append(i)
                 children.extend(kids)
             if doc_kind is None:
@@ -332,26 +322,18 @@ def compile_tree(trees: list[LingTree], params: ModelParams) -> Iterator[Schedul
                 break
         if not documents:
             return
-        # A stable sort by height keeps the groups, and so the batches and
-        # segments, of one height in first-seen order.
-        order = sorted(groups, key=lambda group: group[0])
-        keys: dict[tuple[int, int], list[str]] = {}
-        for h, k, key in order:
-            keys.setdefault((h, k), []).append(key)
-        batches, segment_of = [], {}
-        for (h, k), batch_keys in keys.items():
-            parents, children, segments = [], [], []
-            for key in batch_keys:
-                rows, kids = groups[h, k, key]
-                segment = Segment(key, len(batches), slice(len(parents), len(parents) + len(rows)))
-                segment_of[h, k, key] = segment
-                segments.append(segment)
-                parents += rows
-                children += kids
-            batches.append(Batch(h, tuple(segments), np.array(parents, dtype=np.intp),
+        # A stable sort by height keeps the batches of one height in
+        # first-seen order; a batch's segments keep theirs.
+        batches = []
+        for (h, k), by_key in sorted(groups.items(), key=lambda group: group[0][0]):
+            parents, children, rows = [], [], []
+            for segment_parents, segment_children in by_key.values():
+                rows.append(slice(len(parents), len(parents) + len(segment_parents)))
+                parents += segment_parents
+                children += segment_children
+            batches.append(Batch(tuple(by_key), tuple(rows), np.array(parents, dtype=np.intp),
                                  np.array(children, dtype=np.intp).reshape(-1, k), h > 1))
-        segments = [segment_of[group] for group in order]
-        yield Schedule(len(height), np.array(words, dtype=np.intp), means, batches, segments, documents, unk)
+        yield Schedule(len(height), np.array(words, dtype=np.intp), means, batches, documents, unk)
 
 
 @dataclass
@@ -410,8 +392,8 @@ def encode_document(params: ModelParams, trees, table: EmbeddingTable):
 
 
 def _weights(params: ModelParams, batch: Batch) -> nn.GruBatch:
-    """The Bi-GRU pair of each segment of ``batch``: the kernels' one input form."""
-    return nn.GruBatch([params.registry[s.key] for s in batch.segments], [s.rows for s in batch.segments])
+    """Each segment's Bi-GRU pair, of weights or of gradients: the kernels' one input form."""
+    return nn.GruBatch([params.registry[key] for key in batch.keys], batch.rows)
 
 
 def predict(params: ModelParams, enc: DocumentEncoding) -> float:
@@ -430,10 +412,10 @@ def backward(
 ) -> ModelParams:
     """Gradients of the document's cross-entropy loss w.r.t. all parameters.
 
-    Replays the schedule's batches in reverse, height by height. After the
-    batches of a height, the segments' weight gradients are added in the
-    reverse of Schedule.segments, so the contributions of a registry key
-    used by several segments accumulate in a fixed order. Word-embedding
+    Replays the schedule's batches in reverse. Each batch's kernel call adds
+    its segments' weight gradients, in row order, as soon as it has them,
+    so the contributions of a registry key used by several segments
+    accumulate in the reverse of the batches' forward order. Word-embedding
     gradients are dropped (embeddings are frozen). The result is a
     ModelParams of the model's layout holding gradients instead of weights:
     ``out``, zeroed and refilled, when given (a trainer reuses one buffer
@@ -461,27 +443,14 @@ def backward(
     d_vectors = np.zeros_like(enc.vectors)
     (document,) = schedule.documents
     d_vectors[document] = dh / len(document)
-    batches = schedule.batches
-    # Both lists run by descending height, so the two groupings pair up.
-    heights = zip(groupby(reversed(range(len(batches))), key=lambda b: batches[b].height),
-                  groupby(reversed(schedule.segments), key=lambda s: batches[s.batch].height))
-    for (_, indices), (_, segments) in heights:
-        kept = {}
-        for b in indices:
-            batch, trace = batches[b], enc.traces[b]
-            up = d_vectors[batch.parents] / batch.children.shape[1]
-            # (B, d) -> (2, B, 1, d/2): each direction's half, for every step.
-            up = up.reshape(-1, 2, hd).swapaxes(0, 1)[:, :, None]
-            kept[b], dx = nn.gru_backward(
-                _weights(params, batch), trace, np.broadcast_to(up, trace.h.shape), batch.input_grad)
-            if batch.input_grad:
-                d_vectors[batch.children] += dx
-        for segment in segments:
-            dw, du = kept[segment.batch].of(segment.rows)
-            acc = grads.registry[segment.key]
-            acc.w += dw
-            if du is not None:  # one-step sequences: U gets no gradient
-                acc.u += du
+    for batch, trace in zip(reversed(schedule.batches), reversed(enc.traces)):
+        up = d_vectors[batch.parents] / batch.children.shape[1]
+        # (B, d) -> (2, B, 1, d/2): each direction's half, for every step.
+        up = up.reshape(-1, 2, hd).swapaxes(0, 1)[:, :, None]
+        dx = nn.gru_backward(_weights(params, batch), trace, np.broadcast_to(up, trace.h.shape),
+                             _weights(grads, batch), batch.input_grad)
+        if batch.input_grad:
+            d_vectors[batch.children] += dx
     return grads
 
 
@@ -605,7 +574,7 @@ def load_model(path) -> ModelParams:
         stored = 3 * len(text) // 4 - text[-2:].count("=")
         # Checked before anything of the header's size is allocated, so a
         # corrupt d cannot ask for more memory than the file holds.
-        expected = 8 * _flat_size(d, len(keys))
+        expected = 8 * flat_size(d, len(keys))
         if stored != expected:
             raise CorruptCheckpointError(
                 f"stored parameters do not fit the mode and vocabulary: "

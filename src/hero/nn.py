@@ -20,7 +20,8 @@ forward kernel computes each row's matrix products on its own, so a
 sequence's result is bit-identical whatever else shares its batch (a single
 GEMM over the batch would make the last bits of a row depend on the other
 rows), and each segment's backward products cover its own rows, as a call
-for that segment alone would.
+for that segment alone would. The backward kernel adds each segment's
+weight gradients into the caller's buffers before it returns.
 """
 
 from __future__ import annotations
@@ -174,53 +175,29 @@ def gru_forward(params: GruBatch, inputs) -> GruTrace:
     return GruTrace(x, gates[..., :hd], gates[..., hd:2 * hd], gates[..., 2 * hd:], h)
 
 
-@dataclass
-class SegmentGrads:
-    """Weight gradients of a GruBatch's backward pass, computed for one
-    segment at a time from the kept pre-activation gradients. A caller that
-    sums segments of several batches into one buffer so picks the order of
-    the additions, which fixes the last bits of the sums."""
-
-    trace: GruTrace
-    da: np.ndarray   # (2, B, T, 3d/2): pre-activation gradients [r, z, hhat]
-
-    def of(self, rows: slice) -> tuple[np.ndarray, np.ndarray | None]:
-        """dW and dU of the pair that runs ``rows``, summed over those rows,
-        each with the direction axis. dU is None for one-step sequences:
-        their only previous state is h_0 = 0, so U gets no gradient."""
-        da, h, r, x = self.da[:, rows], self.trace.h[:, rows], self.trace.r[:, rows], self.trace.inputs[rows]
-        _, batch, steps, hd = h.shape
-        dw = np.empty((2, 3 * hd, x.shape[-1]))
-        for k, xs in enumerate((x, x[:, ::-1])):
-            np.matmul(da[k].reshape(-1, 3 * hd).T, xs.reshape(batch * steps, -1), out=dw[k])
-        if steps == 1:
-            return dw, None
-        # h_prev = 0 at the first step, so only later steps reach the U matrices.
-        later = da[:, :, 1:].reshape(2, -1, 3 * hd).swapaxes(1, 2)
-        h_prev = h[:, :, :-1].reshape(2, -1, hd)
-        du = np.empty((2, 3 * hd, hd))
-        np.matmul(later[:, :2 * hd], h_prev, out=du[:, :2 * hd])
-        np.matmul(later[:, 2 * hd:], h_prev * r[:, :, 1:].reshape(2, -1, hd), out=du[:, 2 * hd:])
-        return dw, du
-
-
 def gru_backward(
-    params: GruBatch, trace: GruTrace, grad_h, input_grad: bool = True
-) -> tuple[SegmentGrads, np.ndarray | None]:
+    params: GruBatch, trace: GruTrace, grad_h, grads: GruBatch, input_grad: bool = True
+) -> np.ndarray | None:
     """Exact reverse-mode pass given an upstream gradient for every h_i of
     both directions.
 
-    Returns the SegmentGrads, which computes each segment's weight gradients
-    on request, and a (B, T, d) array of gradients w.r.t. the inputs as
-    passed to gru_forward (the two directions summed), or None without
-    ``input_grad`` (inputs that are constants).
+    Segment by segment, in row order, adds the weight gradients summed over
+    the segment's rows into the matching pair of ``grads``, buffers with the
+    rows and pair shapes of ``params``: dW, and dU unless the sequences are
+    one step long (h_0 = 0 then gives U no gradient). Returns a (B, T, d)
+    array of gradients w.r.t. the inputs as passed to gru_forward (the two
+    directions summed), or None without ``input_grad`` (inputs that are
+    constants).
     """
     gh = np.asarray(grad_h, dtype=np.float64)
     if gh.shape != trace.h.shape:
         raise ShapeMismatchError(f"grad_h shape {gh.shape} != trace shape {trace.h.shape}")
     segments = _segments(params, gh.shape[1])
+    shapes = [(g.w.shape, g.u.shape) for g in params.grus]
+    if list(grads.rows) != list(params.rows) or [(g.w.shape, g.u.shape) for g in grads.grus] != shapes:
+        raise ShapeMismatchError("gradient buffers must have the rows and pair shapes of the parameters")
     _, batch, steps, hd = gh.shape
-    da = np.empty((2, batch, steps, 3 * hd))
+    da = np.empty((2, batch, steps, 3 * hd))  # pre-activation gradients [r, z, hhat]
     dgated, recurrent = np.empty((2, 2, batch, hd))
     g = gh[:, :, -1]
     for i in range(steps - 1, -1, -1):
@@ -238,13 +215,24 @@ def gru_backward(
         for _, u, rows in segments:
             np.matmul(da[:, rows, i, :2 * hd], u[:, :2 * hd], out=recurrent[:, rows])
         g = gh[:, :, i - 1] + (g * (1.0 - z_i) + dgated * r_i + recurrent)
-    grads = SegmentGrads(trace, da)
+    dw, du = np.empty((2, 3 * hd, trace.inputs.shape[-1])), np.empty((2, 3 * hd, hd))
+    for (_, _, rows), acc in zip(segments, grads.grus):
+        seg, x = da[:, rows], trace.inputs[rows]
+        for k, xs in enumerate((x, x[:, ::-1])):
+            np.matmul(seg[k].reshape(-1, 3 * hd).T, xs.reshape(-1, x.shape[-1]), out=dw[k])
+        acc.w += dw
+        if steps > 1:  # h_prev = 0 at the first step, so only later steps reach U
+            later = seg[:, :, 1:].reshape(2, -1, 3 * hd).swapaxes(1, 2)
+            h_prev = trace.h[:, rows, :-1].reshape(2, -1, hd)
+            np.matmul(later[:, :2 * hd], h_prev, out=du[:, :2 * hd])
+            np.matmul(later[:, 2 * hd:], h_prev * trace.r[:, rows, 1:].reshape(2, -1, hd), out=du[:, 2 * hd:])
+            acc.u += du
     if not input_grad:
-        return grads, None
+        return None
     dx = np.empty((2, *trace.inputs.shape))
     for w, _, rows in segments:
         np.matmul(da[:, rows].reshape(2, -1, 3 * hd), w, out=dx[:, rows].reshape(2, -1, w.shape[2]))
-    return grads, dx[0] + dx[1][:, ::-1]
+    return dx[0] + dx[1][:, ::-1]
 
 
 @dataclass

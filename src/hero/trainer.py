@@ -169,6 +169,7 @@ class TrainConfig:
             raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.d <= 0 or self.d % 2:
             raise ConfigError(f"d must be a positive even integer, got {self.d}")
+        hero_model.flat_size(self.d, 1)  # a width no array can hold raises before any work
 
     def as_dict(self) -> dict:
         return asdict(self, dict_factory=_by_value)

@@ -299,6 +299,23 @@ def test_gradcheck_width_must_be_positive_and_even(d):
     assert line == f"error: d must be a positive even integer, got {d}"
 
 
+# Widths whose parameter bytes exceed what numpy can index: rejected before
+# anything is allocated. 2**30 has an element count numpy can index.
+@pytest.mark.parametrize("d", [10**21, 2**30])
+def test_width_no_array_can_hold_exits_with_one_line(workspace, tmp_path, d):
+    expected = f"error: embedding width {d} needs "
+    assert assert_one_line_exit(["gradcheck", "--mode", "unified", "--d", str(d)], 2).startswith(expected)
+    config = tmp_path / "c.cfg"
+    config.write_text(CONFIG.replace("d=8", f"d={d}"), encoding="utf-8")
+    unused = tmp_path / "unused.txt"  # shares no word with the dataset: no line's width is checked
+    unused.write_text("zzz-unused 0.5 0.5\n", encoding="utf-8")
+    line = assert_one_line_exit([
+        "train", "--data", str(workspace["data"]), "--embeddings", str(unused), "--config", str(config),
+        "--out", str(tmp_path / "m.json"), "--report", str(tmp_path / "r.json"),
+    ], 2)
+    assert line.startswith(expected)
+
+
 def test_table_duplicates_are_logged(workspace, tmp_path, capsys):
     lines = workspace["emb"].read_text().splitlines(keepends=True)
     emb = tmp_path / "dup.txt"

@@ -43,11 +43,11 @@ def schedule_of(m, tree):
 
 
 def groups(schedule):
-    """Each segment as (key, parent rows, child rows), in Schedule.segments
-    order: the nodes of one height, registry key and child count."""
-    for s in schedule.segments:
-        batch = schedule.batches[s.batch]
-        yield s.key, batch.parents[s.rows], batch.children[s.rows]
+    """Each segment as (key, parent rows, child rows), batch by batch and in
+    row order: the nodes of one height, registry key and child count."""
+    for batch in schedule.batches:
+        for key, rows in zip(batch.keys, batch.rows):
+            yield key, batch.parents[rows], batch.children[rows]
 
 
 def group_key(m, tree, node):
@@ -114,7 +114,7 @@ class TestRegistry:
         rng = np.random.default_rng(40)
         trees = [random_tree(rng, n_edus=int(rng.integers(1, 5)), rr_arity=(2, 3)).tree for _ in range(12)]
         m = make_model(mode, ablation, trees=trees)
-        used = {s.key for tree in trees for s in schedule_of(m, tree).segments}
+        used = {key for tree in trees for key, _, _ in groups(schedule_of(m, tree))}
         vocab = m.vocab
         unk = set()
         if mode is SharingMode.ATTRIBUTE_SPECIFIC:
@@ -329,7 +329,7 @@ class TestMixedGroups:
         m = make_model(SharingMode.ATTRIBUTE_SPECIFIC, trees=[tree])
         schedule = schedule_of(m, tree)
         assert sum(len(parents) for _, parents, _ in groups(schedule)) == sum(map(len, by_height.values()))
-        assert len(schedule.segments) > len(schedule.batches) > len(by_height)
+        assert len(list(groups(schedule))) > len(schedule.batches) > len(by_height)
 
     @pytest.mark.parametrize("mode", list(SharingMode))
     def test_matches_reference_and_gradcheck(self, mode):
@@ -358,15 +358,20 @@ def mixed_documents(seed=50):
 
 # At height 2, VP is first seen with one child and then with two, while the
 # batches list two children first, and VP is also used at height 3: summed
-# in batch order, VP's gradient blocks would add in another order.
+# in batch order, as backward sums them, VP's gradient blocks add in another
+# order than in the reverse of the order the walk first reaches them.
 CROSSED = "(EDU (S (NP (NP (DT a) (NN b)) (VP (VBZ c))) (VP (VP (VBZ d) (RB e)) (NP (NN f)))))"
 
 
-def replay_backward(m, tree, table, y):
+def replay_backward(m, tree, table, y, first_seen=False):
     """The per-group path, as a test-local oracle: internal nodes grouped by
-    (height, registry key, child count) in the order the post-order walk
-    first reaches each group, one one-segment kernel call per group, and
-    each group's gradients added in reverse group order.
+    (height, registry key, child count), one one-segment kernel call per
+    group. The groups of one height and child count form a batch, and the
+    gradients are added in batch order: batches reversed, each batch's
+    groups in the order the post-order walk first reaches them. With
+    ``first_seen``, they are added group by group by descending height,
+    and within a height in the reverse of the order the walk first reaches
+    each group.
     Checks the encoder's node vectors on the way; returns the gradients."""
     enc = encode_document(m, tree, table)
     schedule, hd = enc.schedule, m.d // 2
@@ -378,19 +383,28 @@ def replay_backward(m, tree, table, y):
             kids = [row[c] for c in node.children]
             height[i] = 1 + max(height[c] for c in kids)
             order.setdefault((height[i], key_of[i], len(kids)), []).append((i, kids))
+    walk = sorted(order, key=lambda group: group[0])
+    batches = {}
+    for h, key, k in walk:
+        batches.setdefault((h, k), []).append(key)
     vectors = enc.vectors.copy()
     vectors[sorted(key_of)] = np.nan  # every Bi-GRU row is recomputed below
-    replayed = []
-    for h, key, k in sorted(order, key=lambda group: group[0]):
-        parents = np.array([i for i, _ in order[h, key, k]])
-        children = np.array([kids for _, kids in order[h, key, k]])
-        group = nn.GruBatch([m.registry[key]], [slice(0, len(parents))])
-        trace = nn.gru_forward(group, vectors[children])
-        vectors[parents, :hd], vectors[parents, hd:] = trace.h.mean(axis=2)
-        replayed.append((key, parents, children, group, trace))
+    replayed = {}
+    for h, k in batches:
+        for key in batches[h, k]:
+            parents = np.array([i for i, _ in order[h, key, k]])
+            children = np.array([kids for _, kids in order[h, key, k]])
+            group = nn.GruBatch([m.registry[key]], [slice(0, len(parents))])
+            trace = nn.gru_forward(group, vectors[children])
+            vectors[parents, :hd], vectors[parents, hd:] = trace.h.mean(axis=2)
+            replayed[h, key, k] = (key, parents, children, group, trace)
     assert np.array_equal(vectors, enc.vectors)
-    assert [(key, list(parents)) for key, parents, *_ in replayed] == \
+    assert [(key, list(parents)) for key, parents, *_ in replayed.values()] == \
         [(key, list(parents)) for key, parents, _ in groups(schedule)]
+    if first_seen:
+        backward_order = reversed(walk)
+    else:
+        backward_order = [(h, key, k) for h, k in reversed(batches) for key in batches[h, k]]
 
     (document,) = schedule.documents
     grads = replace(m, flat=np.zeros_like(m.flat))
@@ -399,16 +413,11 @@ def replay_backward(m, tree, table, y):
     grads.classifier.b += db
     d_vectors = np.zeros_like(vectors)
     d_vectors[document] = dh / len(document)
-    for key, parents, children, group, trace in reversed(replayed):
+    for key, parents, children, group, trace in (replayed[g] for g in backward_order):
         up = d_vectors[parents] / children.shape[1]
         upstream = np.stack([up[:, None, :hd], up[:, None, hd:]])
-        segment, dx = nn.gru_backward(group, trace, np.broadcast_to(upstream, trace.h.shape))
-        dw, du = segment.of(group.rows[0])
-        acc = grads.registry[key]
-        acc.w += dw
-        if du is not None:  # one-step sequences: U gets no gradient
-            acc.u += du
-        d_vectors[children] += dx
+        acc = nn.GruBatch([grads.registry[key]], group.rows)
+        d_vectors[children] += nn.gru_backward(group, trace, np.broadcast_to(upstream, trace.h.shape), acc)
     return enc, grads
 
 
@@ -424,13 +433,18 @@ class TestBatchesAcrossKeys:
             enc, expected = replay_backward(m, tree, table, 1)
             assert np.array_equal(backward(m, enc, 1).flat, expected.flat)
 
-    def test_crossed_fixture_orders_a_keys_segments_against_its_batches(self):
-        tree = parse_sexpr(CROSSED)
-        schedule = schedule_of(make_model(SharingMode.ATTRIBUTE_SPECIFIC, trees=[tree]), tree)
-        in_batches = [s for batch in schedule.batches for s in batch.segments]
-        vp = [s for s in schedule.segments if s.key == "VP"]
-        assert len(vp) == 3
-        assert [s for s in in_batches if s.key == "VP"] != vp
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    @pytest.mark.parametrize("ablation", list(AblationMode))
+    def test_backward_agrees_with_a_first_seen_group_order_within_rtol_1e_10(self, mode, ablation):
+        """Batch order and first-seen group order add the same terms: a
+        key's sums differ by rounding only."""
+        rng = np.random.default_rng(60)
+        news = random_tree(rng, n_edus=12, edu_words=(6, 12), rr_arity=(2, 3)).tree
+        for d, tree in ((8, parse_sexpr(CROSSED)), (8, parse_sexpr(MIXED)), (100, news)):
+            table = random_embedding_table(rng, leaf_words(tree), d)
+            m = make_model(mode, ablation, d=d, trees=[tree], seed=61)
+            enc, old_order = replay_backward(m, tree, table, 1, first_seen=True)
+            np.testing.assert_allclose(backward(m, enc, 1).flat, old_order.flat, rtol=1e-10, atol=0)
 
     @pytest.mark.parametrize("single", [True, False])
     def test_attribute_encode_calls_the_kernel_once_per_height_and_child_count(self, monkeypatch, single):
@@ -446,7 +460,7 @@ class TestBatchesAcrossKeys:
         monkeypatch.setattr(nn, "gru_forward", lambda params, x: calls.append(x.shape) or kernel(params, x))
         encode_document(m, trees[0] if single else trees, table)
         (schedule,) = compile_tree(encoded, m)
-        assert len(calls) == len(shapes) == len(schedule.batches) < len(schedule.segments)
+        assert len(calls) == len(shapes) == len(schedule.batches) < len(list(groups(schedule)))
         assert sorted(shape[1] for shape in calls) == sorted(k for _, k in shapes)
 
 
@@ -487,7 +501,7 @@ class TestBatchedEncoding:
                     mine = (parents >= offset) & (parents < offset + own.size)
                     if mine.any():
                         picked.append((key, parents[mine] - offset, children[mine] - offset))
-                assert len(picked) == len(own.segments)
+                assert len(picked) == len(list(groups(own)))
                 for (key, parents, children), g in zip(sorted(picked, key=lambda p: p[1][0]),
                                                        sorted(groups(own), key=lambda g: g[1][0])):
                     assert key == g[0]

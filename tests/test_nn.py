@@ -39,6 +39,11 @@ def whole(pair, batch):
     return GruBatch([pair], [slice(0, batch)])
 
 
+def zero_grads(batch):
+    """Zeroed gradient buffers with the rows and pair shapes of ``batch``."""
+    return GruBatch([GruParams(np.zeros(g.w.shape), np.zeros(g.u.shape)) for g in batch.grus], batch.rows)
+
+
 def tiling(sizes):
     stops = np.cumsum((0, *sizes))
     return [slice(a, b) for a, b in zip(stops, stops[1:])]
@@ -93,12 +98,14 @@ class TestGruForward:
             gru_forward(batch, np.zeros((2, 6)))
 
 
-def gru_loss_and_grads(batch, inputs, weights):
+def gru_loss_and_grads(batch, inputs, weights, grads=None):
     """Scalar objective sum_{k,i} <weights_{k,i}, h_{k,i}> and its analytic
-    gradients."""
+    gradients, the weights' added into ``grads`` (new zeroed buffers when
+    not given)."""
     trace = gru_forward(batch, inputs)
     loss = float((trace.h * weights).sum())
-    grads, dx = gru_backward(batch, trace, weights)
+    grads = zero_grads(batch) if grads is None else grads
+    dx = gru_backward(batch, trace, weights, grads)
     return loss, grads, dx
 
 
@@ -107,8 +114,9 @@ class TestGruBackward:
         rng = np.random.default_rng(4)
         batch = whole(init_pair(6, rng), 2)
         trace = gru_forward(batch, rng.uniform(-1, 1, (2, 3, 6)))
-        grads, dx = gru_backward(batch, trace, np.zeros((2, 2, 3, 3)))
-        for m in grads.of(slice(0, 2)):
+        grads = zero_grads(batch)
+        dx = gru_backward(batch, trace, np.zeros((2, 2, 3, 3)), grads)
+        for m in grads.grus[0].matrices():
             np.testing.assert_array_equal(m, np.zeros_like(m))
         np.testing.assert_array_equal(dx, np.zeros((2, 3, 6)))
 
@@ -126,9 +134,7 @@ class TestGruBackward:
             unflatten_gru(work, vec)
             return float((gru_forward(whole(work, 1), inputs).h * weights).sum())
 
-        dw, du = grads.of(slice(0, 1))  # du is None for one-step sequences
-        analytic = GruParams(dw, np.zeros_like(pair.u) if du is None else du)
-        err = finite_diff_check(f, flatten_gru(pair), flatten_gru(analytic))
+        err = finite_diff_check(f, flatten_gru(pair), flatten_gru(grads.grus[0]))
         assert err < bound
 
     def test_input_grads_match_finite_differences(self):
@@ -150,12 +156,13 @@ class TestGruBackward:
         batch = GruBatch([init_pair(6, rng), init_pair(6, rng)], rows)
         trace = gru_forward(batch, rng.uniform(-1, 1, (3, 4, 6)))
         upstream = rng.uniform(-1, 1, (2, 3, 4, 3))
-        grads, dx = gru_backward(batch, trace, upstream)
-        only, none = gru_backward(batch, trace, upstream, input_grad=False)
-        assert dx.shape == (3, 4, 6) and none is None
-        for seg in rows:
-            for a, b in zip(grads.of(seg), only.of(seg)):
-                np.testing.assert_array_equal(a, b)
+        grads, only = zero_grads(batch), zero_grads(batch)
+        dx = gru_backward(batch, trace, upstream, grads)
+        assert dx.shape == (3, 4, 6)
+        assert gru_backward(batch, trace, upstream, only, input_grad=False) is None
+        for a, b in zip(grads.grus, only.grus):
+            np.testing.assert_array_equal(a.w, b.w)
+            np.testing.assert_array_equal(a.u, b.u)
 
     def test_grad_h_shape_checked(self):
         rng = np.random.default_rng(7)
@@ -163,7 +170,24 @@ class TestGruBackward:
         trace = gru_forward(batch, rng.uniform(-1, 1, (1, 3, 6)))
         for shape in ((2, 1, 2, 3), (1, 3, 3), (1, 1, 3, 3)):
             with pytest.raises(ShapeMismatchError):
-                gru_backward(batch, trace, np.zeros(shape))
+                gru_backward(batch, trace, np.zeros(shape), zero_grads(batch))
+
+    def test_grads_must_match_the_parameter_batch(self):
+        rng = np.random.default_rng(9)
+        pairs, rows = [init_pair(6, rng), init_pair(6, rng)], tiling((1, 2))
+        batch = GruBatch(pairs, rows)
+        trace = gru_forward(batch, rng.uniform(-1, 1, (3, 2, 6)))
+        upstream = rng.uniform(-1, 1, (2, 3, 2, 3))
+        good = zero_grads(batch).grus
+        for grads in (
+            GruBatch(good, tiling((2, 1))),                          # other rows
+            GruBatch(good[:1], rows[:1]),                            # a segment short
+            GruBatch([good[0], zero_pair(8)], rows),                 # another width
+            GruBatch([good[0], GruParams(good[1].w[0], good[1].u[0])], rows),  # no direction axis
+        ):
+            with pytest.raises(ShapeMismatchError):
+                gru_backward(batch, trace, upstream, grads)
+        assert all(not g.w.any() and not g.u.any() for g in good)
 
 
 class TestGruBatch:
@@ -183,14 +207,13 @@ class TestGruBatch:
         inputs = rng.uniform(-1, 1, (4, 3, 8))
         weights = rng.uniform(-1, 1, (2, 4, 3, 4))
         _, grads, dx = gru_loss_and_grads(whole(pair, 4), inputs, weights)
-        total = [np.zeros_like(m) for m in grads.of(slice(0, 4))]
+        total = zero_grads(whole(pair, 1))  # each call adds its sequence's gradients
         for b in range(4):
-            _, g, dx_b = gru_loss_and_grads(whole(pair, 1), inputs[b:b + 1], weights[:, b:b + 1])
-            for acc, m in zip(total, g.of(slice(0, 1))):
-                acc += m
+            _, _, dx_b = gru_loss_and_grads(whole(pair, 1), inputs[b:b + 1], weights[:, b:b + 1], total)
             np.testing.assert_allclose(dx[b], dx_b[0], atol=1e-14)
-        for got, want in zip(grads.of(slice(0, 4)), total):
-            np.testing.assert_allclose(got, want, atol=1e-13)
+        (got,), (want,) = grads.grus, total.grus
+        np.testing.assert_allclose(got.w, want.w, atol=1e-13)
+        np.testing.assert_allclose(got.u, want.u, atol=1e-13)
 
 
 def stacked_pairs(rng, d, n):
@@ -206,18 +229,18 @@ def stacked_pairs(rng, d, n):
 
 
 def run_batch(pairs, rows, x, upstream):
-    """Forward and backward of one GruBatch: the trace, each segment's
-    (dW, dU) and dx."""
+    """Forward and backward of one GruBatch into zeroed buffers: the trace,
+    each segment's (dW, dU) and dx."""
     batch = GruBatch(pairs, rows)
     trace = gru_forward(batch, x)
-    grads, dx = gru_backward(batch, trace, upstream)
-    return trace, [grads.of(seg) for seg in rows], dx
+    grads = zero_grads(batch)
+    dx = gru_backward(batch, trace, upstream, grads)
+    return trace, [(g.w, g.u) for g in grads.grus], dx
 
 
 def assert_grads_equal(got, want):
     (dw, du), (dw_want, du_want) = got, want
-    assert np.array_equal(dw, dw_want)
-    assert (du is None and du_want is None) or np.array_equal(du, du_want)
+    assert np.array_equal(dw, dw_want) and np.array_equal(du, du_want)
 
 
 class TestSegmentedPairs:
@@ -238,7 +261,7 @@ class TestSegmentedPairs:
             t_seg, (g_seg,), dx_seg = run_batch([pair], [slice(0, n)], x[seg], upstream[:, seg])
             assert np.array_equal(trace.h[:, seg], t_seg.h)
             if steps == 1:  # no step has a previous state: U gets no gradient
-                assert got[1] is None
+                assert not got[1].any()
             assert_grads_equal(got, g_seg)
             assert np.array_equal(dx[seg], dx_seg)
 
@@ -259,9 +282,8 @@ class TestSegmentedPairs:
         assert np.array_equal(trace.h[1], t_swap.h[0]) and np.array_equal(trace.h[0], t_swap.h[1])
         for (dw, du), (dw_swap, du_swap) in zip(grads, g_swap):
             assert np.array_equal(dw, dw_swap[::-1])
-            assert (du is None) == (du_swap is None) == (steps == 1)
-            if du is not None:
-                assert np.array_equal(du, du_swap[::-1])
+            assert np.array_equal(du, du_swap[::-1])
+            assert du.any() == du_swap.any() == (steps > 1)
         assert np.array_equal(dx, dx_swap[:, ::-1])
 
     def test_strided_pair_views_equal_contiguous_copies(self):
