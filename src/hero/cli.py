@@ -2,8 +2,8 @@
 
 Commands: validate, train, eval, predict, gradcheck, stats. Primary results
 go to stdout, logs and errors to stderr. Exit codes: 0 success, 1 validation
-or threshold failure, 2 I/O or format errors, 3 numeric failure during
-training.
+or threshold failure, 2 I/O or format errors and running out of memory, 3
+numeric failure during training.
 """
 
 from __future__ import annotations
@@ -218,6 +218,7 @@ FAILURES = (
     ("hero.model", ("CorruptCheckpointError", "VersionMismatchError"), 2, "error: "),
     ("hero.nn", ("ShapeMismatchError",), 2, "error: "),
     ("builtins", ("UnicodeDecodeError",), 2, "error: not UTF-8: "),  # a config or tree file
+    ("builtins", ("MemoryError",), 2, "error: out of memory: "),  # a width numpy can index but not hold
     ("builtins", ("OSError",), 2, "I/O error: "),
 )
 

@@ -13,7 +13,10 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
+from itertools import chain
+from operator import attrgetter, itemgetter
 
 from .ling_tree import LingTree, NodeKind
 
@@ -68,79 +71,113 @@ class TreeStats:
 
     def as_numbers(self) -> dict[str, float]:
         """Flat numeric view used to line statistics up across a corpus."""
-        out = {}
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if not isinstance(value, dict):
-                out[field.name] = float(value)
-        for kind in KIND_ORDER:
-            out[f"kind_prop:{kind}"] = self.kind_proportions[kind]
+        out = dict(zip(_FIXED_NAMES, _fixed_values(self)))
         for label, value in self.label_proportions.items():
-            out[f"label_prop:{label}"] = value
+            out[_LABEL_PREFIX + label] = value
         return out
+
+
+_SCALAR_FIELDS = tuple(
+    f.name for f in fields(TreeStats) if f.name not in ("kind_proportions", "label_proportions")
+)
+_scalar_values = attrgetter(*_SCALAR_FIELDS)
+_kind_values = itemgetter(*KIND_ORDER)
+# The statistics every tree has: the scalar fields, then the kind proportions.
+_FIXED_NAMES = (*_SCALAR_FIELDS, *(f"kind_prop:{kind}" for kind in KIND_ORDER))
+_LABEL_PREFIX = "label_prop:"
+
+
+def _fixed_values(tree_stats: TreeStats) -> tuple[float, ...]:
+    return (*map(float, _scalar_values(tree_stats)), *_kind_values(tree_stats.kind_proportions))
+
+
+_WORD, _EDU = NodeKind.WORD, NodeKind.EDU
+_children = attrgetter("children")
 
 
 def compute_tree_stats(tree: LingTree) -> TreeStats:
     """Measure the whole tree, its discourse skeleton and each EDU's syntax
-    forest in one pre-order walk.
+    forest.
 
-    RR and EDU nodes sit above every syntax node, so a discourse node's depth
-    in the tree is its depth in the skeleton, whose leaves are the EDUs. Each
-    walk entry carries the node-per-depth counts of the EDU forest it lies in
-    (None on the discourse level); a forest's roots are its shallowest nodes.
+    One pre-order pass feeds the label keys to a ``Counter``, which keeps
+    them in first-seen order. Then list passes, one level at a time, walk
+    the discourse skeleton and each EDU's forest: they give the widths,
+    depths, leaf depths and child counts. The tree must hold
+    ``validate_tree``'s invariants, as every parsed or generated tree does:
+    RR and EDU nodes sit above every syntax node, so a discourse node's
+    depth in the tree is its depth in the skeleton, whose leaves are the
+    EDUs; and the leaves are exactly the word nodes.
     """
-    kind_counts = dict.fromkeys(KIND_ORDER, 0)
-    label_counts: dict[str, int] = {}
-    widths: dict[int, int] = {}
-    discourse_widths: dict[int, int] = {}
-    forests: list[dict[int, int]] = []
-    internal = child_total = max_children = leaf_depth_total = 0
-    stack: list[tuple] = [(tree.root, 0, None)]
+    root = tree.root
+    keys = []
+    stack = [root]
     while stack:
-        node, depth, forest = stack.pop()
-        kind_counts[node.kind.value] += 1
-        key = "WORD" if node.kind is NodeKind.WORD else node.label
-        label_counts[key] = label_counts.get(key, 0) + 1
-        widths[depth] = widths.get(depth, 0) + 1
-        if forest is not None:
-            forest[depth] = forest.get(depth, 0) + 1
+        node = stack.pop()
+        if node.kind is _WORD:
+            keys.append("WORD")
         else:
-            discourse_widths[depth] = discourse_widths.get(depth, 0) + 1
-            if node.kind is NodeKind.EDU:
-                forest = {}
-                forests.append(forest)
-        n_children = len(node.children)
-        if n_children:
-            internal += 1
-            child_total += n_children
-            max_children = max(max_children, n_children)
-            stack.extend((child, depth + 1, forest) for child in reversed(node.children))
-        else:
-            leaf_depth_total += depth
-    total = sum(kind_counts.values())
-    max_depth = max(widths)
-    sizes = [sum(f.values()) for f in forests]
-    forest_widths = [max(f.values()) for f in forests]
-    forest_depths = [max(f) - min(f) for f in forests]
+            keys.append(node.label)
+            stack += node.children[::-1]
+    total = len(keys)
+
+    discourse_widths, forests = [], []
+    max_children = 0
+    level = [root]
+    while level:
+        discourse_widths.append(len(level))
+        below = []
+        for node in level:
+            max_children = max(max_children, len(node.children))
+            if node.kind is _EDU:
+                forests.append((len(discourse_widths), node.children))
+            else:
+                below += node.children
+        level = below
+
+    # A forest's level list holds its nodes at one depth of the whole tree.
+    widths = discourse_widths.copy()
+    leaves = leaf_depth_total = 0
+    sizes, forest_widths, forest_depths = [], [], []
+    for depth, level in forests:
+        forest = []
+        while level:
+            if depth == len(widths):
+                widths.append(0)
+            widths[depth] += len(level)
+            forest.append(len(level))
+            kids = list(map(_children, level))
+            n_leaves = kids.count(())
+            leaves += n_leaves
+            leaf_depth_total += depth * n_leaves
+            if n_leaves < len(level):
+                max_children = max(max_children, *map(len, kids))
+            level = list(chain.from_iterable(kids))
+            depth += 1
+        sizes.append(sum(forest))
+        forest_widths.append(max(forest))
+        forest_depths.append(len(forest) - 1)
+    edus = len(forests)
+    discourse_size = sum(discourse_widths)
+    kind_counts = (discourse_size - edus, edus, total - discourse_size - leaves, leaves)
     return TreeStats(
         node_count=total,
-        leaf_count=kind_counts["WORD"],
-        depth=max_depth,
-        max_width=max(widths.values()),
-        avg_width=total / (max_depth + 1),
-        avg_leaf_depth=leaf_depth_total / (total - internal),
-        avg_children=child_total / internal,
+        leaf_count=leaves,
+        depth=len(widths) - 1,
+        max_width=max(widths),
+        avg_width=total / len(widths),
+        avg_leaf_depth=leaf_depth_total / leaves,
+        avg_children=(total - 1) / (total - leaves),  # every node but the root is a child
         max_children=max_children,
-        kind_proportions={k: v / total for k, v in kind_counts.items()},
-        label_proportions={k: v / total for k, v in label_counts.items()},
-        discourse_size=sum(discourse_widths.values()),
-        discourse_max_width=max(discourse_widths.values()),
-        discourse_depth=max(discourse_widths),
-        syntax_size_mean=sum(sizes) / len(forests),
+        kind_proportions={k: v / total for k, v in zip(KIND_ORDER, kind_counts)},
+        label_proportions={k: v / total for k, v in Counter(keys).items()},
+        discourse_size=discourse_size,
+        discourse_max_width=max(discourse_widths),
+        discourse_depth=len(discourse_widths) - 1,
+        syntax_size_mean=sum(sizes) / edus,
         syntax_size_max=max(sizes),
-        syntax_width_mean=sum(forest_widths) / len(forests),
+        syntax_width_mean=sum(forest_widths) / edus,
         syntax_width_max=max(forest_widths),
-        syntax_depth_mean=sum(forest_depths) / len(forests),
+        syntax_depth_mean=sum(forest_depths) / edus,
         syntax_depth_max=max(forest_depths),
     )
 
@@ -225,8 +262,8 @@ def compare_groups(group_a, group_b) -> WelchResult:
     Raises TooFewSamplesError below 2 per group and ZeroVarianceError when
     both groups are constant (the statistic is undefined).
     """
-    a = [float(v) for v in group_a]
-    b = [float(v) for v in group_b]
+    a = list(map(float, group_a))
+    b = list(map(float, group_b))
     n_a, n_b = len(a), len(b)
     if n_a < 2 or n_b < 2:
         raise TooFewSamplesError(f"need >= 2 samples per group, got {n_a} and {n_b}")
@@ -282,24 +319,32 @@ class CorpusReport:
 def corpus_report(docs) -> CorpusReport:
     """Compare every tree statistic between fake and true documents.
 
-    Statistics are aligned by name across the corpus; a label missing from a
-    tree counts as proportion 0 there. Rows where both groups are constant
-    are emitted as degenerate (empty t/dof/p).
+    Each statistic gets a column with one value per document, fake ones
+    first, filled in one pass per document; a label missing from a tree
+    counts as proportion 0 there. Rows come in ``as_numbers`` order, with the
+    label rows sorted by name. Rows where both groups are constant are
+    emitted as degenerate (empty t/dof/p).
     """
     fake = [doc for doc in docs if doc.y == 1]
     true = [doc for doc in docs if doc.y == 0]
     if not fake or not true:
         raise SingleClassCorpusError("need both fake and true documents")
-    fake_stats = [compute_tree_stats(doc.tree).as_numbers() for doc in fake]
-    true_stats = [compute_tree_stats(doc.tree).as_numbers() for doc in true]
+    per_doc = [compute_tree_stats(doc.tree) for doc in fake + true]
+    columns = dict(zip(_FIXED_NAMES, map(list, zip(*map(_fixed_values, per_doc)))))
+    label_columns = {}
+    for i, tree_stats in enumerate(per_doc):
+        for label, value in tree_stats.label_proportions.items():
+            column = label_columns.get(label)
+            if column is None:
+                column = label_columns[label] = [0.0] * len(per_doc)
+            column[i] = value
+    for label in sorted(label_columns):
+        columns[_LABEL_PREFIX + label] = label_columns[label]
 
-    names = list(dict.fromkeys(k for s in fake_stats + true_stats for k in s))
-    fixed = [n for n in names if not n.startswith("label_prop:")]
-    labels = sorted(n for n in names if n.startswith("label_prop:"))
+    n_fake = len(fake)
     rows = []
-    for name in fixed + labels:
-        f_vals = [s.get(name, 0.0) for s in fake_stats]
-        t_vals = [s.get(name, 0.0) for s in true_stats]
+    for name, column in columns.items():
+        f_vals, t_vals = column[:n_fake], column[n_fake:]
         fake_mean = sum(f_vals) / len(f_vals)
         true_mean = sum(t_vals) / len(t_vals)
         try:

@@ -22,10 +22,14 @@ and ablation (12 combinations) it covers:
 
 and one ``hero train --grid`` run. It also covers the re-serialised form of
 every tree parsed back from the corpus and unseen-label datasets, ``hero
-stats`` CSV output on the corpus, and the parameter bytes of a width-100
-attribute-specific checkpoint after ``load_model``. A change meant to keep every result
-bit-identical must leave the output unchanged. Pytest does not collect this
-file (its name does not start with ``test_``); it takes a few seconds.
+stats`` CSV output on the corpus and, on a seeded many-label corpus
+(``many_label_corpus`` of ``tests/test_stats.py``: 1-12 EDUs, 40+ relations,
+punctuation tags, one-class labels, a degenerate row), its CSV on stdout
+and its ``--csv`` and ``--json`` files, and the parameter bytes of a
+width-100 attribute-specific checkpoint after ``load_model``. A change
+meant to keep every result bit-identical must leave the output unchanged.
+Pytest does not collect this file (its name does not start with
+``test_``); it takes a few seconds.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ from hero.model import (
 )
 from hero.synthetic import marker_corpus, random_embedding_table, random_tree
 from hero.trainer import LabeledDocument, read_dataset, write_dataset
+from test_stats import many_label_corpus
 
 D = 8
 WIDE = 100
@@ -101,6 +106,11 @@ def main() -> None:
     for name in ("train.jsonl", "unseen.jsonl"):
         digest(f"parsed {name}", "\n".join(serialize_sexpr(doc.tree) for doc in read_dataset(name)))
     hero("stats train", ["stats", "--data", "train.jsonl"])
+    write_dataset(many_label_corpus(seed=23, n_docs=80), "labels.jsonl")
+    hero("stats labels", ["stats", "--data", "labels.jsonl"])
+    hero("stats labels to files", ["stats", "--data", "labels.jsonl", "--csv", "labels.csv", "--json", "labels.json"])
+    digest("stats labels csv file", Path("labels.csv").read_bytes())
+    digest("stats labels json file", Path("labels.json").read_bytes())
     vocab = AttributeVocab.from_trees([news, news2, *unseen])
     save_model(init_model(WIDE, SharingMode.ATTRIBUTE_SPECIFIC, vocab=vocab, seed=9, random_classifier=True),
                "wide.json")

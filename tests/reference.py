@@ -211,6 +211,63 @@ def tree_stats_reference(tree):
     }
 
 
+def corpus_report_reference(docs):
+    """Per-row Welch report over tree_stats_reference; returns (CSV text,
+    JSON text) that must equal hero.stats.corpus_report's byte for byte.
+
+    Each document becomes one name -> value dict: the scalar statistics as
+    floats, the four kind proportions, then its labels. A row lines one name
+    up across the documents (a label missing from a tree counts 0) and runs
+    Welch's test with the textbook sums; rows come scalars and kinds first,
+    then labels sorted by name. Only the two-sided p-value is taken from
+    hero.stats: t_two_sided_p has its own integration oracle.
+    """
+    import json
+
+    from hero.stats import t_two_sided_p
+
+    def numbers(tree):
+        ref = tree_stats_reference(tree)
+        out = {name: float(value) for name, value in ref.items() if not isinstance(value, dict)}
+        for kind in ("RR", "EDU", "SYNTAX", "WORD"):
+            out["kind_prop:" + kind] = ref["kind_proportions"][kind]
+        for label, value in ref["label_proportions"].items():
+            out["label_prop:" + label] = value
+        return out
+
+    def cell(value):
+        if value is None:
+            return ""
+        text = value if isinstance(value, str) else repr(value)
+        if any(c in text for c in ',"\n\r'):
+            return '"' + text.replace('"', '""') + '"'
+        return text
+
+    fake = [numbers(doc.tree) for doc in docs if doc.y == 1]
+    true = [numbers(doc.tree) for doc in docs if doc.y == 0]
+    names = list(dict.fromkeys(name for row in fake + true for name in row))
+    fixed = [name for name in names if not name.startswith("label_prop:")]
+    labels = sorted(name for name in names if name.startswith("label_prop:"))
+    rows = []
+    for name in fixed + labels:
+        a = [row.get(name, 0.0) for row in fake]
+        b = [row.get(name, 0.0) for row in true]
+        mean_a, mean_b = sum(a) / len(a), sum(b) / len(b)
+        var_a = sum((v - mean_a) ** 2 for v in a) / (len(a) - 1)
+        var_b = sum((v - mean_b) ** 2 for v in b) / (len(b) - 1)
+        sa, sb = var_a / len(a), var_b / len(b)
+        row = {"statistic": name, "fake_mean": mean_a, "true_mean": mean_b,
+               "t": None, "dof": None, "p_value": None, "degenerate": sa + sb == 0.0}
+        if not row["degenerate"]:
+            row["t"] = (mean_a - mean_b) / math.sqrt(sa + sb)
+            row["dof"] = (sa + sb) ** 2 / (sa * sa / (len(a) - 1) + sb * sb / (len(b) - 1))
+            row["p_value"] = t_two_sided_p(row["t"], row["dof"])
+        rows.append(row)
+    header = ("statistic", "fake_mean", "true_mean", "t", "dof", "p_value")
+    lines = [",".join(header)] + [",".join(cell(row[key]) for key in header) for row in rows]
+    return "".join(line + "\n" for line in lines), json.dumps(rows, sort_keys=True, indent=2)
+
+
 def adam_reference(grads_in_order, lr, beta1=0.9, beta2=0.999, eps=1e-8, w0=0.0):
     """Scalar Adam on one weight given the gradient at each step."""
     w, m, v = w0, 0.0, 0.0

@@ -316,6 +316,25 @@ def test_width_no_array_can_hold_exits_with_one_line(workspace, tmp_path, d):
     assert line.startswith(expected)
 
 
+def test_width_memory_cannot_hold_exits_with_one_line(workspace, tmp_path):
+    """2**27 passes the size check, but its 576 PiB parameter vector cannot
+    be allocated: calloc fails at once, so nothing is allocated. gradcheck is
+    not run at this width: its fixture draws d-wide vectors for real."""
+    config = tmp_path / "c.cfg"
+    config.write_text(CONFIG.replace("d=8", f"d={2**27}"), encoding="utf-8")
+    unused = tmp_path / "unused.txt"
+    unused.write_text("zzz-unused 0.5 0.5\n", encoding="utf-8")
+    code, out, err = run_cli([
+        "train", "--data", str(workspace["data"]), "--embeddings", str(unused), "--config", str(config),
+        "--out", str(tmp_path / "m.json"), "--report", str(tmp_path / "r.json"),
+    ])
+    assert "Traceback" not in err
+    failure = [line for line in err.splitlines() if not line.startswith("split: ")]
+    assert (code, out, len(failure)) == (2, "", 1), err
+    assert failure[0].startswith("error: out of memory: Unable to allocate")
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_table_duplicates_are_logged(workspace, tmp_path, capsys):
     lines = workspace["emb"].read_text().splitlines(keepends=True)
     emb = tmp_path / "dup.txt"

@@ -14,7 +14,7 @@ from hero.stats import (
 )
 from hero.synthetic import random_tree
 from hero.trainer import LabeledDocument
-from reference import t_two_sided_p_reference, tree_stats_reference
+from reference import corpus_report_reference, t_two_sided_p_reference, tree_stats_reference
 
 MINIMAL = "(EDU (S (NP (NNP Obama)) (VP (VBD spoke))))"
 FIG_SHAPED = "(NS-elaboration (EDU (NP (NNP X))) (EDU (NP (NNP Y))))"
@@ -187,6 +187,31 @@ class TestCompareGroups:
         with pytest.raises(TooFewSamplesError):
             compare_groups([1], [1, 2])
 
+    def test_arithmetic_is_the_textbook_sums_bit_for_bit(self):
+        """Means, variances, t, dof and p equal the generator formulas
+        exactly. Each squared deviation is ``(v - mean) ** 2`` (libm pow):
+        for the group ``[x, -x]`` (mean 0) the variance is ``2 * x ** 2``,
+        which ``x * x`` would change."""
+        rng = np.random.default_rng(17)
+        x = next(v for v in rng.uniform(1.0, 2.0, 100_000).tolist() if v ** 2 != v * v)
+        cases = [
+            ([x, -x], [0.25, 1.5, 2.0]),
+            (rng.normal(0.3, 1.7, 5000).tolist(), rng.normal(-0.2, 0.9, 7).tolist()),
+            (rng.integers(0, 9, 40).tolist(), (rng.integers(0, 50, 300) / 47).tolist()),
+        ]
+        for group_a, group_b in cases:
+            a, b = [float(v) for v in group_a], [float(v) for v in group_b]
+            mean_a, mean_b = sum(a) / len(a), sum(b) / len(b)
+            var_a = sum((v - mean_a) ** 2 for v in a) / (len(a) - 1)
+            var_b = sum((v - mean_b) ** 2 for v in b) / (len(b) - 1)
+            sa, sb = var_a / len(a), var_b / len(b)
+            t = (mean_a - mean_b) / math.sqrt(sa + sb)
+            dof = (sa + sb) ** 2 / (sa * sa / (len(a) - 1) + sb * sb / (len(b) - 1))
+            expected = (mean_a, mean_b, var_a, var_b, t, dof, t_two_sided_p(t, dof))
+            res = compare_groups(group_a, group_b)
+            got = (res.mean_a, res.mean_b, res.var_a, res.var_b, res.t, res.dof, res.p_value)
+            assert [v.hex() for v in got] == [v.hex() for v in expected]
+
     def test_antisymmetry(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
@@ -219,7 +244,44 @@ def arity_corpus(seed, n_per_group=200, shuffle_labels=False):
     return docs
 
 
+RELATIONS = tuple(f"{('NS', 'SN', 'NN')[i % 3]}-rel{i}" for i in range(42))
+PUNCTUATION = (",", "''", "``", "-LRB-", "-RRB-", ".", ":")
+
+
+def many_label_corpus(seed, n_docs=60):
+    """Trees of 1 to 12 EDUs over many relation and tag labels. Fake trees
+    alone use ``NS-hoax`` and ``FRAG``, true trees alone ``SN-source`` and
+    ``UCP``. Relations and syntax splits are binary, so ``max_children`` is 2
+    in every tree: a degenerate row."""
+    rng = np.random.default_rng(seed)
+    docs = []
+    for i in range(n_docs):
+        y = i % 2
+        gen = random_tree(
+            rng, n_edus=int(rng.integers(1, 13)), max_branch=2,
+            rr_labels=RELATIONS + (("NS-hoax",) if y else ("SN-source",)),
+            pos_labels=PUNCTUATION + ("NN", "NNP", "VBD", "DT", "JJ", "PRP$"),
+            phrase_labels=("NP", "VP", "S", "PP") + (("FRAG",) if y else ("UCP",)),
+        )
+        docs.append(LabeledDocument(f"d{i}", gen.tree, y))
+    return docs
+
+
 class TestCorpusReport:
+    def test_bytes_match_the_reference_report(self):
+        docs = many_label_corpus(seed=21)
+        report = corpus_report(docs)
+        assert (report.to_csv(), report.to_json()) == corpus_report_reference(docs)
+        rows = {row.statistic: row for row in report.rows}
+        assert sum(name.removeprefix("label_prop:") in RELATIONS for name in rows) >= 40
+        assert {f"label_prop:{tag}" for tag in PUNCTUATION} <= set(rows)
+        assert rows["max_children"].degenerate
+        for fake_only, true_only in (("NS-hoax", "SN-source"), ("FRAG", "UCP")):
+            assert rows[f"label_prop:{fake_only}"].true_mean == 0.0 < rows[f"label_prop:{fake_only}"].fake_mean
+            assert rows[f"label_prop:{true_only}"].fake_mean == 0.0 < rows[f"label_prop:{true_only}"].true_mean
+        edus = {sum(n.kind is NodeKind.EDU for n in iter_nodes(doc.tree.root)) for doc in docs}
+        assert min(edus) == 1 and max(edus) == 12
+
     def test_detects_planted_arity_effect(self):
         report = corpus_report(arity_corpus(seed=3))
         by_name = {row.statistic: row for row in report.rows}
