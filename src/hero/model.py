@@ -429,7 +429,7 @@ def backward(
             f"{len(enc.traces)} forward traces for {len(schedule.batches)} schedule batches"
         )
     if out is None:
-        grads = replace(params, flat=np.zeros_like(params.flat))
+        grads = replace(params, flat=np.zeros(params.flat.size))  # calloc: no eager memset
     elif out.flat.shape != params.flat.shape:
         raise nn.ShapeMismatchError(f"gradient buffer {out.flat.shape} vs parameters {params.flat.shape}")
     else:

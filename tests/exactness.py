@@ -20,7 +20,10 @@ and ablation (12 combinations) it covers:
 - the same at width 100 on two news-sized trees, and the document vectors
   of both trees and the corpus scored as one list (merged batches);
 
-and one ``hero train --grid`` run. It also covers the re-serialised form of
+one ``hero train --grid`` run, and one attribute-specific ``hero train`` run
+at width 64 (442,498 parameters), large enough for ``nn.adam_step`` to
+split each update across two threads when the process may use two CPUs
+(the runs above stay on one thread). It also covers the re-serialised form of
 every tree parsed back from the corpus and unseen-label datasets, ``hero
 stats`` CSV output on the corpus and, on a seeded many-label corpus
 (``many_label_corpus`` of ``tests/test_stats.py``: 1-12 EDUs, 40+ relations,
@@ -56,6 +59,7 @@ from test_stats import many_label_corpus
 
 D = 8
 WIDE = 100
+SPLIT = 64
 UNSEEN = {"rr_labels": ("NS-contrast", "SN-cause", "NN-joint"), "phrase_labels": ("WHNP", "QP", "NP")}
 
 
@@ -153,6 +157,14 @@ def main() -> None:
                         "--grid", "--out", "g.json", "--report", "gr.json"])
     digest("grid checkpoint", Path("g.json").read_bytes())
     digest("grid report", Path("gr.json").read_bytes())
+
+    write_table(random_embedding_table(np.random.default_rng(44), list(table.vectors), SPLIT), "split.txt")
+    Path("c.cfg").write_text(f"lr=0.01\nmax_epochs=2\nseed=5\nd={SPLIT}\nmode=attribute_specific\n",
+                             encoding="utf-8")
+    hero(f"d={SPLIT} split train", ["train", "--data", "train.jsonl", "--embeddings", "split.txt",
+                                   "--config", "c.cfg", "--out", "s.json", "--report", "sr.json"])
+    digest(f"d={SPLIT} split checkpoint", Path("s.json").read_bytes())
+    digest(f"d={SPLIT} split report", Path("sr.json").read_bytes())
 
 
 if __name__ == "__main__":

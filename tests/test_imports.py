@@ -65,14 +65,18 @@ def files(tmp_path_factory):
 
 
 def test_predict_loads_neither_trainer_nor_stats(files):
+    """Nor a thread pool module: ``nn`` imports one only in an Adam step
+    that splits, and predict takes no step."""
     script = ("import sys; from hero import cli; "
               "code = cli.run(['predict', '--model', 'model.json', '--embeddings', 'vectors.txt', '--tree', 'one.tree']); "
-              "print(sorted(m for m in sys.modules if m.startswith('hero')))")
+              "print(sorted(m for m in sys.modules if m.startswith('hero'))); "
+              "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
     proc = python("-c", script, cwd=files)
     assert proc.returncode == 0, proc.stderr
-    probability, loaded = proc.stdout.splitlines()
+    probability, loaded, pools = proc.stdout.splitlines()
     assert 0.0 <= float(probability) <= 1.0
     assert loaded == str(["hero", "hero.cli", "hero.embed", "hero.ling_tree", "hero.model", "hero.nn"])
+    assert pools == "[]"
 
 
 def test_package_names_resolve_lazily(files):

@@ -1,10 +1,13 @@
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from hero import nn
 from hero.nn import (
     ADAM_BLOCK, AdamState, ClassifierParams, GruBatch, GruParams, ShapeMismatchError,
     adam_step, finite_diff_check, gru_backward, gru_forward,
@@ -368,6 +371,26 @@ class TestSoftmaxCe:
         assert finite_diff_check(f, theta, analytic) < 1e-7
 
 
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """The process may run on two CPUs, whatever the host has."""
+    monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads that threading.Thread starts, in order."""
+    started = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counted)
+    return started
+
+
 class TestAdam:
     def test_first_step_is_signed_lr(self):
         rng = np.random.default_rng(10)
@@ -419,11 +442,12 @@ class TestAdam:
         with pytest.raises(TypeError):
             adam_step(AdamState(lr=0.1), params, np.zeros(len(params)))
 
-    def test_equals_out_of_place_formula_bit_for_bit(self):
+    @pytest.mark.parametrize("n, threads", [(2 * ADAM_BLOCK + 1234, 0), (40 * ADAM_BLOCK + 777, 1)],
+                             ids=["serial", "split"])
+    def test_equals_out_of_place_formula_bit_for_bit(self, n, threads, two_cpus, thread_starts):
         # Several slices plus a short last one; mostly-zero gradients, as
         # for registry keys a document does not use.
         rng = np.random.default_rng(3)
-        n = 2 * ADAM_BLOCK + 1234
         params = rng.normal(size=n)
         state = AdamState(lr=0.003)
         p, m, v = params.copy(), np.zeros(n), np.zeros(n)
@@ -437,8 +461,67 @@ class TestAdam:
             p = p - 0.003 * m_hat / (np.sqrt(v_hat) + 1e-8)
             assert np.array_equal(params, p)
             assert np.array_equal(state.m, m) and np.array_equal(state.v, v)
+            assert state.t == t
+        assert len(thread_starts) == 5 * threads
 
-    def test_step_allocates_less_than_one_parameter_vector(self):
+    @pytest.mark.parametrize("parts", [2, 3])
+    def test_parts_give_the_serial_bytes(self, parts, monkeypatch, thread_starts):
+        # Every part runs at once on its own scratch, more parts than cores
+        # and with the interpreter switching threads as often as it can.
+        monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: set(range(parts)), raising=False)
+        n = 40 * ADAM_BLOCK + 777
+        rng = np.random.default_rng(5)
+        start = rng.normal(size=n)
+        grads = [np.where(rng.random(n) < 0.5, rng.normal(size=n), 0.0) for _ in range(3)]
+        results = []
+        for count in (1, parts):
+            monkeypatch.setattr(nn, "_ADAM_PARTS", count)
+            state, params = AdamState(lr=0.01), start.copy()
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                for g in grads:
+                    adam_step(state, params, g)
+            finally:
+                sys.setswitchinterval(interval)
+            results.append((params.tobytes(), state.m.tobytes(), state.v.tobytes(), state.t))
+        assert results[0] == results[1]
+        assert len(thread_starts) == 3 * (parts - 1)
+
+    @pytest.mark.parametrize("n, cpus", [
+        (45_202, 2), (nn._ADAM_PARTS * nn._ADAM_MIN_PART_BLOCKS * ADAM_BLOCK - 1, 2), (40 * ADAM_BLOCK, 1),
+    ], ids=["unified-model", "below-threshold", "one-cpu"])
+    def test_runs_on_the_calling_thread(self, n, cpus, monkeypatch):
+        monkeypatch.setattr(nn.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("adam_step started a thread")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        params, state = np.ones(n), AdamState(lr=0.1)
+        adam_step(state, params, np.ones(n))
+        np.testing.assert_allclose(params, 0.9)
+
+    def test_worker_exception_reaches_the_caller(self, two_cpus, monkeypatch):
+        run_range = nn._adam_range
+
+        def failing(*args):
+            if args[-2] > 0:  # lo: the worker's range
+                raise FloatingPointError("worker")
+            run_range(*args)
+
+        monkeypatch.setattr(nn, "_adam_range", failing)
+        n = 40 * ADAM_BLOCK
+        before = threading.active_count()
+        state = AdamState(lr=0.1)
+        with pytest.raises(FloatingPointError, match="worker"):
+            adam_step(state, np.ones(n), np.ones(n))
+        assert state.t == 1
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_step_allocates_less_than_one_parameter_vector(self, parts, two_cpus, thread_starts, monkeypatch):
+        monkeypatch.setattr(nn, "_ADAM_PARTS", parts)
         n = 1_000_000
         rng = np.random.default_rng(4)
         params, grads = rng.normal(size=n), rng.normal(size=n)
@@ -452,6 +535,7 @@ class TestAdam:
         finally:
             tracemalloc.stop()
         assert peak < params.nbytes, f"peak {peak} bytes"
+        assert len(thread_starts) == 2 * (parts - 1)
 
 
 class TestFiniteDiffCheck:
