@@ -120,20 +120,15 @@ def cmd_predict(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     from . import synthetic
-    from .trainer import ConfigError
+    from .trainer import TrainConfig
 
-    if args.seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {args.seed}")
-    if args.d <= 0 or args.d % 2:
-        raise ConfigError(f"d must be a positive even integer, got {args.d}")
-    hero_model.flat_size(args.d, 1)  # a width no array can hold raises before the fixture draws it
-    rng = np.random.default_rng(args.seed)
-    gen, table = synthetic.gradcheck_fixture(rng, args.d)
+    # A seed or width TrainConfig rejects raises before the fixture draws it.
+    config = TrainConfig(seed=args.seed, d=args.d, mode=SharingMode(args.mode),
+                         ablation=AblationMode(args.ablation))
+    rng = np.random.default_rng(config.seed)
+    gen, table = synthetic.gradcheck_fixture(rng, config.d)
     vocab = AttributeVocab.from_trees([gen.tree])
-    params = init_model(
-        args.d, SharingMode(args.mode), AblationMode(args.ablation),
-        vocab, rng=rng, random_classifier=True,
-    )
+    params = init_model(config.d, config.mode, config.ablation, vocab, rng=rng, random_classifier=True)
     error = gradient_check_model(params, gen.tree, table)
     print(f"max relative error: {error:.3e}")
     return 0 if error < GRADCHECK_THRESHOLD else 1

@@ -27,7 +27,6 @@ from __future__ import annotations
 import base64
 import enum
 import json
-import math
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Iterator
@@ -97,45 +96,28 @@ class AttributeVocab:
 
 
 @dataclass
-class BiGruParams(nn.GruParams):
-    """Separate parameter sets for the left-to-right and right-to-left passes,
-    stacked as one pair (see nn.GruParams): w is (2, 3d/2, d), u is
-    (2, 3d/2, d/2). ``fwd`` and ``bwd`` are writable views of the two."""
-
-    @property
-    def fwd(self) -> nn.GruParams:
-        return nn.GruParams(self.w[0], self.u[0])
-
-    @property
-    def bwd(self) -> nn.GruParams:
-        return nn.GruParams(self.w[1], self.u[1])
-
-    def copy(self) -> "BiGruParams":
-        return BiGruParams(self.w.copy(), self.u.copy())
-
-
-@dataclass
 class ModelParams:
     """Every learnable weight lives in ``flat``, one float64 vector (zeros
     when not given). ``registry`` and ``classifier`` are views into it, laid
-    out in registry-key order, each key's ``fwd`` then ``bwd`` GRU as its
-    stacked ``w`` then ``u`` (see nn.GruParams), then the classifier's W and
-    b; a write through either side is seen by the other. A key's pair reads
-    both ``w`` (and both ``u``) through one strided view. Checkpoints store
-    ``flat`` as is."""
+    out in registry-key order, each key's Bi-GRU pair (see nn.GruParams) as
+    its ``fwd`` then ``bwd`` direction, each direction's stacked ``w`` then
+    ``u``, then the classifier's W and b; a write through either side is
+    seen by the other. A key's pair reads both ``w`` (and both ``u``)
+    through one strided view. A width that is not positive and even raises
+    DimMismatchError (see flat_size). Checkpoints store ``flat`` as is."""
 
     d: int
     mode: SharingMode
     ablation: AblationMode
     vocab: AttributeVocab
     flat: np.ndarray | None = None
-    registry: dict[str, BiGruParams] = field(init=False)
+    registry: dict[str, nn.GruParams] = field(init=False)
     classifier: nn.ClassifierParams = field(init=False)
 
     def __post_init__(self):
         keys = registry_keys(self.mode, self.ablation, self.vocab)
-        hd = self.d // 2
-        size = flat_size(self.d, len(keys))
+        d, hd = self.d, self.d // 2
+        size = flat_size(d, len(keys))
         if self.flat is None:
             self.flat = np.zeros(size)
         if self.flat.shape != (size,) or self.flat.dtype != np.float64 or not self.flat.flags.c_contiguous:
@@ -143,22 +125,13 @@ class ModelParams:
                 f"flat parameters must be a contiguous float64 vector of {size}, "
                 f"got {self.flat.dtype} {self.flat.shape}"
             )
-        offset = 0
-
-        def take(shape):
-            nonlocal offset
-            n = math.prod(shape)
-            offset += n
-            return self.flat[offset - n:offset].reshape(shape)
-
-        def pair():
-            # Rows of a key's block: fwd w and u, then bwd w and u.
-            block, cut = take((2, 3 * hd * (self.d + hd))), 3 * hd * self.d
-            return BiGruParams(block[:, :cut].reshape(2, 3 * hd, self.d),
-                               block[:, cut:].reshape(2, 3 * hd, hd))
-
-        self.registry = {key: pair() for key in keys}
-        self.classifier = nn.ClassifierParams(take((2, self.d)), take((2,)))
+        # Rows of a key's block: fwd w and u, then bwd w and u.
+        blocks, cut = self.flat[:-2 * d - 2].reshape(len(keys), 2, 3 * hd * (d + hd)), 3 * hd * d
+        self.registry = {
+            key: nn.GruParams(block[:, :cut].reshape(2, 3 * hd, d), block[:, cut:].reshape(2, 3 * hd, hd))
+            for key, block in zip(keys, blocks)
+        }
+        self.classifier = nn.ClassifierParams(self.flat[-2 * d - 2:-2].reshape(2, d), self.flat[-2:])
 
 
 def registry_keys(mode: SharingMode, ablation: AblationMode, vocab: AttributeVocab) -> list[str]:
@@ -184,7 +157,10 @@ def registry_keys(mode: SharingMode, ablation: AblationMode, vocab: AttributeVoc
 def flat_size(d: int, n_keys: int) -> int:
     """Length of ModelParams.flat: two GRUs of 3d/2 x (d + d/2) weights per
     registry key, then the classifier's 2 x d weights and 2 biases; raises
-    DimMismatchError for a length no float64 array can hold."""
+    DimMismatchError for a width that is not positive and even, or whose
+    length no float64 array can hold."""
+    if d <= 0 or d % 2:
+        raise DimMismatchError(f"embedding width must be a positive even integer, got {d}")
     hd = d // 2
     size = 2 * n_keys * 3 * hd * (d + hd) + 2 * d + 2
     if 8 * size > np.iinfo(np.intp).max:
@@ -203,8 +179,6 @@ def init_model(
 ) -> ModelParams:
     """Fresh parameters: GRU matrices uniform in +-1/sqrt(fan-in), classifier
     zeroed unless ``random_classifier`` (useful for gradient checking)."""
-    if d <= 0 or d % 2:
-        raise DimMismatchError(f"embedding width must be a positive even integer, got {d}")
     if rng is None:
         rng = np.random.default_rng(seed)
     params = ModelParams(d, mode, ablation, vocab)
@@ -407,19 +381,17 @@ def copy_model(params: ModelParams) -> ModelParams:
     return replace(params, flat=params.flat.copy())
 
 
-def backward(
-    params: ModelParams, enc: DocumentEncoding, y: int, out: ModelParams | None = None
-) -> ModelParams:
+def backward(params: ModelParams, enc: DocumentEncoding, y: int) -> ModelParams:
     """Gradients of the document's cross-entropy loss w.r.t. all parameters.
 
     Replays the schedule's batches in reverse. Each batch's kernel call adds
     its segments' weight gradients, in row order, as soon as it has them,
     so the contributions of a registry key used by several segments
     accumulate in the reverse of the batches' forward order. Word-embedding
-    gradients are dropped (embeddings are frozen). The result is a
-    ModelParams of the model's layout holding gradients instead of weights:
-    ``out``, zeroed and refilled, when given (a trainer reuses one buffer
-    across steps), else a new one.
+    gradients are dropped (embeddings are frozen). The result is a new
+    ModelParams of the model's layout holding gradients instead of weights.
+    Its buffer is calloc'ed, so the pages of keys the document does not
+    reach are never written.
     """
     schedule = enc.schedule
     if enc.traces is None:
@@ -428,13 +400,7 @@ def backward(
         raise MissingTraceError(
             f"{len(enc.traces)} forward traces for {len(schedule.batches)} schedule batches"
         )
-    if out is None:
-        grads = replace(params, flat=np.zeros(params.flat.size))  # calloc: no eager memset
-    elif out.flat.shape != params.flat.shape:
-        raise nn.ShapeMismatchError(f"gradient buffer {out.flat.shape} vs parameters {params.flat.shape}")
-    else:
-        grads = out
-        grads.flat.fill(0.0)
+    grads = replace(params, flat=np.zeros(params.flat.size))
     dw, db, dh = nn.softmax_ce_backward(params.classifier, enc.h_doc, y)
     grads.classifier.w += dw
     grads.classifier.b += db
@@ -546,8 +512,9 @@ def load_model(path) -> ModelParams:
         ablation = AblationMode(doc["ablation"])
         d = doc["d"]
         # int() would take "8", 8.9 and true; only a JSON integer is a width.
-        if type(d) is not int or d <= 0 or d % 2:
-            raise CorruptCheckpointError(f"embedding width must be a positive even integer, got {d!r}")
+        # flat_size judges its value.
+        if type(d) is not int:
+            raise CorruptCheckpointError(f"embedding width must be an integer, got {d!r}")
         labels = [doc["attribute_vocab"][level] for level in ("syntax", "rr")]
         if not all(isinstance(names, list) and all(isinstance(n, str) for n in names) for names in labels):
             raise CorruptCheckpointError("attribute_vocab labels must be lists of strings")

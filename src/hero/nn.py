@@ -60,7 +60,8 @@ class GruParams:
     (3d/2, d), and u is [U_r; U_z; U_h], (3d/2, d/2). A leading axis of 2 on
     both, (2, 3d/2, d) and (2, 3d/2, d/2), makes the bidirectional pair the
     kernels run: [0] reads each sequence left to right and [1] reads it
-    right to left."""
+    right to left. A pair's ``fwd`` and ``bwd`` are writable views of the
+    two directions."""
 
     w: np.ndarray
     u: np.ndarray
@@ -68,6 +69,17 @@ class GruParams:
     @property
     def w_r(self) -> np.ndarray:
         return self.w[..., :self.u.shape[-1], :]
+
+    @property
+    def fwd(self) -> "GruParams":
+        return GruParams(self.w[0], self.u[0])
+
+    @property
+    def bwd(self) -> "GruParams":
+        return GruParams(self.w[1], self.u[1])
+
+    def copy(self) -> "GruParams":
+        return GruParams(self.w.copy(), self.u.copy())
 
     @classmethod
     def init(cls, d: int, rng: np.random.Generator) -> "GruParams":

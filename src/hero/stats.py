@@ -69,13 +69,6 @@ class TreeStats:
     syntax_depth_mean: float
     syntax_depth_max: int
 
-    def as_numbers(self) -> dict[str, float]:
-        """Flat numeric view used to line statistics up across a corpus."""
-        out = dict(zip(_FIXED_NAMES, _fixed_values(self)))
-        for label, value in self.label_proportions.items():
-            out[_LABEL_PREFIX + label] = value
-        return out
-
 
 _SCALAR_FIELDS = tuple(
     f.name for f in fields(TreeStats) if f.name not in ("kind_proportions", "label_proportions")
@@ -321,9 +314,10 @@ def corpus_report(docs) -> CorpusReport:
 
     Each statistic gets a column with one value per document, fake ones
     first, filled in one pass per document; a label missing from a tree
-    counts as proportion 0 there. Rows come in ``as_numbers`` order, with the
-    label rows sorted by name. Rows where both groups are constant are
-    emitted as degenerate (empty t/dof/p).
+    counts as proportion 0 there. Rows list the scalar statistics in
+    TreeStats field order, then the kind proportions in KIND_ORDER, then the
+    label proportions sorted by name. Rows where both groups are constant
+    are emitted as degenerate (empty t/dof/p).
     """
     fake = [doc for doc in docs if doc.y == 1]
     true = [doc for doc in docs if doc.y == 0]

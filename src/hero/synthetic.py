@@ -58,7 +58,6 @@ class GeneratedTree:
 
     tree: LingTree
     words: list[str]
-    n_edus: int
 
 
 def random_tree(
@@ -107,7 +106,7 @@ def random_tree(
         units[pos:pos + arity] = [TreeNode(_pick(rng, rr_labels), NodeKind.RR, group)]
     tree = LingTree(units[0], doc_id)
     validate_tree(tree)
-    return GeneratedTree(tree, words, n_edus)
+    return GeneratedTree(tree, words)
 
 
 def gradcheck_fixture(rng: np.random.Generator, dim: int):

@@ -356,12 +356,13 @@ def train(split: Split, config: TrainConfig, table: EmbeddingTable) -> tuple[Mod
     One shared seeded generator drives initialization and the per-epoch
     shuffles, so identical (data, config) runs are bit-identical.
 
-    Training holds four model-sized buffers: the parameters, the gradients
-    and Adam's two moments. The best epoch's weights go to one snapshot
-    buffer, allocated at the first improvement and refilled at each later
-    one, so it is a fifth buffer only while an earlier epoch is the best.
-    The gradients and moments are released once the final epoch's updates
-    are done, before its snapshot is taken.
+    Training holds three model-sized buffers, the parameters and Adam's two
+    moments, plus one step's gradients while that step runs: backward
+    returns a fresh buffer that the update consumes, and none is kept
+    between steps. The best epoch's weights go to one snapshot buffer,
+    allocated at the first improvement and refilled at each later one. The
+    moments are released once the final epoch's updates are done, before
+    its snapshot is taken.
     """
     rng = np.random.default_rng(config.seed)
     if config.mode is SharingMode.ATTRIBUTE_SPECIFIC:
@@ -370,7 +371,6 @@ def train(split: Split, config: TrainConfig, table: EmbeddingTable) -> tuple[Mod
         vocab = AttributeVocab()
     params = init_model(config.d, config.mode, config.ablation, vocab, rng=rng)
     adam = nn.AdamState(lr=config.lr)
-    grads: ModelParams | None = None
 
     logs: list[EpochLog] = []
     best_epoch = 0
@@ -385,11 +385,10 @@ def train(split: Split, config: TrainConfig, table: EmbeddingTable) -> tuple[Mod
             _, loss = nn.softmax_ce(params.classifier, enc.h_doc, doc.y)
             if not math.isfinite(loss) or not np.all(np.isfinite(enc.h_doc)):
                 raise NonFiniteLossError(epoch, doc.doc_id, f"loss={loss!r}")
-            grads = backward(params, enc, doc.y, out=grads)
-            nn.adam_step(adam, params.flat, grads.flat)
+            nn.adam_step(adam, params.flat, backward(params, enc, doc.y).flat)
             total_loss += loss
         if epoch == config.max_epochs:
-            grads = adam = None  # training is over: free them before the snapshot
+            adam = None  # training is over: free the moments before the snapshot
         val, _, _ = evaluate(params, split.val, table)
         logs.append(EpochLog(epoch, total_loss / len(split.train), val))
         score = selection_score(val)

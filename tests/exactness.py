@@ -23,7 +23,8 @@ and ablation (12 combinations) it covers:
 one ``hero train --grid`` run, and one attribute-specific ``hero train`` run
 at width 64 (442,498 parameters), large enough for ``nn.adam_step`` to
 split each update across two threads when the process may use two CPUs
-(the runs above stay on one thread). It also covers the re-serialised form of
+(the runs above stay on one thread), and ``hero gradcheck`` under three
+mode/ablation pairs. It also covers the re-serialised form of
 every tree parsed back from the corpus and unseen-label datasets, ``hero
 stats`` CSV output on the corpus and, on a seeded many-label corpus
 (``many_label_corpus`` of ``tests/test_stats.py``: 1-12 EDUs, 40+ relations,
@@ -165,6 +166,10 @@ def main() -> None:
                                    "--config", "c.cfg", "--out", "s.json", "--report", "sr.json"])
     digest(f"d={SPLIT} split checkpoint", Path("s.json").read_bytes())
     digest(f"d={SPLIT} split report", Path("sr.json").read_bytes())
+
+    for tag in ("unified/full", "level_specific/full", "attribute_specific/no_syntax"):
+        mode, ablation = tag.split("/")
+        hero(f"gradcheck {tag}", ["gradcheck", "--mode", mode, "--ablation", ablation])
 
 
 if __name__ == "__main__":

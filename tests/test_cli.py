@@ -402,6 +402,18 @@ def test_predict_rejects_a_width_its_checkpoint_bytes_do_not_fit(workspace, tmp_
     assert "do not fit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d", [7, -2])
+def test_predict_rejects_a_checkpoint_width_that_is_not_positive_and_even(workspace, tmp_path, d):
+    doc = json.loads(workspace["model"].read_text())
+    doc["d"] = d
+    model = tmp_path / "bad_width.json"
+    model.write_text(json.dumps(doc))
+    files = {name: str(workspace[name]) for name in ("data", "config", "tree")}
+    files.update(model=str(model), table=str(workspace["emb"]))
+    line = assert_one_line_exit(_argv("predict", files, tmp_path), 2)
+    assert line.startswith("error: ") and f"positive even integer, got {d}" in line
+
+
 def test_predict_rejects_bad_tree_before_reading_the_table(workspace, tmp_path, capsys):
     bad = tmp_path / "bad.tree"
     bad.write_text("(EDU (NNP x)", encoding="utf-8")

@@ -163,6 +163,13 @@ class TestRegistry:
         with pytest.raises(DimMismatchError):
             init_model(7, SharingMode.UNIFIED)
 
+    @pytest.mark.parametrize("d", [0, -2, 7])
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    def test_model_params_rejects_a_width_that_is_not_positive_and_even(self, mode, d):
+        vocab = AttributeVocab.from_trees([parse_sexpr(TWO_EDU)])
+        with pytest.raises(DimMismatchError, match="positive even"):
+            ModelParams(d, mode, AblationMode.FULL, vocab)
+
 
 class TestEncode:
     def test_zero_params_zero_document(self):
@@ -658,19 +665,18 @@ class TestBackward:
         enc.schedule = replace(enc.schedule, batches=[replace(b, input_grad=True) for b in enc.schedule.batches])
         assert np.array_equal(backward(m, enc, 0).flat, grads.flat)
 
-    def test_reused_gradient_buffer_equals_a_fresh_one(self):
+    def test_successive_calls_return_distinct_buffers(self):
         rng = np.random.default_rng(15)
         first, table = gradcheck_fixture(rng, 8)
         second = random_tree(rng, n_edus=2, vocab=tuple(first.words))
         m = make_model(SharingMode.ATTRIBUTE_SPECIFIC, trees=[first.tree, second.tree], seed=5)
-        buf = backward(m, encode_document(m, first.tree, table), 1)
-        fresh = backward(m, encode_document(m, second.tree, table), 0)
-        reused = backward(m, encode_document(m, second.tree, table), 0, out=buf)
-        assert reused is buf
-        assert np.array_equal(reused.flat, fresh.flat)
-        other = make_model(SharingMode.UNIFIED)
-        with pytest.raises(nn.ShapeMismatchError):
-            backward(m, encode_document(m, first.tree, table), 1, out=other)
+        alone = backward(m, encode_document(m, second.tree, table), 0).flat.tobytes()
+        a = backward(m, encode_document(m, first.tree, table), 1)
+        a_bytes = a.flat.tobytes()
+        b = backward(m, encode_document(m, second.tree, table), 0)
+        assert not np.shares_memory(a.flat, b.flat)
+        assert b.flat.tobytes() == alone
+        assert a.flat.tobytes() == a_bytes
 
     def test_missing_trace_raises(self):
         tree = parse_sexpr(TWO_EDU)

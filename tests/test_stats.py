@@ -69,9 +69,11 @@ class TestTreeStats:
         assert ts.avg_width == pytest.approx(10 / 4)
         assert ts.avg_leaf_depth == 3.0
 
-    def test_numbers_list_scalars_then_kinds_then_labels(self):
-        numbers = compute_tree_stats(parse_sexpr(FIG_SHAPED)).as_numbers()
-        assert list(numbers) == [
+    def test_report_rows_list_scalars_then_kinds_then_sorted_labels(self):
+        other = "(NN-joint (EDU (VP (VBD a))) (EDU (NP (NNP b) (NNP c))))"
+        docs = [LabeledDocument(f"d{i}", parse_sexpr(text), i % 2)
+                for i, text in enumerate((FIG_SHAPED, other, other, FIG_SHAPED))]
+        assert [row.statistic for row in corpus_report(docs).rows] == [
             "node_count", "leaf_count", "depth", "max_width", "avg_width",
             "avg_leaf_depth", "avg_children", "max_children",
             "discourse_size", "discourse_max_width", "discourse_depth",
@@ -79,8 +81,8 @@ class TestTreeStats:
             "syntax_width_mean", "syntax_width_max",
             "syntax_depth_mean", "syntax_depth_max",
             "kind_prop:RR", "kind_prop:EDU", "kind_prop:SYNTAX", "kind_prop:WORD",
-            "label_prop:NS-elaboration", "label_prop:EDU", "label_prop:NP",
-            "label_prop:NNP", "label_prop:WORD",
+            "label_prop:EDU", "label_prop:NN-joint", "label_prop:NNP", "label_prop:NP",
+            "label_prop:NS-elaboration", "label_prop:VBD", "label_prop:VP", "label_prop:WORD",
         ]
 
 

@@ -382,9 +382,9 @@ class TestReturnedWeights:
         assert report_again.to_json() == report.to_json()
 
     def test_attribute_training_peaks_below_five_models(self):
-        # Parameters, gradients and Adam's two moments are the four
-        # model-sized buffers of a one-epoch run; the gradients and moments
-        # are released before the snapshot is taken.
+        # Parameters, Adam's two moments and one step's gradients are the
+        # four model-sized buffers of a one-epoch run; the moments are
+        # released before the snapshot is taken.
         rng = np.random.default_rng(6)
         docs, table = marker_corpus(rng, 12, 100)
         split = split_dataset(docs, seed=6)
@@ -397,6 +397,22 @@ class TestReturnedWeights:
             tracemalloc.stop()
         assert params.flat.nbytes > 4_000_000
         assert peak < 5 * params.flat.nbytes, f"peak {peak / params.flat.nbytes:.2f} models"
+
+    def test_multi_epoch_training_holds_one_step_of_gradients(self):
+        # Parameters, both moments, the snapshot and the running step's
+        # gradients: a gradient buffer kept from one step to the next
+        # would be a sixth.
+        docs, table = marker_corpus(np.random.default_rng(3), 40, 64)
+        split = split_dataset(docs, seed=3)
+        cfg = TrainConfig(lr=1e-3, max_epochs=3, seed=3, d=64, mode=SharingMode.ATTRIBUTE_SPECIFIC)
+        tracemalloc.start()
+        try:
+            params, _ = train(split, cfg, table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert params.flat.size == 442_498
+        assert peak < 6 * params.flat.nbytes, f"peak {peak / params.flat.nbytes:.2f} models"
 
 
 def overflow_corpus(seed=0):
