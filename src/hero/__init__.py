@@ -10,10 +10,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "embed": ("EmbeddingTable", "embed_leaves", "load_table"),
-    "ling_tree": (
-        "Level", "LingTree", "NodeKind", "TreeNode",
-        "leaf_words", "parse_sexpr", "serialize_sexpr", "tree_equal",
-    ),
+    "ling_tree": ("LingTree", "NodeKind", "TreeNode", "leaf_words", "parse_sexpr", "serialize_sexpr"),
     "model": (
         "AblationMode", "AttributeVocab", "DocumentEncoding", "ModelParams", "SharingMode",
         "backward", "encode_document", "gradient_check_model", "init_model", "load_model",

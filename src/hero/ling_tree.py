@@ -52,11 +52,6 @@ class NodeKind(enum.Enum):
     WORD = "WORD"
 
 
-class Level(enum.Enum):
-    DISCOURSE = "DISCOURSE"
-    SYNTAX = "SYNTAX"
-
-
 @dataclass(eq=False, slots=True)
 class TreeNode:
     """One vertex; ``children`` keeps document word order. Identity-hashed.
@@ -67,12 +62,6 @@ class TreeNode:
     label: str
     kind: NodeKind
     children: tuple["TreeNode", ...] = ()
-
-    @property
-    def level(self) -> Level:
-        if self.kind in (NodeKind.RR, NodeKind.EDU):
-            return Level.DISCOURSE
-        return Level.SYNTAX
 
 
 @dataclass(eq=False, slots=True)
@@ -231,14 +220,3 @@ def serialize_sexpr(tree: LingTree) -> str:
 def leaf_words(tree: LingTree) -> list[str]:
     """The document's words, left to right."""
     return [n.label for n in iter_nodes(tree.root) if n.kind is NodeKind.WORD]
-
-
-def tree_equal(a: TreeNode, b: TreeNode) -> bool:
-    """Structural equality: same labels, kinds and child shapes."""
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        if x.label != y.label or x.kind is not y.kind or len(x.children) != len(y.children):
-            return False
-        stack.extend(zip(x.children, y.children))
-    return True

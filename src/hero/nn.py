@@ -84,8 +84,6 @@ class GruParams:
     @classmethod
     def init(cls, d: int, rng: np.random.Generator) -> "GruParams":
         """Uniform init in +-1/sqrt(fan-in)."""
-        if d % 2:
-            raise ShapeMismatchError(f"input width must be even, got {d}")
         sw, su = 1.0 / math.sqrt(d), 1.0 / math.sqrt(d // 2)
         return cls(rng.uniform(-sw, sw, (3 * d // 2, d)), rng.uniform(-su, su, (3 * d // 2, d // 2)))
 

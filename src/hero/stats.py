@@ -283,9 +283,6 @@ class ComparisonRow:
     p_value: float | None
     degenerate: bool = False
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class CorpusReport:
@@ -306,7 +303,7 @@ class CorpusReport:
         return out.getvalue()
 
     def to_json(self) -> str:
-        return json.dumps([row.as_dict() for row in self.rows], sort_keys=True, indent=2)
+        return json.dumps([asdict(row) for row in self.rows], sort_keys=True, indent=2)
 
 
 def corpus_report(docs) -> CorpusReport:

@@ -12,6 +12,7 @@ import gc
 import json
 import math
 import typing
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 
@@ -171,9 +172,6 @@ class TrainConfig:
             raise ConfigError(f"d must be a positive even integer, got {self.d}")
         hero_model.flat_size(self.d, 1)  # a width no array can hold raises before any work
 
-    def as_dict(self) -> dict:
-        return asdict(self, dict_factory=_by_value)
-
 
 def parse_config(text: str) -> TrainConfig:
     """Parse key=value lines ('#' starts a comment) into a TrainConfig.
@@ -242,10 +240,6 @@ class MetricsReport:
     tn: int
     fn: int
 
-    @property
-    def n(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
     def as_dict(self) -> dict:
         return asdict(self, dict_factory=_by_value)
 
@@ -256,19 +250,10 @@ def _rank_auc(labels, scores) -> float | None:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         return None
-    order = sorted(range(len(scores)), key=lambda i: scores[i])
-    ranks = [0.0] * len(scores)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and scores[order[j + 1]] == scores[order[i]]:
-            j += 1
-        mid = (i + j) / 2.0 + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = mid
-        i = j + 1
-    rank_sum = sum(r for r, y in zip(ranks, labels) if y == 1)
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    ordered = sorted(scores)  # twice a score's midrank is bisect_left + bisect_right + 1
+    twice = sum(bisect_left(ordered, s) + bisect_right(ordered, s) + 1
+                for s, y in zip(scores, labels) if y == 1)
+    return (twice / 2.0 - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 DECISION_THRESHOLD = 0.5
@@ -321,9 +306,6 @@ class EpochLog:
     epoch: int
     train_loss: float
     val: MetricsReport
-
-    def as_dict(self) -> dict:
-        return asdict(self, dict_factory=_by_value)
 
 
 @dataclass

@@ -50,7 +50,7 @@ def encode_reference(params, tree, table):
     mode-specific parameter choice, and ablations replace parts with plain
     word / EDU averaging.
     """
-    from hero.ling_tree import Level, NodeKind
+    from hero.ling_tree import NodeKind
     from hero.model import (
         AblationMode, SharingMode, DISCOURSE_KEY, SYNTAX_KEY,
         UNIFIED_KEY, UNK_RR, UNK_SYNTAX,
@@ -71,7 +71,7 @@ def encode_reference(params, tree, table):
             return UNIFIED_KEY
         if params.mode is SharingMode.LEVEL_SPECIFIC:
             child = node.children[0]
-            return DISCOURSE_KEY if child.level is Level.DISCOURSE else SYNTAX_KEY
+            return DISCOURSE_KEY if child.kind in (NodeKind.RR, NodeKind.EDU) else SYNTAX_KEY
         if node.kind is NodeKind.RR:
             return node.label if node.label in params.registry else UNK_RR
         label = node.children[0].label if node.kind is NodeKind.EDU else node.label
@@ -120,6 +120,17 @@ def encode_reference(params, tree, table):
             return aggregate(node, [disc_encode(c) for c in node.children])
         return disc_encode(tree.root)
     return full_encode(tree.root)
+
+
+def tree_equal(a, b):
+    """Structural equality: same labels, kinds and child shapes."""
+    stack = [(a, b)]
+    while stack:
+        x, y = stack.pop()
+        if x.label != y.label or x.kind is not y.kind or len(x.children) != len(y.children):
+            return False
+        stack.extend(zip(x.children, y.children))
+    return True
 
 
 def _edus(node):

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from hero.ling_tree import parse_sexpr, serialize_sexpr, tree_equal
+from hero.ling_tree import parse_sexpr, serialize_sexpr
 from hero.model import (
     AblationMode, AttributeVocab, SharingMode, UNIFIED_KEY,
     encode_document, gradient_check_model, init_model,
@@ -25,7 +25,7 @@ from hero.trainer import (
 from hero.stats import compare_groups, t_two_sided_p
 from reference import (
     auc_reference, encode_reference, macro_f1_reference, micro_f1_reference,
-    t_two_sided_p_reference,
+    t_two_sided_p_reference, tree_equal,
 )
 
 

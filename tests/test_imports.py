@@ -24,8 +24,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # Every name ``hero`` bound before its names resolved lazily, by defining module.
 EXPORTS = {
     "embed": ("EmbeddingTable", "embed_leaves", "load_table"),
-    "ling_tree": ("Level", "LingTree", "NodeKind", "TreeNode", "leaf_words", "parse_sexpr",
-                  "serialize_sexpr", "tree_equal"),
+    "ling_tree": ("LingTree", "NodeKind", "TreeNode", "leaf_words", "parse_sexpr", "serialize_sexpr"),
     "model": ("AblationMode", "AttributeVocab", "DocumentEncoding", "ModelParams", "SharingMode", "backward",
               "encode_document", "gradient_check_model", "init_model", "load_model", "param_count",
               "predict", "save_model"),

