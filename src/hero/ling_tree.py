@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 EDU_LABEL = "EDU"
@@ -68,6 +68,8 @@ class TreeNode:
 class LingTree:
     root: TreeNode
     doc_id: str = ""
+    # hero.model.compile_tree's (routing, schedule); no code changes a built tree.
+    compiled: tuple | None = field(default=None, init=False, repr=False)
 
 
 # Which child kinds each internal kind may carry.

@@ -9,17 +9,18 @@ Three sharing modes decide which nodes reuse which GRU parameters (a single
 shared pair, one pair per linguistic level, or one pair per parent label),
 and three ablations replace parts of the tree walk with plain averaging.
 
-A tree is first compiled into a Schedule: the rows of one node-vector
-matrix, batches of internal nodes that share a height and a child count,
-and the ablation's mean-pools. A batch lists its rows as segments, one per
+A tree is compiled once per routing (sharing mode, ablation, vocabulary)
+into a Schedule that it keeps: the rows of one node-vector matrix, batches
+of internal nodes that share a height and a child count, and the
+ablation's mean-pools. A batch lists its rows as segments, one per
 registry key, and runs as one kernel call over both GRU directions and
 every segment's weights; each row is multiplied on its own, so a node's
 vector does not depend on what else shares its batch. The backward pass
 replays the batches in reverse, and each batch's kernel call adds its
 segments' weight gradients, in row order, as it finishes: one walk, run
-forward and then backward, fixes every sum's order. For inference,
-consecutive trees compile into merged schedules whose batches span
-documents, and they run forward only.
+forward and then backward, fixes every sum's order. For inference, the
+schedules of consecutive trees merge by row offset into schedules whose
+batches span documents, and they run forward only.
 """
 
 from __future__ import annotations
@@ -212,6 +213,7 @@ class Batch:
     """Internal nodes of one height with the same child count: one Bi-GRU
     kernel call, its rows in per-key segments."""
 
+    height: int
     keys: tuple[str, ...]    # each segment's registry key, in row order
     rows: tuple[slice, ...]  # each segment's slice of the batch's rows
     parents: np.ndarray   # (B,) rows
@@ -225,14 +227,15 @@ class Batch:
 @dataclass(frozen=True)
 class Schedule:
     """Trees compiled for a sharing mode and an ablation. Rows of the node
-    matrix are each tree's nodes in post-order, tree after tree."""
+    matrix are each tree's nodes in post-order, tree after tree. Shared by
+    every encoding of its trees: tuples and read-only index arrays."""
 
     size: int
     words: np.ndarray  # rows of the word leaves, in document order
-    word_means: list[tuple[int, list[int]]]  # (row, its word rows): a mean, not a Bi-GRU
-    batches: list[Batch]  # by ascending height, then first-seen child count
-    documents: list[np.ndarray]  # per tree, the rows whose mean is its document vector
-    unk: list[int]  # per tree, the Bi-GRU nodes routed to an UNK key
+    word_means: tuple[tuple[int, np.ndarray], ...]  # (row, its word rows): a mean, not a Bi-GRU
+    batches: tuple[Batch, ...]  # by ascending height, then first-seen child count
+    documents: tuple[np.ndarray, ...]  # per tree, the rows whose mean is its document vector
+    unk: tuple[int, ...]  # per tree, the Bi-GRU nodes routed to an UNK key
 
 
 # Per ablation: the node kinds embedded by a Bi-GRU over their children, the
@@ -254,60 +257,95 @@ CHUNK_ROWS = 2048
 
 def compile_tree(trees: list[LingTree], params: ModelParams) -> Iterator[Schedule]:
     """The schedules that encode_document runs for a list of trees, and that
-    backward replays for a list of one. Consecutive trees compile into one
-    schedule until their node rows reach CHUNK_ROWS; the tree that reaches
-    the bound closes it. Within a schedule the internal nodes of all its
-    trees merge into batches by (height, child count), each listing its rows
-    key by key; within a height, batches and the segments of a batch keep
-    the order in which the trees first reach them."""
+    backward replays for a list of one. Each tree compiles once per routing
+    (mode, ablation, vocabulary: what fixes the registry keys) and keeps that
+    schedule; consecutive trees merge until their rows reach CHUNK_ROWS."""
+    routing = (params.mode, params.ablation, params.vocab)
+    chunk, size = [], 0
+    for tree in trees:
+        if tree.compiled is None or tree.compiled[0] != routing:
+            tree.compiled = (routing, _compile(tree, params))
+        chunk.append(tree.compiled[1])
+        size += chunk[-1].size
+        if size >= CHUNK_ROWS:
+            yield merge(chunk)
+            chunk, size = [], 0
+    if chunk:
+        yield merge(chunk)
+
+
+def _compile(tree: LingTree, params: ModelParams) -> Schedule:
+    """One tree's schedule: internal nodes grouped by (height, child count),
+    then registry key, in the order the post-order walk first reaches each."""
     gru_kinds, mean_kinds, doc_kind = _ABLATION_PLANS[params.ablation]
-    pending = iter(trees)
-    while True:
-        # Heights count Bi-GRU nodes only, so under no_syntax the RR nodes
-        # batch by discourse depth alone.
-        height: list[int] = []
-        groups = {}  # (height, child count) -> registry key -> (parent rows, child rows)
-        words, means, documents, unk = [], [], [], []
-        for tree in pending:
-            nodes = post_order(tree.root)
-            row = {node: i for i, node in enumerate(nodes, len(height))}
-            height += [0] * len(nodes)
-            unk.append(0)
-            for node, i in row.items():
-                if node.kind is NodeKind.WORD:
-                    words.append(i)
-                elif node.kind in mean_kinds:
-                    means.append((i, [row[n] for n in iter_nodes(node) if n.kind is NodeKind.WORD]))
-                if node.kind not in gru_kinds:
-                    continue
-                kids = [row[c] for c in node.children]
-                height[i] = 1 + max(height[c] for c in kids)
-                key = _aggregator_key(params, node)
-                unk[-1] += key in (UNK_SYNTAX, UNK_RR)
-                parents, children = groups.setdefault((height[i], len(kids)), {}).setdefault(key, ([], []))
-                parents.append(i)
-                children.extend(kids)
-            if doc_kind is None:
-                document = [len(height) - 1]
-            else:
-                document = [i for node, i in row.items() if node.kind is doc_kind]
-            documents.append(np.array(document, dtype=np.intp))
-            if len(height) >= CHUNK_ROWS:
-                break
-        if not documents:
-            return
-        # A stable sort by height keeps the batches of one height in
-        # first-seen order; a batch's segments keep theirs.
-        batches = []
-        for (h, k), by_key in sorted(groups.items(), key=lambda group: group[0][0]):
-            parents, children, rows = [], [], []
-            for segment_parents, segment_children in by_key.values():
-                rows.append(slice(len(parents), len(parents) + len(segment_parents)))
-                parents += segment_parents
-                children += segment_children
-            batches.append(Batch(tuple(by_key), tuple(rows), np.array(parents, dtype=np.intp),
-                                 np.array(children, dtype=np.intp).reshape(-1, k), h > 1))
-        yield Schedule(len(height), np.array(words, dtype=np.intp), means, batches, documents, unk)
+    nodes = post_order(tree.root)
+    row = {node: i for i, node in enumerate(nodes)}
+    # Heights count Bi-GRU nodes only, so under no_syntax the RR nodes
+    # batch by discourse depth alone.
+    height = [0] * len(nodes)
+    groups = {}  # (height, child count) -> registry key -> (parent rows, child rows)
+    words, means, unk = [], [], 0
+    for node, i in row.items():
+        if node.kind is NodeKind.WORD:
+            words.append(i)
+        elif node.kind in mean_kinds:
+            means.append((i, _frozen([row[n] for n in iter_nodes(node) if n.kind is NodeKind.WORD])))
+        if node.kind not in gru_kinds:
+            continue
+        kids = [row[c] for c in node.children]
+        height[i] = 1 + max(height[c] for c in kids)
+        key = _aggregator_key(params, node)
+        unk += key in (UNK_SYNTAX, UNK_RR)
+        parents, children = groups.setdefault((height[i], len(kids)), {}).setdefault(key, ([], []))
+        parents.append(i)
+        children += kids
+    document = [len(nodes) - 1] if doc_kind is None else [i for node, i in row.items() if node.kind is doc_kind]
+    return Schedule(len(nodes), _frozen(words), tuple(means), _batches(groups), (_frozen(document),), (unk,))
+
+
+def merge(schedules: list[Schedule]) -> Schedule:
+    """The schedule of the trees compiled together, each tree's rows shifted by
+    the rows before it (one is returned as is)."""
+    if len(schedules) == 1:
+        return schedules[0]
+    groups, words, means, documents, unk, offset = {}, [], (), (), (), 0
+    for schedule in schedules:
+        for batch in schedule.batches:
+            k = batch.children.shape[1]
+            segments = groups.setdefault((batch.height, k), {})
+            parents, children = (batch.parents + offset).tolist(), (batch.children + offset).ravel().tolist()
+            for key, rows in zip(batch.keys, batch.rows):
+                segment_parents, segment_children = segments.setdefault(key, ([], []))
+                segment_parents += parents[rows]
+                segment_children += children[rows.start * k:rows.stop * k]
+        words.append(schedule.words + offset)
+        means += tuple((i + offset, _frozen(rows + offset)) for i, rows in schedule.word_means)
+        documents += tuple(_frozen(rows + offset) for rows in schedule.documents)
+        unk += schedule.unk
+        offset += schedule.size
+    return Schedule(offset, _frozen(np.concatenate(words)), means, _batches(groups), documents, unk)
+
+
+def _batches(groups: dict) -> tuple[Batch, ...]:
+    """Batches from (height, child count) -> registry key -> (parent rows, child
+    rows), in first-seen order, which a stable sort by height keeps within a height."""
+    batches = []
+    for (h, k), segments in sorted(groups.items(), key=lambda group: group[0][0]):
+        parents, children, rows = [], [], []
+        for segment_parents, segment_children in segments.values():
+            rows.append(slice(len(parents), len(parents) + len(segment_parents)))
+            parents += segment_parents
+            children += segment_children
+        batches.append(Batch(h, tuple(segments), tuple(rows), _frozen(parents),
+                             _frozen(children).reshape(-1, k), h > 1))
+    return tuple(batches)
+
+
+def _frozen(rows) -> np.ndarray:
+    """Rows as a read-only index array: a compiled schedule is shared."""
+    array = np.asarray(rows, dtype=np.intp)
+    array.flags.writeable = False
+    return array
 
 
 @dataclass

@@ -122,6 +122,66 @@ def encode_reference(params, tree, table):
     return full_encode(tree.root)
 
 
+def compile_reference(trees, params):
+    """One walk over all the trees of a chunk; must agree field by field with
+    hero.model.compile_tree, which compiles each tree alone and merges.
+    Consecutive trees compile into one schedule until their node rows reach
+    CHUNK_ROWS; internal nodes of all the trees of a schedule group by
+    (height, child count), then registry key, in first-seen order, and a
+    stable sort by height orders the batches."""
+    import numpy as np
+
+    from hero.ling_tree import NodeKind, iter_nodes, post_order
+    from hero.model import (
+        CHUNK_ROWS, UNK_RR, UNK_SYNTAX, _ABLATION_PLANS, Batch, Schedule, _aggregator_key,
+    )
+
+    gru_kinds, mean_kinds, doc_kind = _ABLATION_PLANS[params.ablation]
+    pending = iter(trees)
+    while True:
+        height = []
+        groups = {}  # (height, child count) -> registry key -> (parent rows, child rows)
+        words, means, documents, unk = [], [], [], []
+        for tree in pending:
+            nodes = post_order(tree.root)
+            row = {node: i for i, node in enumerate(nodes, len(height))}
+            height += [0] * len(nodes)
+            unk.append(0)
+            for node, i in row.items():
+                if node.kind is NodeKind.WORD:
+                    words.append(i)
+                elif node.kind in mean_kinds:
+                    means.append((i, [row[n] for n in iter_nodes(node) if n.kind is NodeKind.WORD]))
+                if node.kind not in gru_kinds:
+                    continue
+                kids = [row[c] for c in node.children]
+                height[i] = 1 + max(height[c] for c in kids)
+                key = _aggregator_key(params, node)
+                unk[-1] += key in (UNK_SYNTAX, UNK_RR)
+                parents, children = groups.setdefault((height[i], len(kids)), {}).setdefault(key, ([], []))
+                parents.append(i)
+                children.extend(kids)
+            if doc_kind is None:
+                document = [len(height) - 1]
+            else:
+                document = [i for node, i in row.items() if node.kind is doc_kind]
+            documents.append(np.array(document, dtype=np.intp))
+            if len(height) >= CHUNK_ROWS:
+                break
+        if not documents:
+            return
+        batches = []
+        for (h, k), by_key in sorted(groups.items(), key=lambda group: group[0][0]):
+            parents, children, rows = [], [], []
+            for segment_parents, segment_children in by_key.values():
+                rows.append(slice(len(parents), len(parents) + len(segment_parents)))
+                parents += segment_parents
+                children += segment_children
+            batches.append(Batch(h, tuple(by_key), tuple(rows), np.array(parents, dtype=np.intp),
+                                 np.array(children, dtype=np.intp).reshape(-1, k), h > 1))
+        yield Schedule(len(height), np.array(words, dtype=np.intp), means, batches, documents, unk)
+
+
 def tree_equal(a, b):
     """Structural equality: same labels, kinds and child shapes."""
     stack = [(a, b)]

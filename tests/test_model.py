@@ -7,9 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hero import nn
+from hero import model, nn
 from hero.embed import EmbeddingTable
-from hero.ling_tree import LingTree, NodeKind, TreeNode, iter_nodes, leaf_words, parse_sexpr, post_order
+from hero.ling_tree import (
+    LingTree, NodeKind, TreeNode, iter_nodes, leaf_words, parse_sexpr, post_order, serialize_sexpr,
+)
 from hero.model import (
     CHUNK_ROWS, AblationMode, AttributeVocab, CorruptCheckpointError,
     DimMismatchError, DocumentEncoding, MissingTraceError, ModelParams,
@@ -19,7 +21,7 @@ from hero.model import (
     load_model, param_count, predict, registry_keys, save_model,
 )
 from hero.synthetic import gradcheck_fixture, random_embedding_table, random_tree
-from reference import encode_reference
+from reference import compile_reference, encode_reference
 
 TWO_EDU = "(NS-elaboration (EDU (S (NP (NNP a)) (VP (VBZ runs)))) (EDU (NP (DT the) (NN end))))"
 # Constituency labels spelled like the old UNK keys: each is a label like any other.
@@ -561,6 +563,85 @@ class TestBatchedEncoding:
         m = make_model(SharingMode.UNIFIED)
         assert [len(s.documents) for s in compile_tree([small, big, small, big], m)] == [2, 2]
         assert [len(s.documents) for s in compile_tree([big, small], m)] == [1, 1]
+
+
+def plain(schedule):
+    """Every field of a schedule as plain Python values, batch by batch."""
+    return (
+        schedule.size, schedule.words.tolist(), [(i, list(rows)) for i, rows in schedule.word_means],
+        [rows.tolist() for rows in schedule.documents], list(schedule.unk),
+        [(b.height, b.keys, b.rows, b.parents.tolist(), b.children.tolist(), b.input_grad) for b in schedule.batches],
+    )
+
+
+class TestCompiledOnce:
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    @pytest.mark.parametrize("ablation", list(AblationMode))
+    def test_compile_tree_equals_the_list_walk(self, mode, ablation):
+        tweets, trees, _ = mixed_documents(57)
+        rng = np.random.default_rng(58)
+        big = random_tree(rng, n_edus=150, edu_words=(10, 17), rr_arity=(2, 3)).tree
+        assert len(post_order(big.root)) > CHUNK_ROWS
+        m = make_model(mode, ablation, trees=tweets)
+        lists = (trees, tweets, trees[1:2], [tweets[0], big, tweets[1], tweets[0]], [big])
+        assert sum(len(post_order(t.root)) for t in trees) > CHUNK_ROWS
+        for _ in range(2):  # compiled, then from each tree's kept schedule
+            for listed in lists:
+                got = [plain(s) for s in compile_tree(listed, m)]
+                assert got == [plain(s) for s in compile_reference(listed, m)]
+
+    def test_a_second_encoding_reuses_the_schedule(self, monkeypatch):
+        rng = np.random.default_rng(59)
+        gen = random_tree(rng, n_edus=4, rr_arity=(2, 3))
+        table = random_embedding_table(rng, gen.words, 8)
+        m = make_model(SharingMode.ATTRIBUTE_SPECIFIC, trees=[gen.tree])
+        walks = []
+        walk = model.post_order
+        monkeypatch.setattr(model, "post_order", lambda root: walks.append(root) or walk(root))
+        first = encode_document(m, gen.tree, table)
+        second = encode_document(m, gen.tree, table)
+        (batched,) = encode_document(m, [gen.tree], table)
+        assert walks == [gen.tree.root]
+        assert second.schedule is first.schedule
+        assert np.array_equal(second.h_doc, first.h_doc) and np.array_equal(batched.h_doc, first.h_doc)
+
+    @pytest.mark.parametrize("change", ["mode", "ablation", "vocab"])
+    def test_a_new_routing_compiles_the_tree_again(self, change):
+        tweets, trees, table = mixed_documents(61)
+        tree = trees[1]
+        vocab = AttributeVocab.from_trees(tweets)
+        missing = next(n.label for n in iter_nodes(tree.root)
+                       if n.kind is NodeKind.SYNTAX and n.label not in vocab.syntax_labels)
+        attribute, unified, full = SharingMode.ATTRIBUTE_SPECIFIC, SharingMode.UNIFIED, AblationMode.FULL
+        routings = {
+            "mode": ((attribute, full, vocab), (SharingMode.LEVEL_SPECIFIC, full, vocab)),
+            # Unified sharing has the same registry keys under either ablation.
+            "ablation": ((unified, full, vocab), (unified, AblationMode.NO_DISCOURSE, vocab)),
+            "vocab": ((attribute, full, vocab),
+                      (attribute, full, AttributeVocab((*vocab.syntax_labels, missing), vocab.rr_labels))),
+        }
+        before, after = (init_model(8, *routing, seed=62) for routing in routings[change])
+        stale = encode_document(before, tree, table).schedule
+        enc = encode_document(after, tree, table)
+        fresh = parse_sexpr(serialize_sexpr(tree))
+        (expected,) = compile_reference([fresh], after)
+        assert plain(enc.schedule) == plain(expected) != plain(stale)
+        assert np.array_equal(enc.h_doc, encode_document(after, fresh, table).h_doc)
+        assert encode_document(before, tree, table).schedule is not stale  # one routing kept per tree
+
+    def test_a_kept_schedule_cannot_be_changed(self):
+        tweets, trees, table = mixed_documents(63)
+        m = make_model(SharingMode.ATTRIBUTE_SPECIFIC, AblationMode.NO_SYNTAX, trees=tweets)
+        for schedule in (encode_document(m, trees[1], table).schedule, *compile_tree(trees, m)):
+            for seq in (schedule.word_means, schedule.batches, schedule.documents, schedule.unk,
+                        schedule.batches[0].keys, schedule.batches[0].rows):
+                assert type(seq) is tuple
+            arrays = [schedule.words, *schedule.documents, *(rows for _, rows in schedule.word_means)]
+            for batch in schedule.batches:
+                arrays += [batch.parents, batch.children]
+            assert not any(array.flags.writeable for array in arrays)
+            with pytest.raises(ValueError):
+                schedule.batches[0].parents[0] = 0
 
 
 class TestPredict:
