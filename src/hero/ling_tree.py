@@ -110,6 +110,20 @@ def _check_children(label: str, kind: NodeKind, children: tuple[TreeNode, ...]) 
 _tokenize = re.compile(r"[()]|[^\s()]+").findall
 
 
+# label -> (kind, the child kinds it allows), filled by _classify as labels
+# are first met; capped, so a corpus of made-up labels cannot grow it forever.
+_LABELS: dict[str, tuple[NodeKind, tuple[NodeKind, ...]]] = {}
+_LABELS_MAX = 4096
+
+
+def _classify(label: str) -> tuple[NodeKind, tuple[NodeKind, ...]]:
+    kind = _kind_of_label(label)
+    entry = kind, _ALLOWED_CHILDREN[kind]
+    if len(_LABELS) < _LABELS_MAX:
+        _LABELS[label] = entry
+    return entry
+
+
 def parse_sexpr(text: str, doc_id: str = "") -> LingTree:
     """Parse one bracketed tree and validate its structure.
 
@@ -122,45 +136,45 @@ def parse_sexpr(text: str, doc_id: str = "") -> LingTree:
     Raises UnbalancedParensError, EmptyNodeError, KindViolationError or
     UnknownRRPrefixError on bad input.
     """
-    tokens = [*map(sys.intern, _tokenize(text))]
-    if not tokens:
-        raise EmptyNodeError("empty input; expected one bracketed tree")
-    # Each stack frame is [label, collected children].
-    stack: list[list] = []
+    tokens = map(sys.intern, _tokenize(text))
+    known = _LABELS.get
+    word = NodeKind.WORD
+    # The open node's label and children; the stack holds those of the nodes
+    # around it, and (None, None) stands for outside the root.
+    label, kids = None, None
+    stack: list[tuple] = []
     root: TreeNode | None = None
-    i = 0
-    while i < len(tokens):
-        tok = tokens[i]
-        if root is not None:
-            raise UnbalancedParensError("content after the root node closes")
+    for tok in tokens:
         if tok == "(":
-            if i + 1 >= len(tokens) or tokens[i + 1] in "()":
+            stack.append((label, kids))
+            label, kids = next(tokens, ")"), []  # a missing label reads as ")"
+            if label == "(" or label == ")":
                 raise EmptyNodeError("'(' must be followed by a label")
-            stack.append([tokens[i + 1], []])
-            i += 2
         elif tok == ")":
-            if not stack:
+            if kids is None:
                 raise UnbalancedParensError("unexpected ')'")
-            label, children = stack.pop()
-            if not children:
+            if not kids:
                 raise EmptyNodeError(f"node {label!r} has no children")
-            kind = _kind_of_label(label)
-            kids = tuple(children)
-            _check_children(label, kind, kids)
-            node = TreeNode(label, kind, kids)
-            if stack:
-                stack[-1][1].append(node)
-            else:
+            kind, allowed = known(label) or _classify(label)
+            for child in kids:
+                if child.kind not in allowed:  # raises for the first such child
+                    _check_children(label, kind, kids)
+            node = TreeNode(label, kind, tuple(kids))
+            label, kids = stack.pop()
+            if kids is None:
                 root = node
-            i += 1
+                break
+            kids.append(node)
+        elif kids is None:
+            raise UnbalancedParensError(f"bare token {tok!r} outside any node")
         else:
-            if not stack:
-                raise UnbalancedParensError(f"bare token {tok!r} outside any node")
-            stack[-1][1].append(TreeNode(tok, NodeKind.WORD))
-            i += 1
-    if stack:
+            kids.append(TreeNode(tok, word))
+    if root is None:
+        if kids is None:
+            raise EmptyNodeError("empty input; expected one bracketed tree")
         raise UnbalancedParensError(f"{len(stack)} unclosed '('")
-    assert root is not None
+    if next(tokens, None) is not None:
+        raise UnbalancedParensError("content after the root node closes")
     if root.kind not in (NodeKind.RR, NodeKind.EDU):
         raise KindViolationError(
             f"root must be an RR or EDU node, got {root.kind.value} ({root.label!r})"

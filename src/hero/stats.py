@@ -313,8 +313,9 @@ def corpus_report(docs) -> CorpusReport:
     first, filled in one pass per document; a label missing from a tree
     counts as proportion 0 there. Rows list the scalar statistics in
     TreeStats field order, then the kind proportions in KIND_ORDER, then the
-    label proportions sorted by name. Rows where both groups are constant
-    are emitted as degenerate (empty t/dof/p).
+    label proportions sorted by name. A tested row takes its means from
+    compare_groups, which sums the same floats in the same order. Rows where
+    both groups are constant are emitted as degenerate (empty t/dof/p).
     """
     fake = [doc for doc in docs if doc.y == 1]
     true = [doc for doc in docs if doc.y == 0]
@@ -336,11 +337,10 @@ def corpus_report(docs) -> CorpusReport:
     rows = []
     for name, column in columns.items():
         f_vals, t_vals = column[:n_fake], column[n_fake:]
-        fake_mean = sum(f_vals) / len(f_vals)
-        true_mean = sum(t_vals) / len(t_vals)
         try:
             w = compare_groups(f_vals, t_vals)
-            rows.append(ComparisonRow(name, fake_mean, true_mean, w.t, w.dof, w.p_value))
+            rows.append(ComparisonRow(name, w.mean_a, w.mean_b, w.t, w.dof, w.p_value))
         except ZeroVarianceError:
+            fake_mean, true_mean = sum(f_vals) / len(f_vals), sum(t_vals) / len(t_vals)
             rows.append(ComparisonRow(name, fake_mean, true_mean, None, None, None, True))
     return CorpusReport(rows)

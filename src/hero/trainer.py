@@ -74,6 +74,12 @@ def scan_dataset(path) -> tuple[list[LabeledDocument], list[tuple[int, str]]]:
     (children are tuples of nodes), so the scan makes no reference cycles and
     reference counting frees all it discards; left on, the collector would
     re-walk every live tree each time a scan allocates enough new nodes.
+    When it turns collection back on, it moves the scan's objects straight
+    to the oldest generation (``gc.freeze()`` then ``gc.unfreeze()``), so no
+    young-generation pass walks them either; a full collection still does.
+    Young objects the caller allocated before the scan move with them. If
+    the caller already holds frozen objects, the scan skips the move, since
+    ``gc.unfreeze()`` would release those too.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -81,6 +87,9 @@ def scan_dataset(path) -> tuple[list[LabeledDocument], list[tuple[int, str]]]:
         return _scan_lines(path)
     finally:
         if enabled:
+            if not gc.get_freeze_count():
+                gc.freeze()
+                gc.unfreeze()
             gc.enable()
 
 
@@ -92,7 +101,9 @@ def _scan_lines(path) -> tuple[list[LabeledDocument], list[tuple[int, str]]]:
             if not line.strip():
                 continue
             try:
-                line.encode(errors="surrogateescape").decode()  # undecodable bytes were escaped
+                # An undecodable byte was escaped to a non-ASCII surrogate.
+                if not line.isascii():
+                    line.encode(errors="surrogateescape").decode()
                 record = json.loads(line)
             except UnicodeDecodeError as exc:
                 problems.append((line_no, f"not UTF-8: {exc}"))

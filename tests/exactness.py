@@ -26,7 +26,8 @@ split each update across two threads when the process may use two CPUs
 (the runs above stay on one thread), and ``hero gradcheck`` under three
 mode/ablation pairs. It also covers the re-serialised form of
 every tree parsed back from the corpus and unseen-label datasets, ``hero
-stats`` CSV output on the corpus and, on a seeded many-label corpus
+validate`` on a file with one line per error the tree parser raises (so a
+changed message shows), ``hero stats`` CSV output on the corpus and, on a seeded many-label corpus
 (``many_label_corpus`` of ``tests/test_stats.py``: 1-12 EDUs, 40+ relations,
 punctuation tags, one-class labels, a degenerate row), its CSV on stdout
 and its ``--csv`` and ``--json`` files, and the parameter bytes of a
@@ -41,6 +42,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -50,7 +52,7 @@ import numpy as np
 
 from hero.cli import run
 from hero.embed import EmbeddingTable
-from hero.ling_tree import leaf_words, serialize_sexpr
+from hero.ling_tree import LingTree, NodeKind, iter_nodes, leaf_words, serialize_sexpr
 from hero.model import (
     AblationMode, AttributeVocab, SharingMode, backward, encode_document, init_model, load_model, save_model,
 )
@@ -91,6 +93,31 @@ def write_table(table, path: str, skip_every: int = 0) -> None:
             fh.write(token + " " + " ".join(repr(float(v)) for v in vec) + "\n")
 
 
+def write_parser_errors(tree, path: str) -> None:
+    """One valid line, then one line per error parse_sexpr raises, each an
+    edit of the given tree, whose root must be a relation."""
+    text = serialize_sexpr(tree)
+    pos = next(node for node in iter_nodes(tree.root) if node.children and node.children[0].kind is NodeKind.WORD)
+    word = pos.children[0].label
+    edu = next(node for node in iter_nodes(tree.root) if node.kind is NodeKind.EDU)
+    texts = [
+        text,
+        "",  # empty input
+        "( " + text,  # '(' without a label
+        ") " + text,  # unexpected ')'
+        text.replace(f"({pos.label} {word})", f"({pos.label})", 1),  # a node without children
+        text.replace(tree.root.label, "SS" + tree.root.label[2:], 1),  # unknown nuclearity prefix
+        text.replace("(EDU ", f"(EDU {word} ", 1),  # a word under an EDU
+        f"{word} {text}",  # a bare token before the root
+        f"{text} {text}",  # content after the root
+        text[:-2],  # two unclosed '('
+        serialize_sexpr(LingTree(edu.children[0])),  # a syntax root
+    ]
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, tree_text in enumerate(texts):
+            fh.write(json.dumps({"id": f"e{i}", "label": i % 2, "tree": tree_text}) + "\n")
+
+
 def main() -> None:
     docs, table = marker_corpus(np.random.default_rng(42), 60, D)
     rng = np.random.default_rng(43)
@@ -110,6 +137,8 @@ def main() -> None:
 
     for name in ("train.jsonl", "unseen.jsonl"):
         digest(f"parsed {name}", "\n".join(serialize_sexpr(doc.tree) for doc in read_dataset(name)))
+    write_parser_errors(unseen[7], "errors.jsonl")
+    hero("validate errors", ["validate", "--data", "errors.jsonl"])
     hero("stats train", ["stats", "--data", "train.jsonl"])
     write_dataset(many_label_corpus(seed=23, n_docs=80), "labels.jsonl")
     hero("stats labels", ["stats", "--data", "labels.jsonl"])

@@ -182,6 +182,62 @@ def compile_reference(trees, params):
         yield Schedule(len(height), np.array(words, dtype=np.intp), means, batches, documents, unk)
 
 
+def parse_reference(text, doc_id=""):
+    """The index-walking parse loop; must agree with hero.ling_tree.parse_sexpr
+    on every input: the same tree node by node, or the same exception type
+    and message. A node's kind comes from its label when it closes."""
+    import sys
+
+    from hero.ling_tree import (
+        EmptyNodeError, KindViolationError, LingTree, NodeKind, TreeNode, UnbalancedParensError,
+        _check_children, _kind_of_label, _tokenize,
+    )
+
+    tokens = [*map(sys.intern, _tokenize(text))]
+    if not tokens:
+        raise EmptyNodeError("empty input; expected one bracketed tree")
+    # Each stack frame is [label, collected children].
+    stack = []
+    root = None
+    i = 0
+    while i < len(tokens):
+        tok = tokens[i]
+        if root is not None:
+            raise UnbalancedParensError("content after the root node closes")
+        if tok == "(":
+            if i + 1 >= len(tokens) or tokens[i + 1] in "()":
+                raise EmptyNodeError("'(' must be followed by a label")
+            stack.append([tokens[i + 1], []])
+            i += 2
+        elif tok == ")":
+            if not stack:
+                raise UnbalancedParensError("unexpected ')'")
+            label, children = stack.pop()
+            if not children:
+                raise EmptyNodeError(f"node {label!r} has no children")
+            kind = _kind_of_label(label)
+            kids = tuple(children)
+            _check_children(label, kind, kids)
+            node = TreeNode(label, kind, kids)
+            if stack:
+                stack[-1][1].append(node)
+            else:
+                root = node
+            i += 1
+        else:
+            if not stack:
+                raise UnbalancedParensError(f"bare token {tok!r} outside any node")
+            stack[-1][1].append(TreeNode(tok, NodeKind.WORD))
+            i += 1
+    if stack:
+        raise UnbalancedParensError(f"{len(stack)} unclosed '('")
+    if root.kind not in (NodeKind.RR, NodeKind.EDU):
+        raise KindViolationError(
+            f"root must be an RR or EDU node, got {root.kind.value} ({root.label!r})"
+        )
+    return LingTree(root, doc_id)
+
+
 def tree_equal(a, b):
     """Structural equality: same labels, kinds and child shapes."""
     stack = [(a, b)]

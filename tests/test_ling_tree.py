@@ -1,19 +1,21 @@
 import sys
 import tracemalloc
+from itertools import zip_longest
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hero import ling_tree
 from hero.ling_tree import (
-    EmptyNodeError, KindViolationError, NodeKind,
+    EmptyNodeError, KindViolationError, LingTree, NodeKind, TreeError, TreeNode,
     UnbalancedParensError, UnknownRRPrefixError, _tokenize,
     iter_nodes, leaf_words,
     parse_sexpr, serialize_sexpr, validate_tree,
 )
 from hero.synthetic import random_tree
-from reference import tree_equal
+from reference import parse_reference, tree_equal
 
 MINIMAL = "(EDU (S (NP (NNP Obama)) (VP (VBD spoke))))"
 FIG_SHAPED = "(NS-elaboration (EDU (NP (NNP X))) (EDU (NP (NNP Y))))"
@@ -110,6 +112,112 @@ class TestParse:
     def test_tokens_with_escapes_are_verbatim(self):
         tree = parse_sexpr("(EDU (NNP -LRB-))")
         assert leaf_words(tree) == ["-LRB-"]
+
+
+def outcome(parse, text, doc_id=""):
+    """What one parser makes of text: its tree, or its error's type and message."""
+    try:
+        return parse(text, doc_id)
+    except TreeError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(text, doc_id=""):
+    got, want = outcome(parse_sexpr, text, doc_id), outcome(parse_reference, text, doc_id)
+    if not isinstance(want, LingTree):
+        assert got == want, text
+        return
+    assert type(got) is LingTree and got.doc_id == want.doc_id and got.compiled is None, text
+    for x, y in zip_longest(iter_nodes(got.root), iter_nodes(want.root)):
+        assert type(x) is TreeNode, text
+        assert x.label is y.label and x.kind is y.kind and len(x.children) == len(y.children), text
+        assert type(x.children) is tuple, text
+
+
+# Every error parse_sexpr raises, and inputs where two errors compete.
+MALFORMED = [
+    # no tree, or parentheses out of place
+    "", "   \n\t", "(", ")", "x", "x y", "()", "( )", "((EDU (NN x)))", "(EDU (", "(EDU )", "(EDU (( a)))",
+    "(EDU (NN (a)))", "(S (NP", "(S (NP (NN a)", "(EDU (NN a) (NP (NN b)", "(SS-",
+    # content after the root
+    "(EDU (NN x)) )", "(EDU (NN x)) y", "(EDU (NN x)) x y", "(EDU (NN x)) (EDU (NN y))", "(EDU (NN x)) (",
+    "(EDU (NN x)) (SS-bad", "(EDU (NN a)))",
+    # empty nodes and unknown nuclearity prefixes, in either order
+    "(NP)", "(EDU (NP))", "(SS-x)", "(SS-x (NP))", "(SS-x (EDU (NN a))", "(SS-x (EDU (NN a)))",
+    "(EDU (SS-y (NN a)))", "(NN-joint (EDU (NN a)) (SS-y (EDU (NN b))))", "(XS-x (EDU (NN a)))",
+    # kinds out of place
+    "(S (NP (NNP x)))", "(NP x)", "(EDU word)", "(EDU (NN a) word)", "(NS-elaboration (NP (NNP x)))",
+    "(NS-x word (EDU (NN a)))", "(EDU (NS-x (EDU (NNP a))))", "(EDU (EDU (NN a)))", "(NP (EDU (NN a)))",
+    "(NP (NN a) (EDU (NN b)))", "(EDU (NN a) (NN-x (NN b)))",
+]
+
+# Unusual but well-formed: a one-child relation, a bare nuclearity prefix.
+ODD_BUT_VALID = ["(NN-joint (EDU (NN a)))", "(NS-x (EDU (NN a)) (EDU (NN b)) (SN- (EDU (NN c))))",
+                 "(EDU (SS (NN a)))", "(EDU (S-x (NN a)))", "(EDU (-LRB- (NN a)))"]
+
+MUTATION_TOKENS = ("(", ")", "EDU", "NP", "SS-bad", "NS-elaboration", "word")
+
+
+def mutate(rng, text):
+    """text with one to three tokens deleted, duplicated, swapped or inserted."""
+    tokens = _tokenize(text)
+    for _ in range(int(rng.integers(1, 4))):
+        i = int(rng.integers(len(tokens)))
+        edit = int(rng.integers(4))
+        if edit == 0 and len(tokens) > 1:
+            del tokens[i]
+        elif edit == 1:
+            tokens.insert(i, tokens[i])
+        elif edit == 2:
+            j = int(rng.integers(len(tokens)))
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        else:
+            tokens.insert(i, MUTATION_TOKENS[int(rng.integers(len(MUTATION_TOKENS)))])
+    return " ".join(tokens)
+
+
+class TestParseAgreesWithReference:
+    """parse_sexpr against the index-walking loop in tests/reference.py."""
+
+    def test_seeded_random_trees(self):
+        rng = np.random.default_rng(2301)
+        for i in range(240):
+            gen = random_tree(rng, n_edus=1 + i % 6, edu_words=(1, 4 + i % 9), rr_arity=(2, 2 + i % 3),
+                              max_branch=2 + i % 3)
+            text = serialize_sexpr(gen.tree)
+            if i % 3 == 0:  # the tokenizer splits on any whitespace run
+                text = text.replace(" ", " \t\n ").replace("(", " ( ")
+            assert_same_outcome(text, doc_id=f"d{i}")
+
+    @pytest.mark.parametrize("text", MALFORMED)
+    def test_malformed_strings(self, text):
+        assert_same_outcome(text)
+        with pytest.raises(TreeError):
+            parse_sexpr(text)
+
+    @pytest.mark.parametrize("text", ODD_BUT_VALID)
+    def test_odd_but_valid_strings(self, text):
+        assert_same_outcome(text)
+        parse_sexpr(text)
+
+    def test_seeded_mutations(self):
+        rng = np.random.default_rng(2302)
+        failed = 0
+        for _ in range(400):
+            text = mutate(rng, serialize_sexpr(random_tree(rng).tree))
+            assert_same_outcome(text)
+            failed += not isinstance(outcome(parse_sexpr, text), LingTree)
+        assert failed > 300  # most edits break the tree, so the error paths are exercised
+
+    def test_label_memo_is_capped_and_keeps_no_rejected_label(self, monkeypatch):
+        labels = {}
+        monkeypatch.setattr(ling_tree, "_LABELS", labels)
+        monkeypatch.setattr(ling_tree, "_LABELS_MAX", 3)
+        for text in [NEWS_TREE, FIG_SHAPED, "(SS-x (EDU (NN a)))"]:
+            assert_same_outcome(text)
+        assert len(labels) == 3 and "SS-x" not in labels
+        assert_same_outcome(NEWS_TREE)
+        assert len(labels) == 3
 
 
 class TestSerialize:

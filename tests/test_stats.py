@@ -339,6 +339,16 @@ class TestCorpusReport:
         row = csv.strip().split("\n")[1]
         assert row.endswith(",,,")
 
+    def test_degenerate_rows_keep_each_groups_mean(self):
+        """Each group constant, the two groups apart: a degenerate row still
+        reports the fake mean first."""
+        fake, true = parse_sexpr(FIG_SHAPED), parse_sexpr("(EDU (NP (NNP X)))")
+        docs = [LabeledDocument(f"d{i}", fake if i % 2 else true, i % 2) for i in range(10)]
+        report = corpus_report(docs)
+        assert (report.to_csv(), report.to_json()) == corpus_report_reference(docs)
+        row = next(row for row in report.rows if row.statistic == "node_count")
+        assert row.degenerate and (row.fake_mean, row.true_mean) == (9.0, 4.0)
+
     def test_csv_and_json_bytes(self):
         """A normal and a degenerate row, byte for byte: floats by repr, a
         missing t, dof or p as an empty CSV cell and as null in JSON."""

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 import hero.trainer
 from hero.embed import EmbeddingTable
-from hero.ling_tree import leaf_words, parse_sexpr, post_order
+from hero.ling_tree import iter_nodes, leaf_words, parse_sexpr, post_order
 from hero.model import (
     CHUNK_ROWS, AblationMode, AttributeVocab, SharingMode, encode_document, init_model, predict, save_model,
 )
@@ -23,6 +24,10 @@ from hero.trainer import (
 from reference import auc_reference, macro_f1_reference, micro_f1_reference
 
 TINY_TREE = "(EDU (NNP word))"
+
+
+class Cycle:
+    """Refers to itself, so only the cyclic collector frees it."""
 
 
 def dummy_docs(n):
@@ -240,11 +245,57 @@ class TestDatasetIO:
             gc.enable() if enabled else gc.disable()
             scan_dataset(path)
             assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() == 0
             with pytest.raises(FileNotFoundError):
                 scan_dataset(tmp_path / "missing.jsonl")
             assert gc.isenabled() is enabled
+            assert gc.get_freeze_count() == 0
         finally:
             gc.enable() if was else gc.disable()
+
+    def test_scan_moves_what_it_built_to_the_oldest_generation(self, tmp_path):
+        """With collection on, no young-generation pass walks a read's trees;
+        a cycle made before the read is still freed by a full collection."""
+        path = tmp_path / "data.jsonl"
+        write_dataset(marker_corpus(np.random.default_rng(3), 30, 4)[0], path)
+        cycle = Cycle()
+        cycle.me = cycle
+        alive = weakref.ref(cycle)
+        was = gc.isenabled()
+        gc.enable()
+        try:
+            docs, problems = scan_dataset(path)
+            assert gc.isenabled() and gc.get_freeze_count() == 0
+        finally:
+            gc.enable() if was else gc.disable()
+        assert len(docs) == 30 and not problems
+        built = {id(docs)} | {id(obj) for doc in docs
+                              for obj in (doc, doc.tree, *iter_nodes(doc.tree.root))}
+        young = {id(obj) for generation in (0, 1) for obj in gc.get_objects(generation)}
+        assert not built & young
+        assert any(obj is cycle for obj in gc.get_objects(2))  # the caller's young objects move too
+        del cycle
+        gc.collect()
+        assert alive() is None
+
+    def test_scan_leaves_a_callers_frozen_objects_frozen(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"id": "a", "label": 1, "tree": "(EDU (NNP x))"}\n', encoding="utf-8")
+        frozen = Cycle()
+        frozen.me = frozen
+        was = gc.isenabled()
+        gc.enable()
+        gc.freeze()
+        try:
+            count = gc.get_freeze_count()
+            assert count > 0
+            (doc,), _ = scan_dataset(path)
+            assert gc.isenabled() and gc.get_freeze_count() >= count
+            assert all(frozen is not obj for generation in (0, 1, 2) for obj in gc.get_objects(generation))
+        finally:
+            gc.unfreeze()
+            gc.enable() if was else gc.disable()
+        assert doc.doc_id == "a"
 
     def test_read_raises_with_line_number(self, tmp_path):
         path = tmp_path / "data.jsonl"
