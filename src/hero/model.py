@@ -25,9 +25,9 @@ batches span documents, and they run forward only.
 
 from __future__ import annotations
 
-import base64
 import enum
 import json
+import os
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Iterator
@@ -61,7 +61,7 @@ DISCOURSE_KEY = "DISCOURSE"
 UNK_SYNTAX = "UNK SYNTAX"
 UNK_RR = "UNK RR"
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 class MissingTraceError(ValueError):
@@ -489,17 +489,11 @@ def gradient_check_model(
     return nn.finite_diff_check(loss_at, params.flat, grads.flat, step)
 
 
-# Values per base64 chunk written by save_model: a multiple of 3, so every
-# chunk but the last is a whole number of 3-byte groups and carries no padding.
-_SAVE_CHUNK = 3 << 16
-
-
 def save_model(params: ModelParams, path) -> None:
-    """Write a JSON checkpoint: the header that fixes the layout (mode,
-    ablation, width, vocabulary) and ``flat``, in the order ModelParams
-    documents, as base64 of its little-endian float64 bytes. The base64 text
-    is written chunk by chunk, so no full-size copy of it is held."""
-    doc = {
+    """Write a checkpoint: one ASCII line of JSON, the header that fixes the
+    layout (mode, ablation, width, vocabulary), then ``flat``'s little-endian
+    float64 bytes, in the order ModelParams documents, and nothing else."""
+    header = {
         "version": CHECKPOINT_VERSION,
         "mode": params.mode.value,
         "ablation": params.ablation.value,
@@ -508,98 +502,71 @@ def save_model(params: ModelParams, path) -> None:
             "syntax": list(params.vocab.syntax_labels),
             "rr": list(params.vocab.rr_labels),
         },
-        "flat": "",
     }
-    # Inside a JSON string every quote is escaped, so this is the key itself.
-    head, _, tail = json.dumps(doc, sort_keys=True).partition('"flat": ""')
-    flat = params.flat.astype("<f8", copy=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(head + '"flat": "')
-        for start in range(0, flat.size, _SAVE_CHUNK):
-            fh.write(base64.b64encode(flat[start:start + _SAVE_CHUNK]).decode("ascii"))
-        fh.write('"' + tail + "\n")
-
-
-# Base64 characters per chunk decoded by load_model: a multiple of 4, so
-# every chunk but the last decodes to a whole number of 3-byte groups.
-_LOAD_CHUNK = 4 << 18
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
+        fh.write(params.flat.astype("<f8", copy=False))
 
 
 def load_model(path) -> ModelParams:
     """Inverse of save_model; predictions of the loaded model are bit-identical.
 
-    The stored byte count follows from the length and padding of the base64
-    text and is checked against the header's layout before anything of that
-    size is allocated. The text is then decoded chunk by chunk straight into
-    the parameter vector, holding the checkpoint text, one model and one
-    chunk's scratch; json.load, before it, briefly holds the file text
-    twice."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8, an over-long integer
-        raise CorruptCheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
-    if not isinstance(doc, dict) or "version" not in doc:
-        raise CorruptCheckpointError(f"{path} is not a model checkpoint")
-    if doc["version"] != CHECKPOINT_VERSION:
-        raise VersionMismatchError(
-            f"checkpoint version {doc['version']!r}, this build reads {CHECKPOINT_VERSION}"
-        )
-    try:
-        mode = SharingMode(doc["mode"])
-        ablation = AblationMode(doc["ablation"])
-        d = doc["d"]
-        # int() would take "8", 8.9 and true; only a JSON integer is a width.
-        # flat_size judges its value.
-        if type(d) is not int:
-            raise CorruptCheckpointError(f"embedding width must be an integer, got {d!r}")
-        labels = [doc["attribute_vocab"][level] for level in ("syntax", "rr")]
-        if not all(isinstance(names, list) and all(isinstance(n, str) for n in names) for names in labels):
-            raise CorruptCheckpointError("attribute_vocab labels must be lists of strings")
-        vocab = AttributeVocab(*map(tuple, labels))
-        keys = registry_keys(mode, ablation, vocab)
-        # A label listed at the wrong level would route nodes of one family
-        # to the other family's GRU.
-        for level, names, kind in zip(("syntax", "rr"), labels, (NodeKind.SYNTAX, NodeKind.RR)):
-            for name in names:
-                try:
-                    found = _kind_of_label(name)
-                except UnknownRRPrefixError as exc:
-                    raise CorruptCheckpointError(f"attribute_vocab {level} label: {exc}") from exc
-                if found is not kind:
-                    raise CorruptCheckpointError(
-                        f"attribute_vocab {level} label {name!r} is a {found.value} label"
-                    )
-        text = doc["flat"]
-        if not isinstance(text, str) or len(text) % 4:
-            raise ValueError("'flat' must be base64 text of whole 4-character groups")
-        # Only the last group may carry padding; decoding it first rejects a
-        # bad ending before its padding is counted.
-        base64.b64decode(text[-4:], validate=True)
-        stored = 3 * len(text) // 4 - text[-2:].count("=")
-        # Checked before anything of the header's size is allocated, so a
-        # corrupt d cannot ask for more memory than the file holds.
-        expected = 8 * flat_size(d, len(keys))
-        if stored != expected:
-            raise CorruptCheckpointError(
-                f"stored parameters do not fit the mode and vocabulary: "
-                f"{stored} bytes stored, {expected} expected"
+    The bytes after the header line are counted and checked against the
+    header's layout before anything of that size is allocated, then read
+    straight into the parameter vector, so a load holds one model."""
+    with open(path, "rb") as fh:
+        try:
+            doc = json.loads(fh.readline())
+        except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8, an over-long integer
+            raise CorruptCheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
+        if not isinstance(doc, dict) or "version" not in doc:
+            raise CorruptCheckpointError(f"{path} is not a model checkpoint")
+        if doc["version"] != CHECKPOINT_VERSION:
+            raise VersionMismatchError(
+                f"checkpoint version {doc['version']!r}, this build reads {CHECKPOINT_VERSION}"
             )
-        values = np.empty(expected // 8, dtype="<f8")
-        out = values.view(np.uint8)
-        for start in range(0, len(text), _LOAD_CHUNK):
-            raw = base64.b64decode(text[start:start + _LOAD_CHUNK], validate=True)
-            at = 3 * start // 4
-            part = out[at:at + 3 * _LOAD_CHUNK // 4]
-            if len(raw) != part.size:
-                raise CorruptCheckpointError("'=' padding before the end of the stored parameters")
-            part[:] = np.frombuffer(raw, dtype=np.uint8)
-        flat = values.astype(np.float64, copy=False)  # copies only on a big-endian host
-        if not np.isfinite(flat).all():
-            raise CorruptCheckpointError("stored parameters hold a non-finite value")
-        params = ModelParams(d, mode, ablation, vocab, flat)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, (CorruptCheckpointError, VersionMismatchError)):
-            raise
-        raise CorruptCheckpointError(f"malformed checkpoint {path}: {exc}") from exc
-    return params
+        try:
+            mode = SharingMode(doc["mode"])
+            ablation = AblationMode(doc["ablation"])
+            d = doc["d"]
+            # int() would take "8", 8.9 and true; only a JSON integer is a width.
+            # flat_size judges its value.
+            if type(d) is not int:
+                raise CorruptCheckpointError(f"embedding width must be an integer, got {d!r}")
+            labels = [doc["attribute_vocab"][level] for level in ("syntax", "rr")]
+            if not all(isinstance(names, list) and all(isinstance(n, str) for n in names) for names in labels):
+                raise CorruptCheckpointError("attribute_vocab labels must be lists of strings")
+            vocab = AttributeVocab(*map(tuple, labels))
+            keys = registry_keys(mode, ablation, vocab)
+            # A label listed at the wrong level would route nodes of one family
+            # to the other family's GRU.
+            for level, names, kind in zip(("syntax", "rr"), labels, (NodeKind.SYNTAX, NodeKind.RR)):
+                for name in names:
+                    try:
+                        found = _kind_of_label(name)
+                    except UnknownRRPrefixError as exc:
+                        raise CorruptCheckpointError(f"attribute_vocab {level} label: {exc}") from exc
+                    if found is not kind:
+                        raise CorruptCheckpointError(
+                            f"attribute_vocab {level} label {name!r} is a {found.value} label"
+                        )
+            # Checked before anything of the header's size is allocated, so a
+            # corrupt d cannot ask for more memory than the file holds.
+            stored = os.fstat(fh.fileno()).st_size - fh.tell()
+            expected = 8 * flat_size(d, len(keys))
+            if stored == expected:
+                values = np.empty(expected // 8, dtype="<f8")
+                stored = fh.readinto(values)  # short only if the file shrank since fstat
+            if stored != expected:
+                raise CorruptCheckpointError(
+                    f"stored parameters do not fit the mode and vocabulary: "
+                    f"{stored} bytes stored, {expected} expected"
+                )
+            flat = values.astype(np.float64, copy=False)  # copies only on a big-endian host
+            if not np.isfinite(flat).all():
+                raise CorruptCheckpointError("stored parameters hold a non-finite value")
+            return ModelParams(d, mode, ablation, vocab, flat)
+        except (KeyError, TypeError, ValueError) as exc:
+            if isinstance(exc, (CorruptCheckpointError, VersionMismatchError)):
+                raise
+            raise CorruptCheckpointError(f"malformed checkpoint {path}: {exc}") from exc

@@ -3,13 +3,17 @@
 The documented exit codes are 0 success, 1 validation or threshold failure
 (an invalid tree for ``predict``), 2 I/O or format error and 3 numeric
 failure; an error is one stderr line. These helpers need no pytest fixture,
-so property tests (hypothesis) can call them as well as plain tests.
+so property tests (hypothesis) can call them as well as plain tests. The
+checkpoint pair reads and writes a model file as its two parts, so a test
+can spoil either.
 """
 
 import contextlib
 import io
+import json
 import sys
 import traceback
+from pathlib import Path
 
 from hero.cli import run
 
@@ -58,3 +62,17 @@ def mutate(data: bytes, ops) -> bytes:
             pos = op[1] % size
             data = data[:pos] + op[2] + data[pos:]
     return data
+
+
+def read_checkpoint(path) -> tuple[dict, bytes]:
+    """A checkpoint file as (header, payload): its first line parsed as JSON,
+    and every byte after that line."""
+    line, _, payload = Path(path).read_bytes().partition(b"\n")
+    return json.loads(line), payload
+
+
+def write_checkpoint(path, header, payload: bytes) -> None:
+    """The inverse of read_checkpoint. A header given as bytes is written as
+    is, so it need not be JSON, nor one line."""
+    line = header if isinstance(header, bytes) else json.dumps(header, sort_keys=True).encode()
+    Path(path).write_bytes(line + b"\n" + payload)

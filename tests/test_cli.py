@@ -1,4 +1,3 @@
-import base64
 import io
 import json
 from pathlib import Path
@@ -6,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cli_contract import assert_one_line_exit, run_cli
+from cli_contract import assert_one_line_exit, read_checkpoint, run_cli, write_checkpoint
 from hero.cli import run
 from hero.embed import load_table
 from hero.ling_tree import leaf_words, parse_sexpr, post_order, serialize_sexpr
@@ -192,12 +191,11 @@ def test_corrupt_model_is_io_error(workspace, tmp_path, capsys):
 
 
 def test_non_finite_model_is_io_error(workspace, tmp_path, capsys):
-    doc = json.loads(workspace["model"].read_text())
-    flat = np.frombuffer(base64.b64decode(doc["flat"]), dtype="<f8").copy()
+    header, payload = read_checkpoint(workspace["model"])
+    flat = np.frombuffer(payload, dtype="<f8").copy()
     flat[-1] = float("nan")
-    doc["flat"] = base64.b64encode(flat.tobytes()).decode("ascii")
     bad = tmp_path / "nan_model.json"
-    bad.write_text(json.dumps(doc), encoding="utf-8")
+    write_checkpoint(bad, header, flat.tobytes())
     assert run([
         "predict", "--model", str(bad), "--embeddings", str(workspace["emb"]),
         "--tree", str(workspace["tree"]),
@@ -206,10 +204,9 @@ def test_non_finite_model_is_io_error(workspace, tmp_path, capsys):
 
 
 def test_version_1_model_is_io_error(workspace, tmp_path, capsys):
-    doc = json.loads(workspace["model"].read_text())
-    doc["version"] = 1
+    header, payload = read_checkpoint(workspace["model"])
     old = tmp_path / "v1_model.json"
-    old.write_text(json.dumps(doc), encoding="utf-8")
+    write_checkpoint(old, {**header, "version": 1}, payload)
     assert run([
         "predict", "--model", str(old), "--embeddings", str(workspace["emb"]),
         "--tree", str(workspace["tree"]),
@@ -219,11 +216,9 @@ def test_version_1_model_is_io_error(workspace, tmp_path, capsys):
 
 def test_version_2_model_is_io_error(workspace, tmp_path, capsys):
     # Version 2 stored flat as a JSON list of numbers.
-    doc = json.loads(workspace["model"].read_text())
-    doc["version"] = 2
-    doc["flat"] = load_model(workspace["model"]).flat.tolist()
+    header, _ = read_checkpoint(workspace["model"])
     old = tmp_path / "v2_model.json"
-    old.write_text(json.dumps(doc), encoding="utf-8")
+    write_checkpoint(old, {**header, "version": 2, "flat": load_model(workspace["model"]).flat.tolist()}, b"")
     assert run([
         "predict", "--model", str(old), "--embeddings", str(workspace["emb"]),
         "--tree", str(workspace["tree"]),
@@ -235,10 +230,11 @@ def test_version_2_model_is_io_error(workspace, tmp_path, capsys):
 @pytest.mark.parametrize("field", ["d", "version"])
 def test_over_long_integer_in_model_is_io_error(workspace, tmp_path, command, field):
     """A JSON integer past the int-to-str digit limit is a corrupt checkpoint."""
-    text = workspace["model"].read_text(encoding="utf-8")
-    value = f'"{field}": {json.loads(text)[field]}'
+    header, payload = read_checkpoint(workspace["model"])
+    text = json.dumps(header, sort_keys=True)
+    value = f'"{field}": {header[field]}'
     bad = tmp_path / "huge_int_model.json"
-    bad.write_text(text.replace(value, value + "0" * 5000, 1), encoding="utf-8")
+    write_checkpoint(bad, text.replace(value, value + "0" * 5000, 1).encode(), payload)
     files = {name: str(workspace[name]) for name in ("data", "config", "tree")}
     files.update(model=str(bad), table=str(workspace["emb"]))
     line = assert_one_line_exit(_argv(command, files, tmp_path), 2)
@@ -393,10 +389,9 @@ def test_predict_checks_only_the_table_lines_it_uses(workspace, tmp_path, capsys
 
 
 def test_predict_rejects_a_width_its_checkpoint_bytes_do_not_fit(workspace, tmp_path, capsys):
-    doc = json.loads(workspace["model"].read_text())
-    doc["d"] = 2 ** 24
+    header, payload = read_checkpoint(workspace["model"])
     model = tmp_path / "huge.json"
-    model.write_text(json.dumps(doc))
+    write_checkpoint(model, {**header, "d": 2 ** 24}, payload)
     assert run(["predict", "--model", str(model), "--embeddings", str(workspace["emb"]),
                 "--tree", str(workspace["tree"])]) == 2
     assert "do not fit" in capsys.readouterr().err
@@ -404,10 +399,9 @@ def test_predict_rejects_a_width_its_checkpoint_bytes_do_not_fit(workspace, tmp_
 
 @pytest.mark.parametrize("d", [7, -2])
 def test_predict_rejects_a_checkpoint_width_that_is_not_positive_and_even(workspace, tmp_path, d):
-    doc = json.loads(workspace["model"].read_text())
-    doc["d"] = d
+    header, payload = read_checkpoint(workspace["model"])
     model = tmp_path / "bad_width.json"
-    model.write_text(json.dumps(doc))
+    write_checkpoint(model, {**header, "d": d}, payload)
     files = {name: str(workspace[name]) for name in ("data", "config", "tree")}
     files.update(model=str(model), table=str(workspace["emb"]))
     line = assert_one_line_exit(_argv("predict", files, tmp_path), 2)
@@ -465,10 +459,9 @@ def test_eval_logs_unk_nodes_of_labels_unseen_in_training(workspace, tmp_path, c
 
 
 def test_model_label_at_the_wrong_level_is_io_error(workspace, tmp_path, capsys):
-    doc = json.loads(workspace["model"].read_text())
-    doc["attribute_vocab"] = {"syntax": ["NS-x", "NN"], "rr": []}
+    header, payload = read_checkpoint(workspace["model"])
     bad = tmp_path / "levels.json"
-    bad.write_text(json.dumps(doc), encoding="utf-8")
+    write_checkpoint(bad, {**header, "attribute_vocab": {"syntax": ["NS-x", "NN"], "rr": []}}, payload)
     assert _predict(workspace, workspace["emb"]) == 0
     capsys.readouterr()
     assert run(["predict", "--model", str(bad), "--embeddings", str(workspace["emb"]),
@@ -595,7 +588,12 @@ def test_undecodable_and_deeply_nested_inputs_exit_with_one_line(workspace, tmp_
     files = {name: str(workspace[name]) for name in ("data", "config", "model", "tree")}
     files["table"] = str(workspace["emb"])
     bad = tmp_path / f"spoiled_{spoiled}"
-    bad.write_bytes(_spoil(Path(files[spoiled]).read_bytes(), fault))
+    if spoiled == "model":
+        # A checkpoint's text is its header line.
+        header, payload = read_checkpoint(files["model"])
+        write_checkpoint(bad, _spoil(json.dumps(header, sort_keys=True).encode(), fault), payload)
+    else:
+        bad.write_bytes(_spoil(Path(files[spoiled]).read_bytes(), fault))
     files[spoiled] = str(bad)
     line = assert_one_line_exit(_argv(command, files, tmp_path), code)
     assert note in line

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cli_contract import assert_one_line_exit, read_checkpoint, write_checkpoint
 from hero import model, nn
 from hero.embed import EmbeddingTable
 from hero.ling_tree import (
@@ -815,18 +816,6 @@ class TestParamCount:
         assert param_count(init_model(100, mode, ablation, vocab)) == count
 
 
-def decode_flat(doc):
-    return np.frombuffer(base64.b64decode(doc["flat"], validate=True), dtype="<f8").copy()
-
-
-def edit_flat(change):
-    """A checkpoint edit that changes the decoded parameter vector."""
-    def edit(doc):
-        vec = change(decode_flat(doc))
-        doc["flat"] = base64.b64encode(np.asarray(vec, dtype="<f8").tobytes()).decode("ascii")
-    return edit
-
-
 class TestCheckpoint:
     def make(self, tmp_path, seed=0, text=TWO_EDU):
         tree = parse_sexpr(text)
@@ -834,11 +823,6 @@ class TestCheckpoint:
         path = tmp_path / "model.json"
         save_model(m, path)
         return m, tree, path
-
-    def edit(self, path, change):
-        doc = json.loads(path.read_text())
-        change(doc)
-        path.write_text(json.dumps(doc))
 
     @pytest.mark.parametrize("text", [TWO_EDU, UNK_LABELS], ids=["two_edu", "unk_labels"])
     def test_round_trip_is_bit_identical(self, tmp_path, text):
@@ -861,17 +845,17 @@ class TestCheckpoint:
     @pytest.mark.parametrize("version", [1, 2, 99])
     def test_version_mismatch(self, tmp_path, version):
         _, _, path = self.make(tmp_path)
-        self.edit(path, lambda doc: doc.update(version=version))
+        header, payload = read_checkpoint(path)
+        write_checkpoint(path, {**header, "version": version}, payload)
         with pytest.raises(VersionMismatchError):
             load_model(path)
 
-    def test_top_level_keys(self, tmp_path):
+    def test_header_line_and_payload(self, tmp_path):
         m, _, path = self.make(tmp_path)
-        doc = json.loads(path.read_text())
-        assert sorted(doc) == ["ablation", "attribute_vocab", "d", "flat", "mode", "version"]
-        assert isinstance(doc["flat"], str)
-        assert doc["flat"] == base64.b64encode(m.flat.astype("<f8").tobytes()).decode("ascii")
-        assert np.array_equal(decode_flat(doc), m.flat)
+        header, payload = read_checkpoint(path)
+        assert sorted(header) == ["ablation", "attribute_vocab", "d", "mode", "version"]
+        assert path.read_bytes().startswith(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
+        assert payload == m.flat.astype("<f8").tobytes()
 
     def test_truncated_file(self, tmp_path):
         _, _, path = self.make(tmp_path)
@@ -891,12 +875,10 @@ class TestCheckpoint:
     def test_non_finite_weight_rejected(self, tmp_path, where, value):
         m, _, path = self.make(tmp_path)
         index = {"first": 0, "middle": m.flat.size // 2, "last": -1}[where]
-
-        def poison(vec):
-            vec[index] = value
-            return vec
-
-        self.edit(path, edit_flat(poison))
+        header, payload = read_checkpoint(path)
+        flat = np.frombuffer(payload, dtype="<f8").copy()
+        flat[index] = value
+        write_checkpoint(path, header, flat.tobytes())
         with pytest.raises(CorruptCheckpointError, match="non-finite"):
             load_model(path)
 
@@ -905,40 +887,39 @@ class TestCheckpoint:
     @pytest.mark.parametrize("d", [0, -8, 7, "8", 8.0, True, 2 ** 24])
     def test_bad_width_rejected(self, tmp_path, d):
         _, _, path = self.make(tmp_path)
-        self.edit(path, lambda doc: doc.update(d=d))
+        header, payload = read_checkpoint(path)
+        write_checkpoint(path, {**header, "d": d}, payload)
         with pytest.raises(CorruptCheckpointError):
             load_model(path)
 
     @pytest.mark.parametrize("change, message", [
-        (lambda doc: doc["attribute_vocab"]["syntax"].remove("NP"), "do not fit"),
-        (edit_flat(lambda vec: vec[:-1]), "do not fit"),
-        (lambda doc: doc["attribute_vocab"]["rr"].append(7), "lists of strings"),
-        (lambda doc: doc["attribute_vocab"].update(syntax="NP"), "lists of strings"),
-        (lambda doc: doc["attribute_vocab"]["syntax"].append("NP"), "unique"),
-        (lambda doc: doc["attribute_vocab"]["rr"].append("NP"), "unique"),
-    ], ids=["label_removed", "flat_short", "label_not_a_string", "labels_not_a_list",
-            "label_repeated", "label_at_both_levels"])
+        (lambda vocab: vocab["syntax"].remove("NP"), "do not fit"),
+        (lambda vocab: vocab["rr"].append(7), "lists of strings"),
+        (lambda vocab: vocab.update(syntax="NP"), "lists of strings"),
+        (lambda vocab: vocab["syntax"].append("NP"), "unique"),
+        (lambda vocab: vocab["rr"].append("NP"), "unique"),
+    ], ids=["label_removed", "label_not_a_string", "labels_not_a_list", "label_repeated",
+            "label_at_both_levels"])
     def test_stored_parameters_must_fit_mode_and_vocabulary(self, tmp_path, change, message):
         _, _, path = self.make(tmp_path)
-        self.edit(path, change)
+        header, payload = read_checkpoint(path)
+        change(header["attribute_vocab"])
+        write_checkpoint(path, header, payload)
         with pytest.raises(CorruptCheckpointError, match=message):
             load_model(path)
 
-    @pytest.mark.parametrize("flat, message", [
-        (lambda flat: decode_flat({"flat": flat}).tolist(), "malformed"),
-        (lambda flat: 1.5, "malformed"),
-        (lambda flat: "1.5", "malformed"),
-        (lambda flat: flat[:-4] + "!!==", "malformed"),
-        (lambda flat: flat[:40] + "\n" + flat[40:], "malformed"),
-        (lambda flat: flat[:-4], "do not fit"),
-    ], ids=["json_list", "json_number", "number_as_text", "not_base64", "line_break",
-            "bytes_not_whole_values"])
-    def test_flat_must_be_base64_of_the_layout(self, tmp_path, flat, message):
+    @pytest.mark.parametrize("payload", [
+        lambda payload: payload[:-8],
+        lambda payload: payload[:-3],
+        lambda payload: payload + bytes(8),
+        lambda payload: payload + b"\n",
+    ], ids=["flat_short", "bytes_not_whole_values", "flat_long", "trailing_line_break"])
+    def test_payload_must_be_the_layout_bytes(self, tmp_path, payload):
         _, _, path = self.make(tmp_path)
-        self.edit(path, lambda doc: doc.update(flat=flat(doc["flat"])))
-        with pytest.raises(CorruptCheckpointError, match=message):
+        header, stored = read_checkpoint(path)
+        write_checkpoint(path, header, payload(stored))
+        with pytest.raises(CorruptCheckpointError, match="do not fit"):
             load_model(path)
-
 
     @pytest.mark.parametrize("syntax, rr, message", [
         (["NS-x", "NN"], [], "syntax label 'NS-x' is a RR"),
@@ -953,13 +934,14 @@ class TestCheckpoint:
     def test_label_must_belong_to_its_level(self, tmp_path, mode, syntax, rr, message):
         path = tmp_path / "model.json"
         save_model(make_model(mode, trees=[parse_sexpr(TWO_EDU)]), path)
-        self.edit(path, lambda doc: doc.update(attribute_vocab={"syntax": syntax, "rr": rr}))
+        header, payload = read_checkpoint(path)
+        write_checkpoint(path, {**header, "attribute_vocab": {"syntax": syntax, "rr": rr}}, payload)
         with pytest.raises(CorruptCheckpointError, match=message):
             load_model(path)
 
 
 def legacy_save(params, path):
-    """The checkpoint writer the chunked save_model must reproduce byte for byte."""
+    """A version 3 checkpoint: one JSON object holding ``flat`` as base64 text."""
     doc = {
         "version": 3,
         "mode": params.mode.value,
@@ -973,80 +955,60 @@ def legacy_save(params, path):
         fh.write("\n")
 
 
-@pytest.mark.parametrize("mode, ablation, labels, size", [
-    (SharingMode.UNIFIED, AblationMode.FULL, 0, 45_202),
-    (SharingMode.ATTRIBUTE_SPECIFIC, AblationMode.FULL, 5, 12 * 45_000 + 202),
-    (SharingMode.ATTRIBUTE_SPECIFIC, AblationMode.NO_STRUCTURE, 5, 202),
-], ids=["unified", "attribute", "no_structure"])
-@pytest.mark.parametrize("chunk", [3, 6, 300, None], ids=lambda c: f"chunk{c}")
-def test_save_matches_the_single_dump_bytes(tmp_path, monkeypatch, mode, ablation, labels, size, chunk):
-    if chunk is not None:
-        monkeypatch.setattr("hero.model._SAVE_CHUNK", chunk)
+def test_version_3_checkpoint_is_refused(tmp_path):
+    tree = parse_sexpr(TWO_EDU)
+    legacy_save(make_model(SharingMode.ATTRIBUTE_SPECIFIC, trees=[tree]), tmp_path / "v3.json")
+    refusal = "checkpoint version 3, this build reads 4"
+    with pytest.raises(VersionMismatchError, match=f"^{refusal}$"):
+        load_model(tmp_path / "v3.json")
+    table = random_embedding_table(np.random.default_rng(5), leaf_words(tree), 8)
+    (tmp_path / "vectors.txt").write_text(
+        "".join(word + "".join(f" {v!r}" for v in vec.tolist()) + "\n" for word, vec in table.vectors.items())
+    )
+    (tmp_path / "one.tree").write_text(TWO_EDU)
+    line = assert_one_line_exit(["predict", "--model", str(tmp_path / "v3.json"), "--embeddings",
+                                 str(tmp_path / "vectors.txt"), "--tree", str(tmp_path / "one.tree")], 2)
+    assert line == f"error: {refusal}"
+
+
+# Every mode and ablation at width 8, and the width-100 attribute model with
+# 5 labels per level (12 keys, 540,202 values).
+ROUND_TRIPS = [(mode, ablation, 8, 1) for mode in SharingMode for ablation in AblationMode]
+ROUND_TRIPS.append((SharingMode.ATTRIBUTE_SPECIFIC, AblationMode.FULL, 100, 5))
+
+
+@pytest.mark.parametrize("mode, ablation, d, labels", ROUND_TRIPS,
+                         ids=[f"{m.value}-{a.value}-d{d}" for m, a, d, _ in ROUND_TRIPS])
+def test_checkpoint_is_the_header_line_then_the_flat_bytes(tmp_path, mode, ablation, d, labels):
     vocab = AttributeVocab(tuple(f"P{i}" for i in range(labels)), tuple(f"NS-r{j}" for j in range(labels)))
-    params = init_model(100, mode, ablation, vocab, seed=3, random_classifier=True)
-    assert params.flat.size == size
-    save_model(params, tmp_path / "new.json")
-    legacy_save(params, tmp_path / "old.json")
-    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
-
-
-# Unified full models of 306, 472 and 674 values: base64 text with 0, 1 and
-# 2 padding characters.
-PADDED_WIDTHS = {0: 8, 1: 10, 2: 12}
-
-
-def unified_checkpoint(tmp_path, d):
-    params = init_model(d, SharingMode.UNIFIED, seed=d, random_classifier=True)
+    params = init_model(d, mode, ablation, vocab, seed=3, random_classifier=True)
     path = tmp_path / "model.json"
     save_model(params, path)
-    return params, path, json.loads(path.read_text())["flat"]
+    loaded = load_model(path)
+    assert loaded.flat.dtype == np.float64 and loaded.flat.flags.c_contiguous
+    assert loaded.flat.tobytes() == params.flat.tobytes()
+    first = path.read_bytes()
+    size = model.flat_size(d, len(registry_keys(mode, ablation, vocab)))
+    assert len(first) == len(first.partition(b"\n")[0]) + 1 + 8 * size
+    save_model(params, path)
+    assert path.read_bytes() == first
 
 
-class TestChunkedLoad:
-    @pytest.mark.parametrize("padding", list(PADDED_WIDTHS))
-    @pytest.mark.parametrize("chunk", ["4", "8", "12", "len-4", "len", "len+4"])
-    def test_round_trip_straddling_the_chunk(self, tmp_path, monkeypatch, padding, chunk):
-        params, path, text = unified_checkpoint(tmp_path, PADDED_WIDTHS[padding])
-        assert text[-2:].count("=") == padding
-        size = int(chunk) if chunk.isdigit() else len(text) + int(chunk[3:] or 0)
-        monkeypatch.setattr("hero.model._LOAD_CHUNK", size)
-        loaded = load_model(path)
-        assert loaded.flat.dtype == np.float64 and loaded.flat.flags.c_contiguous
-        assert loaded.flat.tobytes() == params.flat.tobytes()
-
-    @pytest.mark.parametrize("padded", [
-        lambda text: text[:6] + "==" + text[8:],
-        lambda text: text[:7] + "=" + text[8:],
-        lambda text: text[:2] + "==" + text[4:],
-    ], ids=["two_at_chunk_end", "one_at_chunk_end", "inside_chunk"])
-    def test_padding_inside_a_non_final_chunk_is_rejected(self, tmp_path, monkeypatch, padded):
-        # The byte count follows from the last group's padding only, so this
-        # text has the right count and is rejected while decoding.
-        _, path, text = unified_checkpoint(tmp_path, PADDED_WIDTHS[0])
-        doc = json.loads(path.read_text())
-        doc["flat"] = padded(text)
-        path.write_text(json.dumps(doc))
-        monkeypatch.setattr("hero.model._LOAD_CHUNK", 8)
-        with pytest.raises(CorruptCheckpointError):
-            load_model(path)
-
-    def test_peak_is_the_text_plus_about_one_model(self, tmp_path):
-        # The old decode held the text, its bytes, the decoded bytes and an
-        # astype copy (text + 2.3 models). json.load holds the file text and
-        # the parsed string at once, text + 1.33 models, so that sets the
-        # floor; the chunked decode stays under it.
-        vocab = AttributeVocab(tuple(f"P{i}" for i in range(10)), tuple(f"NS-r{j}" for j in range(8)))
-        params = init_model(100, SharingMode.ATTRIBUTE_SPECIFIC, vocab=vocab, seed=3)
-        path = tmp_path / "model.json"
-        save_model(params, path)
-        tracemalloc.start()
-        try:
-            load_model(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        model = params.flat.nbytes
-        assert peak < path.stat().st_size + 1.5 * model, f"text + {(peak - path.stat().st_size) / model:.2f} models"
+def test_load_peak_is_about_one_model(tmp_path):
+    # The file's bytes are read straight into the parameter vector; the
+    # rest of the peak is np.isfinite's bool mask, an eighth of the model.
+    vocab = AttributeVocab(tuple(f"P{i}" for i in range(10)), tuple(f"NS-r{j}" for j in range(8)))
+    params = init_model(100, SharingMode.ATTRIBUTE_SPECIFIC, vocab=vocab, seed=3)
+    path = tmp_path / "model.json"
+    save_model(params, path)
+    tracemalloc.start()
+    try:
+        load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    model_bytes = params.flat.nbytes
+    assert peak < 1.25 * model_bytes, f"{peak / model_bytes:.2f} models"
 
 
 def layout_views(m):

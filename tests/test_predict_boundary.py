@@ -1,11 +1,11 @@
 """Mutations of ``hero predict``'s three inputs, run in-process.
 
-A d=8 attribute-specific checkpoint (header fields and base64 text), a small
-embedding table (rows and bytes) and a tree (bytes, as a file and on stdin)
-are each spoiled in turn while the other two stay valid. Every run must end
-on the documented exit contract: 0 with one probability on stdout, 1 for an
-invalid tree, 2 for an I/O or format error; a failing run writes one stderr
-line, no traceback and nothing on stdout.
+A d=8 attribute-specific checkpoint (header fields, header line bytes and
+payload bytes), a small embedding table (rows and bytes) and a tree (bytes,
+as a file and on stdin) are each spoiled in turn while the other two stay
+valid. Every run must end on the documented exit contract: 0 with one
+probability on stdout, 1 for an invalid tree, 2 for an I/O or format error;
+a failing run writes one stderr line, no traceback and nothing on stdout.
 """
 
 import json
@@ -15,13 +15,13 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cli_contract import mutate, run_cli
+from cli_contract import mutate, read_checkpoint, run_cli, write_checkpoint
 from hero.ling_tree import leaf_words, parse_sexpr
 from hero.model import AttributeVocab, SharingMode, init_model, save_model
 
 TREE = "(NS-elaboration (EDU (S (NP (NNP Obama)) (VP (VBD spoke)) (, ,))) (NN-joint (EDU (NP (PRP He))) (EDU (VP (VBD left)))))"
 SENTINEL = "@@value@@"
-FIELDS = ("version", "mode", "ablation", "d", "attribute_vocab", "syntax", "rr", "flat")
+FIELDS = ("version", "mode", "ablation", "d", "attribute_vocab", "syntax", "rr")
 HUGE = "9" * 5000  # past the int-to-str digit limit
 
 SETTINGS = settings(
@@ -48,7 +48,10 @@ def _ops(payloads):
 
 
 _not_utf8 = [b"\xff", b"\x80", b"\xc3", b"\xed\xa0\x80"]
-_flat_ops = _ops([b"=", b"==", b"A", b"AAAA", b"+/", b"\\u0041", b'"', b"\\", *_not_utf8])
+# Line breaks and undecodable bytes inserted into the header line.
+_line_ops = st.lists(st.tuples(st.just("insert"), st.integers(0, 10**6), st.sampled_from([b"\n", *_not_utf8])),
+                     max_size=2)
+_payload_ops = _ops([b"\n", bytes(8), b"\xff" * 8, b"\x00\x00\x00\x00\x00\x00\xf0\x7f", *_not_utf8])
 _tree_ops = _ops([b"(", b")", b"(" * 3000, b"(NS- ", b"(XX-y ", b"(EDU ", b" (NNP x)", b"\x00", *_not_utf8])
 _table_ops = _ops([b" 0.5", b"\n", b"nan", b"inf", b"1e999", b"abc", b"Obama", *_not_utf8])
 _row_fault = st.tuples(
@@ -68,18 +71,18 @@ def base(tmp_path_factory):
     rng = np.random.default_rng(4)
     words = sorted(set(leaf_words(tree))) + ["unused", "Other"]
     table = "".join(w + " " + " ".join(repr(float(v)) for v in rng.uniform(-1, 1, 8)) + "\n" for w in words)
-    return {"header": json.loads((root / "model.json").read_text(encoding="utf-8")),
-            "table": table.encode(), "tree": TREE.encode()}
+    header, payload = read_checkpoint(root / "model.json")
+    return {"header": header, "payload": payload, "table": table.encode(), "tree": TREE.encode()}
 
 
 def _predict(tmp_path, base, model=None, table=None, tree=None, stdin=False):
-    """Write the inputs (base ones where not given) and run ``hero predict``;
-    checks the exit contract and returns the exit code."""
-    files = {}
-    for name, data in (("model", model), ("table", table), ("tree", tree)):
-        files[name] = tmp_path / name
-        files[name].write_bytes(data if data is not None else (
-            json.dumps(base["header"]).encode() if name == "model" else base[name]))
+    """Write the inputs (base ones where not given; the model as its header
+    and payload) and run ``hero predict``; checks the exit contract and
+    returns the exit code."""
+    files = {name: tmp_path / name for name in ("model", "table", "tree")}
+    write_checkpoint(files["model"], *(model or (base["header"], base["payload"])))
+    for name, data in (("table", table), ("tree", tree)):
+        files[name].write_bytes(data if data is not None else base[name])
     argv = ["predict", "--model", str(files["model"]), "--embeddings", str(files["table"])]
     if stdin:
         code, out, err = run_cli(argv, files["tree"].read_bytes().decode(errors="surrogateescape"))
@@ -93,8 +96,8 @@ def _predict(tmp_path, base, model=None, table=None, tree=None, stdin=False):
     return code
 
 
-def _checkpoint(header: dict, edits) -> bytes:
-    """The checkpoint with each edit's field set to its raw JSON text, or
+def _header_line(header: dict, edits) -> bytes:
+    """The header line with each edit's field set to its raw JSON text, or
     dropped when that is None; ``syntax`` and ``rr`` are vocabulary levels."""
     doc = json.loads(json.dumps(header))
     raws = []
@@ -113,24 +116,26 @@ def _checkpoint(header: dict, edits) -> bytes:
 
 
 @SETTINGS
-@given(edits=st.lists(_header, min_size=1, max_size=2))
-@example(edits=[("d", HUGE)])
-@example(edits=[("version", HUGE)])
-@example(edits=[("d", "9" * 4000)])
-@example(edits=[("syntax", '["NS-elaboration"]')])
-def test_mutated_checkpoint_header_keeps_exit_contract(tmp_path, base, edits):
-    code = _predict(tmp_path, base, model=_checkpoint(base["header"], edits))
+@given(edits=st.lists(_header, min_size=1, max_size=2), ops=_line_ops)
+@example(edits=[("d", HUGE)], ops=[])
+@example(edits=[("version", HUGE)], ops=[])
+@example(edits=[("d", "9" * 4000)], ops=[])
+@example(edits=[("syntax", '["NS-elaboration"]')], ops=[])
+@example(edits=[("version", "4")], ops=[("insert", 20, b"\n")])
+@example(edits=[("version", "4")], ops=[("insert", 20, b"\xff")])
+def test_mutated_checkpoint_header_keeps_exit_contract(tmp_path, base, edits, ops):
+    line = mutate(_header_line(base["header"], edits), ops)
+    code = _predict(tmp_path, base, model=(line, base["payload"]))
     assert code in (0, 2)
 
 
 @SETTINGS
-@given(ops=_flat_ops)
-@example(ops=[("insert", 8, b"=")])
+@given(ops=_payload_ops)
+@example(ops=[("insert", 8, b"\n")])
 @example(ops=[("truncate", 5)])
-def test_mutated_checkpoint_text_keeps_exit_contract(tmp_path, base, ops):
-    before, after = json.dumps({**base["header"], "flat": SENTINEL}).encode().split(SENTINEL.encode())
-    model = before + mutate(base["header"]["flat"].encode(), ops) + after
-    code = _predict(tmp_path, base, model=model)
+@example(ops=[("flip", 7, 6)])
+def test_mutated_checkpoint_payload_keeps_exit_contract(tmp_path, base, ops):
+    code = _predict(tmp_path, base, model=(base["header"], mutate(base["payload"], ops)))
     assert code in (0, 2)
 
 
