@@ -1,6 +1,9 @@
 import base64
 import json
 import math
+import os
+import re
+import stat
 import tracemalloc
 from dataclasses import replace
 
@@ -842,12 +845,75 @@ class TestCheckpoint:
         save_model(m, other)
         assert path.read_bytes() == other.read_bytes()
 
-    @pytest.mark.parametrize("version", [1, 2, 99])
+    @pytest.mark.parametrize("version", [0, 1, 2, 3, 5, 99, "4", None])
     def test_version_mismatch(self, tmp_path, version):
         _, _, path = self.make(tmp_path)
         header, payload = read_checkpoint(path)
         write_checkpoint(path, {**header, "version": version}, payload)
-        with pytest.raises(VersionMismatchError):
+        with pytest.raises(VersionMismatchError, match=f"^checkpoint version {re.escape(repr(version))}, "):
+            load_model(path)
+
+    @pytest.mark.parametrize("spoil, message", [
+        (lambda line, payload: b"", "unreadable"),
+        (lambda line, payload: b"\n" + payload, "unreadable"),
+        (lambda line, payload: line[: len(line) // 2], "unreadable"),
+        (lambda line, payload: line.replace(b", ", b",\n", 1) + b"\n" + payload, "unreadable"),
+        (lambda line, payload: line.replace(b'"NP"', b'"N\xffP"') + b"\n" + payload, "unreadable"),
+        (lambda line, payload: b"[" * 200_000 + b"\n" + payload, "unreadable"),
+        (lambda line, payload: line.replace(b'"d": 8', b'"d": 8' + b"0" * 5000) + b"\n" + payload, "unreadable"),
+        (lambda line, payload: b"[4]\n" + payload, "not a model checkpoint"),
+        (lambda line, payload: line.replace(b'"version": 4', b'"revision": 4') + b"\n" + payload,
+         "not a model checkpoint"),
+    ], ids=["empty_file", "blank_header", "header_cut", "line_break_in_header", "non_utf8_header",
+            "deep_header", "over_long_integer", "header_not_an_object", "no_version"])
+    def test_header_line_must_be_a_checkpoint_header(self, tmp_path, spoil, message):
+        _, _, path = self.make(tmp_path)
+        line, _, payload = path.read_bytes().partition(b"\n")
+        spoiled = spoil(line, payload)
+        assert spoiled != path.read_bytes()
+        path.write_bytes(spoiled)
+        with pytest.raises(CorruptCheckpointError, match=message):
+            load_model(path)
+
+    @pytest.mark.parametrize("change", [
+        lambda header: header.update(mode="shared"),
+        lambda header: header.update(mode=None),
+        lambda header: header.update(ablation="no_words"),
+        lambda header: header.pop("mode"),
+        lambda header: header.pop("ablation"),
+        lambda header: header.pop("d"),
+        lambda header: header.pop("attribute_vocab"),
+        lambda header: header["attribute_vocab"].pop("rr"),
+        lambda header: header.update(attribute_vocab=["NP"]),
+    ], ids=["mode_unknown", "mode_null", "ablation_unknown", "mode_missing", "ablation_missing",
+            "width_missing", "vocabulary_missing", "level_missing", "vocabulary_not_an_object"])
+    def test_header_fields_must_name_a_layout(self, tmp_path, change):
+        _, _, path = self.make(tmp_path)
+        header, payload = read_checkpoint(path)
+        change(header)
+        write_checkpoint(path, header, payload)
+        with pytest.raises(CorruptCheckpointError, match="malformed checkpoint"):
+            load_model(path)
+
+    @pytest.mark.parametrize("shrink", [1, 8, "payload"])
+    def test_file_that_shrinks_after_its_size_is_read(self, tmp_path, monkeypatch, shrink):
+        # fstat still reports the saved size, so only the short read can
+        # tell that bytes went missing.
+        _, _, path = self.make(tmp_path)
+        raw = path.read_bytes()
+        if shrink == "payload":
+            shrink = len(raw) - len(raw.partition(b"\n")[0]) - 1
+        path.write_bytes(raw[:-shrink])
+        real_fstat = os.fstat
+
+        def saved_size(fd):
+            fields = list(real_fstat(fd))
+            fields[stat.ST_SIZE] = len(raw)
+            return os.stat_result(fields)
+
+        monkeypatch.setattr(model.os, "fstat", saved_size)
+        expected = len(raw) - len(raw.partition(b"\n")[0]) - 1
+        with pytest.raises(CorruptCheckpointError, match=f"{expected - shrink} bytes stored, {expected} expected"):
             load_model(path)
 
     def test_header_line_and_payload(self, tmp_path):
@@ -913,7 +979,11 @@ class TestCheckpoint:
         lambda payload: payload[:-3],
         lambda payload: payload + bytes(8),
         lambda payload: payload + b"\n",
-    ], ids=["flat_short", "bytes_not_whole_values", "flat_long", "trailing_line_break"])
+        lambda payload: b"",
+        lambda payload: payload + b"\0",
+        lambda payload: payload * 2,
+    ], ids=["flat_short", "bytes_not_whole_values", "flat_long", "trailing_line_break", "empty",
+            "one_byte_long", "flat_twice"])
     def test_payload_must_be_the_layout_bytes(self, tmp_path, payload):
         _, _, path = self.make(tmp_path)
         header, stored = read_checkpoint(path)
