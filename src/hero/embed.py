@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ling_tree import LingTree, NodeKind, iter_nodes
+from .ling_tree import LingTree, leaf_words
 
 
 class EmbeddingError(ValueError):
@@ -119,7 +119,7 @@ class LeafEmbeddings:
 
 
 def embed_leaves(table: EmbeddingTable, tree: LingTree) -> LeafEmbeddings:
-    found = [table.get(n.label) for n in iter_nodes(tree.root) if n.kind is NodeKind.WORD]
+    found = [table.get(word) for word in leaf_words(tree)]
     zero = np.zeros(table.dim)
     vectors = np.array([zero if vec is None else vec for vec in found]).reshape(-1, table.dim)
     return LeafEmbeddings(vectors, sum(vec is None for vec in found))

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import os
 from dataclasses import dataclass, field, replace
 from itertools import islice
@@ -62,6 +63,7 @@ UNK_SYNTAX = "UNK SYNTAX"
 UNK_RR = "UNK RR"
 
 CHECKPOINT_VERSION = 4
+MAX_HEADER_BYTES = 1 << 20  # load_model's longest header line, "\n" included; 10,000 labels take ~100 KB
 
 
 class MissingTraceError(ValueError):
@@ -178,19 +180,20 @@ def init_model(
     rng: np.random.Generator | None = None,
     random_classifier: bool = False,
 ) -> ModelParams:
-    """Fresh parameters: GRU matrices uniform in +-1/sqrt(fan-in), classifier
-    zeroed unless ``random_classifier`` (useful for gradient checking)."""
+    """Fresh parameters drawn straight into ``flat``: per key, fwd then bwd
+    GRU, w then u, uniform in +-1/sqrt(fan-in); the classifier stays zero
+    unless ``random_classifier`` (for gradient checking) draws its w then b."""
     if rng is None:
         rng = np.random.default_rng(seed)
     params = ModelParams(d, mode, ablation, vocab)
+    sw, su = 1.0 / math.sqrt(d), 1.0 / math.sqrt(d // 2)
     for pair in params.registry.values():
         for gru in (pair.fwd, pair.bwd):
-            drawn = nn.GruParams.init(d, rng)
-            gru.w[...], gru.u[...] = drawn.w, drawn.u
+            gru.w[...] = rng.uniform(-sw, sw, gru.w.shape)
+            gru.u[...] = rng.uniform(-su, su, gru.u.shape)
     if random_classifier:
-        clf = nn.ClassifierParams.init(d, rng)
-        params.classifier.w[...] = clf.w
-        params.classifier.b[...] = clf.b
+        for view in (params.classifier.w, params.classifier.b):
+            view[...] = rng.uniform(-sw, sw, view.shape)
     return params
 
 
@@ -511,12 +514,19 @@ def save_model(params: ModelParams, path) -> None:
 def load_model(path) -> ModelParams:
     """Inverse of save_model; predictions of the loaded model are bit-identical.
 
-    The bytes after the header line are counted and checked against the
-    header's layout before anything of that size is allocated, then read
+    A file with no line break in its first MAX_HEADER_BYTES is refused
+    unparsed. The bytes after the header line are counted and checked against
+    the header's layout before anything of that size is allocated, then read
     straight into the parameter vector, so a load holds one model."""
     with open(path, "rb") as fh:
+        head = fh.read(MAX_HEADER_BYTES)
+        end = head.find(b"\n") + 1 or len(head)  # a file with no line break is all header
+        if end == MAX_HEADER_BYTES and not head.endswith(b"\n"):
+            raise CorruptCheckpointError(f"{path} has no header line in its first {MAX_HEADER_BYTES} bytes")
+        head = head[:end]  # frees the payload bytes read with the header
+        fh.seek(end)
         try:
-            doc = json.loads(fh.readline())
+            doc = json.loads(head)
         except (ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8, an over-long integer
             raise CorruptCheckpointError(f"unreadable checkpoint {path}: {exc}") from exc
         if not isinstance(doc, dict) or "version" not in doc:

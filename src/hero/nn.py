@@ -81,12 +81,6 @@ class GruParams:
     def copy(self) -> "GruParams":
         return GruParams(self.w.copy(), self.u.copy())
 
-    @classmethod
-    def init(cls, d: int, rng: np.random.Generator) -> "GruParams":
-        """Uniform init in +-1/sqrt(fan-in)."""
-        sw, su = 1.0 / math.sqrt(d), 1.0 / math.sqrt(d // 2)
-        return cls(rng.uniform(-sw, sw, (3 * d // 2, d)), rng.uniform(-su, su, (3 * d // 2, d // 2)))
-
     def matrices(self) -> tuple[np.ndarray, ...]:
         """The six gate matrices as views: W_r W_z W_h U_r U_z U_h."""
         return (*np.split(self.w, 3, axis=-2), *np.split(self.u, 3, axis=-2))
@@ -257,11 +251,6 @@ class ClassifierParams:
 
     w: np.ndarray
     b: np.ndarray
-
-    @classmethod
-    def init(cls, d: int, rng: np.random.Generator) -> "ClassifierParams":
-        s = 1.0 / math.sqrt(d)
-        return cls(rng.uniform(-s, s, (2, d)), rng.uniform(-s, s, 2))
 
     def copy(self) -> "ClassifierParams":
         return ClassifierParams(self.w.copy(), self.b.copy())

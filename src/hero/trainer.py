@@ -356,7 +356,11 @@ def train(split: Split, config: TrainConfig, table: EmbeddingTable) -> tuple[Mod
     allocated at the first improvement and refilled at each later one. The
     moments are released once the final epoch's updates are done, before
     its snapshot is taken.
+
+    An empty training split raises TooFewDocumentsError before any work.
     """
+    if not split.train:
+        raise TooFewDocumentsError("need at least 1 training document, got 0")
     rng = np.random.default_rng(config.seed)
     if config.mode is SharingMode.ATTRIBUTE_SPECIFIC:
         vocab = AttributeVocab.from_trees(doc.tree for doc in split.train)

@@ -17,7 +17,7 @@ from hero.ling_tree import (
     LingTree, NodeKind, TreeNode, iter_nodes, leaf_words, parse_sexpr, post_order, serialize_sexpr,
 )
 from hero.model import (
-    CHUNK_ROWS, AblationMode, AttributeVocab, CorruptCheckpointError,
+    CHUNK_ROWS, MAX_HEADER_BYTES, AblationMode, AttributeVocab, CorruptCheckpointError,
     DimMismatchError, DocumentEncoding, MissingTraceError, ModelParams,
     SharingMode, VersionMismatchError,
     DISCOURSE_KEY, SYNTAX_KEY, UNIFIED_KEY, UNK_RR, UNK_SYNTAX,
@@ -1081,6 +1081,41 @@ def test_load_peak_is_about_one_model(tmp_path):
     assert peak < 1.25 * model_bytes, f"{peak / model_bytes:.2f} models"
 
 
+def test_header_line_is_looked_for_in_the_first_header_bytes(tmp_path):
+    """A file of twice MAX_HEADER_BYTES with no line break is refused after
+    one read of MAX_HEADER_BYTES; nothing past them is read or parsed."""
+    path = tmp_path / "model.json"
+    path.write_bytes(b'{"version": 4, "pad": "' + b"x" * (2 * MAX_HEADER_BYTES))
+    refusal = f"{path} has no header line in its first {MAX_HEADER_BYTES} bytes"
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptCheckpointError, match=f"^{re.escape(refusal)}$"):
+            load_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * MAX_HEADER_BYTES, f"{peak / MAX_HEADER_BYTES:.2f} caps"
+    line = assert_one_line_exit(["predict", "--model", str(path), "--embeddings", str(tmp_path / "none.txt"),
+                                 "--tree", str(tmp_path / "none.tree")], 2)
+    assert line == f"error: {refusal}"
+
+
+@pytest.mark.parametrize("pad, loads", [(0, True), (1, False)], ids=["line_fills_the_cap", "one_byte_over"])
+def test_header_line_may_fill_the_header_bytes(tmp_path, pad, loads):
+    """A header line of MAX_HEADER_BYTES, its line break included, loads (JSON
+    allows trailing blanks); one byte longer and it is refused."""
+    params = make_model(SharingMode.UNIFIED)
+    path = tmp_path / "model.json"
+    save_model(params, path)
+    line, _, payload = path.read_bytes().partition(b"\n")
+    write_checkpoint(path, line.ljust(MAX_HEADER_BYTES - 1 + pad), payload)
+    if loads:
+        assert load_model(path).flat.tobytes() == params.flat.tobytes()
+    else:
+        with pytest.raises(CorruptCheckpointError, match="has no header line in its first"):
+            load_model(path)
+
+
 def layout_views(m):
     """The registry and classifier views in the documented flat order."""
     for pair in m.registry.values():
@@ -1091,26 +1126,40 @@ def layout_views(m):
 
 
 class TestFlatLayout:
-    @pytest.mark.parametrize("mode", list(SharingMode))
     @pytest.mark.parametrize("random_classifier", [False, True])
-    def test_init_equals_sequential_per_matrix_draws(self, mode, random_classifier):
-        tree = parse_sexpr(TWO_EDU)
-        m = make_model(mode, trees=[tree], seed=4, random_classifier=random_classifier)
+    @pytest.mark.parametrize("d", [2, 8, 100])
+    @pytest.mark.parametrize("ablation", list(AblationMode))
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    def test_init_equals_sequential_per_matrix_draws(self, mode, ablation, d, random_classifier):
+        """Key by key, the fwd then the bwd GRU, each its w (fan-in d) then its
+        u (fan-in d/2), uniform in +-1/sqrt(fan-in); then the classifier's w
+        and b in +-1/sqrt(d), or zeros. Nothing else is drawn."""
+        vocab = AttributeVocab(("NP", "VP"), ("NS-elaboration",))
         rng = np.random.default_rng(4)
-        drawn = [mat for _ in range(2 * len(m.registry)) for mat in nn.GruParams.init(8, rng).matrices()]
+        m = init_model(d, mode, ablation, vocab, rng=rng, random_classifier=random_classifier)
+        ref = np.random.default_rng(4)
+        sw, su = 1 / math.sqrt(d), 1 / math.sqrt(d / 2)
+        drawn = []
+        for _ in range(2 * len(registry_keys(mode, ablation, vocab))):
+            drawn.append(ref.uniform(-sw, sw, (3 * d // 2, d)))
+            drawn.append(ref.uniform(-su, su, (3 * d // 2, d // 2)))
         if random_classifier:
-            clf = nn.ClassifierParams.init(8, rng)
+            drawn += [ref.uniform(-sw, sw, (2, d)), ref.uniform(-sw, sw, 2)]
         else:
-            clf = nn.ClassifierParams(np.zeros((2, 8)), np.zeros(2))
-        expected = np.concatenate([a.ravel() for a in (*drawn, clf.w, clf.b)])
+            drawn.append(np.zeros(2 * d + 2))
+        expected = np.concatenate([a.ravel() for a in drawn])
         assert m.flat.dtype == np.float64
-        assert np.array_equal(m.flat, expected)
+        assert m.flat.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("random_classifier", [False, True])
     @pytest.mark.parametrize("text", [TWO_EDU, UNK_LABELS], ids=["two_edu", "unk_labels"])
     @pytest.mark.parametrize("mode", list(SharingMode))
-    def test_writes_to_flat_are_seen_through_the_views(self, mode, text):
+    def test_writes_to_flat_are_seen_through_the_views(self, mode, text, random_classifier):
+        """Every registry and classifier array of a fresh model is a view of
+        ``flat``: init_model draws into them and rebinds none."""
         tree = parse_sexpr(text)
-        m = make_model(mode, trees=[tree], seed=6)
+        m = make_model(mode, trees=[tree], seed=6, random_classifier=random_classifier)
         views = list(layout_views(m))
         assert all(np.shares_memory(v, m.flat) for v in views)
         assert sum(v.size for v in views) == param_count(m) == m.flat.size

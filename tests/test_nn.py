@@ -32,9 +32,11 @@ def zero_pair(d):
 
 
 def init_pair(d, rng):
-    """A Bi-GRU pair: two GruParams.init draws stacked on the direction axis."""
-    fwd, bwd = GruParams.init(d, rng), GruParams.init(d, rng)
-    return GruParams(np.stack([fwd.w, bwd.w]), np.stack([fwd.u, bwd.u]))
+    """A Bi-GRU pair uniform in +-1/sqrt(fan-in), drawn fwd w, fwd u, bwd w, bwd u."""
+    sw, su = 1 / math.sqrt(d), 1 / math.sqrt(d // 2)
+    w, u = zip(*[(rng.uniform(-sw, sw, (3 * d // 2, d)), rng.uniform(-su, su, (3 * d // 2, d // 2)))
+                 for _ in range(2)])
+    return GruParams(np.stack(w), np.stack(u))
 
 
 def whole(pair, batch):

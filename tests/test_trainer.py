@@ -312,6 +312,13 @@ def quick_corpus(seed=0, n=60, d=8):
 
 
 class TestTrain:
+    def test_empty_training_split_rejected_before_any_work(self, monkeypatch):
+        split, table = quick_corpus()
+        for name in ("init_model", "evaluate"):
+            monkeypatch.setattr(hero.trainer, name, None)  # neither may run
+        with pytest.raises(TooFewDocumentsError, match="^need at least 1 training document, got 0$"):
+            train(replace(split, train=[]), TrainConfig(d=8), table)
+
     def test_lr_zero_changes_nothing(self):
         split, table = quick_corpus()
         cfg = TrainConfig(lr=0.0, max_epochs=3, seed=0, d=8)
@@ -531,6 +538,12 @@ class TestGridSearch:
         split, table = quick_corpus()
         with pytest.raises(ConfigError):
             grid_search_lr(split, TrainConfig(d=8), [], table)
+
+    def test_empty_training_split_rejected(self, monkeypatch):
+        split, table = quick_corpus()
+        monkeypatch.setattr(hero.trainer, "init_model", None)  # nothing may start
+        with pytest.raises(TooFewDocumentsError, match="^need at least 1 training document, got 0$"):
+            grid_search_lr(replace(split, train=[]), TrainConfig(d=8), [0.1, 0.01], table)
 
 
 def test_evaluate_runs_on_plain_doc_list():
