@@ -57,7 +57,10 @@ class TreeNode:
     """One vertex; ``children`` keeps document word order. Identity-hashed.
 
     Slotted, so a node carries no ``__dict__``; parse_sexpr interns every
-    label, so nodes with the same label share one string."""
+    label, so nodes with the same label share one string, and it gives every
+    occurrence of a word one shared leaf (see _WORDS). So no code changes a
+    built node, and a tree may hold one leaf at several places: a node's row
+    in a walk is its position in that walk, never its identity."""
 
     label: str
     kind: NodeKind
@@ -124,6 +127,20 @@ def _classify(label: str) -> tuple[NodeKind, tuple[NodeKind, ...]]:
     return entry
 
 
+# word -> the one leaf all its occurrences share, filled by _leaf as words are
+# first met; capped like _LABELS, and a word past the cap gets a fresh leaf
+# for each occurrence.
+_WORDS: dict[str, TreeNode] = {}
+_WORDS_MAX = 1 << 15
+
+
+def _leaf(word: str) -> TreeNode:
+    leaf = TreeNode(word, NodeKind.WORD)
+    if len(_WORDS) < _WORDS_MAX:
+        _WORDS[word] = leaf
+    return leaf
+
+
 def parse_sexpr(text: str, doc_id: str = "") -> LingTree:
     """Parse one bracketed tree and validate its structure.
 
@@ -131,14 +148,15 @@ def parse_sexpr(text: str, doc_id: str = "") -> LingTree:
     labels, everything else syntax; bare tokens are words) and the level
     stratification is enforced while building. Every label and word is
     passed through sys.intern, so a token repeated within a document or
-    across documents is held as one string.
+    across documents is held as one string, and a word's occurrences share
+    one leaf node.
 
     Raises UnbalancedParensError, EmptyNodeError, KindViolationError or
     UnknownRRPrefixError on bad input.
     """
     tokens = map(sys.intern, _tokenize(text))
     known = _LABELS.get
-    word = NodeKind.WORD
+    shared = _WORDS.get
     # The open node's label and children; the stack holds those of the nodes
     # around it, and (None, None) stands for outside the root.
     label, kids = None, None
@@ -168,7 +186,7 @@ def parse_sexpr(text: str, doc_id: str = "") -> LingTree:
         elif kids is None:
             raise UnbalancedParensError(f"bare token {tok!r} outside any node")
         else:
-            kids.append(TreeNode(tok, word))
+            kids.append(shared(tok) or _leaf(tok))
     if root is None:
         if kids is None:
             raise EmptyNodeError("empty input; expected one bracketed tree")
@@ -223,14 +241,16 @@ def post_order(root: TreeNode) -> list[TreeNode]:
 
 def serialize_sexpr(tree: LingTree) -> str:
     """Canonical single-space bracketed form; inverse of parse_sexpr."""
-    rendered: dict[TreeNode, str] = {}
+    done: list[str] = []  # the rendered subtrees whose parent the walk has not reached
     for node in post_order(tree.root):
         if node.kind is NodeKind.WORD:
-            rendered[node] = node.label
+            done.append(node.label)
         else:
-            inner = " ".join(rendered[c] for c in node.children)
-            rendered[node] = f"({node.label} {inner})"
-    return rendered[tree.root]
+            cut = len(done) - len(node.children)
+            inner = " ".join(done[cut:])
+            del done[cut:]
+            done.append(f"({node.label} {inner})")
+    return done[0]
 
 
 def leaf_words(tree: LingTree) -> list[str]:

@@ -29,6 +29,7 @@ import enum
 import json
 import math
 import os
+from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Iterator
@@ -279,30 +280,40 @@ def compile_tree(trees: list[LingTree], params: ModelParams) -> Iterator[Schedul
 
 def _compile(tree: LingTree, params: ModelParams) -> Schedule:
     """One tree's schedule: internal nodes grouped by (height, child count),
-    then registry key, in the order the post-order walk first reaches each."""
+    then registry key, in the order the post-order walk first reaches each.
+    A node's row is its position in that walk, never the node itself: a
+    parsed tree shares one leaf among a word's occurrences."""
     gru_kinds, mean_kinds, doc_kind = _ABLATION_PLANS[params.ablation]
     nodes = post_order(tree.root)
-    row = {node: i for i, node in enumerate(nodes)}
     # Heights count Bi-GRU nodes only, so under no_syntax the RR nodes
     # batch by discourse depth alone.
     height = [0] * len(nodes)
+    start = list(range(len(nodes)))  # per row, the first row of its subtree
+    done = []  # rows of the finished subtrees whose parent the walk has not reached
     groups = {}  # (height, child count) -> registry key -> (parent rows, child rows)
     words, means, unk = [], [], 0
-    for node, i in row.items():
+    document = [len(nodes) - 1] if doc_kind is None else []  # else filled by the walk
+    for i, node in enumerate(nodes):
         if node.kind is NodeKind.WORD:
             words.append(i)
-        elif node.kind in mean_kinds:
-            means.append((i, _frozen([row[n] for n in iter_nodes(node) if n.kind is NodeKind.WORD])))
+        else:
+            cut = len(done) - len(node.children)
+            kids = done[cut:]
+            del done[cut:]
+            start[i] = start[kids[0]]
+            if node.kind in mean_kinds:
+                means.append((i, _frozen(words[bisect_left(words, start[i]):])))
+        done.append(i)
+        if node.kind is doc_kind:
+            document.append(i)
         if node.kind not in gru_kinds:
             continue
-        kids = [row[c] for c in node.children]
         height[i] = 1 + max(height[c] for c in kids)
         key = _aggregator_key(params, node)
         unk += key in (UNK_SYNTAX, UNK_RR)
         parents, children = groups.setdefault((height[i], len(kids)), {}).setdefault(key, ([], []))
         parents.append(i)
         children += kids
-    document = [len(nodes) - 1] if doc_kind is None else [i for node, i in row.items() if node.kind is doc_kind]
     return Schedule(len(nodes), _frozen(words), tuple(means), _batches(groups), (_frozen(document),), (unk,))
 
 

@@ -19,6 +19,9 @@ and ablation (12 combinations) it covers:
   three corpus trees: the flat gradient vector;
 - the same at width 100 on two news-sized trees, and the document vectors
   of both trees and the corpus scored as one list (merged batches);
+- at width 100, the document vector (alone and in a list) and ``backward``
+  of a news-sized tree parsed back from its text, where every occurrence of
+  a word is one shared leaf;
 
 one ``hero train --grid`` run, and one attribute-specific ``hero train`` run
 at width 64 (442,498 parameters), large enough for ``nn.adam_step`` to
@@ -52,7 +55,7 @@ import numpy as np
 
 from hero.cli import run
 from hero.embed import EmbeddingTable
-from hero.ling_tree import LingTree, NodeKind, iter_nodes, leaf_words, serialize_sexpr
+from hero.ling_tree import LingTree, NodeKind, iter_nodes, leaf_words, parse_sexpr, serialize_sexpr
 from hero.model import (
     AblationMode, AttributeVocab, SharingMode, backward, encode_document, init_model, load_model, save_model,
 )
@@ -126,6 +129,7 @@ def main() -> None:
     words = sorted({w for tree in [*unseen, news, news2] for w in leaf_words(tree)})
     side_table = random_embedding_table(rng, words, D)
     wide_table = random_embedding_table(rng, [*words, *table.vectors], WIDE)
+    parsed = parse_sexpr(serialize_sexpr(news))  # 337 words, 30 distinct: 30 leaf objects
 
     write_dataset(docs, "train.jsonl")
     write_dataset([LabeledDocument(f"u{i}", t, i % 2) for i, t in enumerate(unseen)], "unseen.jsonl")
@@ -181,6 +185,10 @@ def main() -> None:
                 digest(f"{tag} d={WIDE} backward {name}", grads.flat.tobytes())
             encodings = encode_document(params, [news, *(doc.tree for doc in docs), news2], wide_table)
             digest(f"{tag} d={WIDE} batched h_doc", b"".join(enc.h_doc.tobytes() for enc in encodings))
+            enc = encode_document(params, parsed, wide_table)
+            encodings = [enc, *encode_document(params, [parsed, news, parsed], wide_table)]
+            digest(f"{tag} d={WIDE} parsed news h_doc", b"".join(e.h_doc.tobytes() for e in encodings))
+            digest(f"{tag} d={WIDE} backward parsed news", backward(params, enc, 1).flat.tobytes())
 
     Path("c.cfg").write_text(f"max_epochs=2\nseed=3\nd={D}\nmode=attribute_specific\n", encoding="utf-8")
     hero("grid train", ["train", "--data", "train.jsonl", "--embeddings", "vectors.txt", "--config", "c.cfg",

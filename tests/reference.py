@@ -131,7 +131,7 @@ def compile_reference(trees, params):
     stable sort by height orders the batches."""
     import numpy as np
 
-    from hero.ling_tree import NodeKind, iter_nodes, post_order
+    from hero.ling_tree import NodeKind
     from hero.model import (
         CHUNK_ROWS, UNK_RR, UNK_SYNTAX, _ABLATION_PLANS, Batch, Schedule, _aggregator_key,
     )
@@ -139,32 +139,40 @@ def compile_reference(trees, params):
     gru_kinds, mean_kinds, doc_kind = _ABLATION_PLANS[params.ablation]
     pending = iter(trees)
     while True:
-        height = []
+        height = []  # per row: a row is the node's place in the post-order walk
         groups = {}  # (height, child count) -> registry key -> (parent rows, child rows)
         words, means, documents, unk = [], [], [], []
-        for tree in pending:
-            nodes = post_order(tree.root)
-            row = {node: i for i, node in enumerate(nodes, len(height))}
-            height += [0] * len(nodes)
-            unk.append(0)
-            for node, i in row.items():
-                if node.kind is NodeKind.WORD:
-                    words.append(i)
-                elif node.kind in mean_kinds:
-                    means.append((i, [row[n] for n in iter_nodes(node) if n.kind is NodeKind.WORD]))
-                if node.kind not in gru_kinds:
-                    continue
-                kids = [row[c] for c in node.children]
+
+        def visit(node, document):
+            """Give the subtree's nodes the next free rows, children first;
+            return the node's row and the rows of the words below it."""
+            visited = [visit(child, document) for child in node.children]
+            i = len(height)
+            height.append(0)
+            below = [w for _, rows in visited for w in rows]
+            if node.kind is NodeKind.WORD:
+                words.append(i)
+                below = [i]
+            elif node.kind in mean_kinds:
+                means.append((i, below))
+            if node.kind is doc_kind:
+                document.append(i)
+            if node.kind in gru_kinds:
+                kids = [row for row, _ in visited]
                 height[i] = 1 + max(height[c] for c in kids)
                 key = _aggregator_key(params, node)
                 unk[-1] += key in (UNK_SYNTAX, UNK_RR)
                 parents, children = groups.setdefault((height[i], len(kids)), {}).setdefault(key, ([], []))
                 parents.append(i)
                 children.extend(kids)
+            return i, below
+
+        for tree in pending:
+            unk.append(0)
+            document = []
+            visit(tree.root, document)
             if doc_kind is None:
                 document = [len(height) - 1]
-            else:
-                document = [i for node, i in row.items() if node.kind is doc_kind]
             documents.append(np.array(document, dtype=np.intp))
             if len(height) >= CHUNK_ROWS:
                 break

@@ -219,6 +219,26 @@ class TestParseAgreesWithReference:
         assert_same_outcome(NEWS_TREE)
         assert len(labels) == 3
 
+    def test_word_memo_is_capped_and_shares_a_leaf_per_word_under_the_cap(self, monkeypatch):
+        words = {}
+        monkeypatch.setattr(ling_tree, "_WORDS", words)
+        monkeypatch.setattr(ling_tree, "_WORDS_MAX", 3)
+        text = "(NN-joint (EDU (NP (DT the) (NN cat) (DT the))) (EDU (S (NP (NN dog)) (VP (VBZ runs) (NN dog)))))"
+        tree = parse_sexpr(text)
+        assert tree_equal(tree.root, parse_reference(text).root)
+        assert_same_outcome(text)
+        assert list(words) == ["the", "cat", "dog"]
+        leaves = [n for n in iter_nodes(tree.root) if n.kind is NodeKind.WORD]
+        assert [leaf.label for leaf in leaves] == ["the", "cat", "the", "dog", "runs", "dog"]
+        # Under the cap a repeated word is one object, in this document and the next.
+        assert leaves[0] is leaves[2] is words["the"] and leaves[3] is leaves[5] is words["dog"]
+        again = [n for n in iter_nodes(parse_sexpr(text).root) if n.kind is NodeKind.WORD]
+        assert all(x is y for x, y in zip(leaves, again) if x.label != "runs")
+        # Past it, each occurrence gets a fresh leaf and the memo stays at the cap.
+        assert "runs" not in words and again[4] is not leaves[4] and again[4].label == "runs"
+        assert_same_outcome(NEWS_TREE)
+        assert len(words) == 3
+
 
 class TestSerialize:
     def test_round_trip_is_canonical(self):
@@ -281,9 +301,12 @@ class TestLayout:
         nnp = [n.label for n in iter_nodes(first.root) if n.label == "NNP"]
         assert len(nnp) == 6 and all(label is nnp[0] for label in nnp)
 
-    def test_parsed_bytes_per_node_bound(self):
-        # A slotted node with interned labels takes ~80 traced bytes; with an
-        # instance dict and a string per node it took ~170.
+    def test_parsed_bytes_per_node_bound(self, monkeypatch):
+        # A slotted node with interned labels and one shared leaf per word
+        # takes ~63 traced bytes, the word memo's own entries included; with
+        # a leaf per occurrence it took ~81, and with an instance dict and a
+        # string per node ~170.
+        monkeypatch.setattr(ling_tree, "_WORDS", {})
         rng = np.random.default_rng(5)
         texts = [serialize_sexpr(random_tree(rng).tree) for _ in range(300)]
         tracemalloc.start()
@@ -293,7 +316,7 @@ class TestLayout:
         finally:
             tracemalloc.stop()
         nodes = sum(1 for tree in trees for _ in iter_nodes(tree.root))
-        assert size / nodes < 120, f"{size / nodes:.1f} bytes per node"
+        assert size / nodes < 66, f"{size / nodes:.1f} bytes per node"
 
 
 def test_kind_stratification():

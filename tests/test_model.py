@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from cli_contract import assert_one_line_exit, read_checkpoint, write_checkpoint
-from hero import model, nn
+from hero import ling_tree, model, nn
 from hero.embed import EmbeddingTable
 from hero.ling_tree import (
     LingTree, NodeKind, TreeNode, iter_nodes, leaf_words, parse_sexpr, post_order, serialize_sexpr,
@@ -24,6 +24,7 @@ from hero.model import (
     backward, compile_tree, copy_model, encode_document, gradient_check_model, init_model,
     load_model, param_count, predict, registry_keys, save_model,
 )
+from hero.stats import compute_tree_stats
 from hero.synthetic import gradcheck_fixture, random_embedding_table, random_tree
 from reference import compile_reference, encode_reference
 
@@ -33,7 +34,8 @@ UNK_LABELS = "(NS-elaboration (EDU (UNK_SYNTAX (NN a))) (EDU (UNK_RR (NN b))))"
 
 
 def row_of(tree, node):
-    """A node's row in the encoder's node matrix: its post-order index."""
+    """An internal node's row in the encoder's node matrix: its post-order
+    index. A shared word leaf fills one row per place; this finds its first."""
     return post_order(tree.root).index(node)
 
 
@@ -389,11 +391,16 @@ def replay_backward(m, tree, table, y, first_seen=False):
     enc = encode_document(m, tree, table)
     schedule, hd = enc.schedule, m.d // 2
     key_of = {int(p): key for key, parents, _ in groups(schedule) for p in parents}
-    row = {node: i for i, node in enumerate(post_order(tree.root))}
-    height, order = [0] * len(row), {}
-    for node, i in row.items():
+    nodes = post_order(tree.root)
+    # Rows are post-order places: a node's last child sits just before it, and
+    # each earlier child just before the subtree of the child after it.
+    size, height, order = [1] * len(nodes), [0] * len(nodes), {}
+    for i, node in enumerate(nodes):
+        kids = []
+        for _ in node.children:
+            kids.insert(0, i - 1 - sum(size[c] for c in kids))
+        size[i] += sum(size[c] for c in kids)
         if i in key_of:
-            kids = [row[c] for c in node.children]
             height[i] = 1 + max(height[c] for c in kids)
             order.setdefault((height[i], key_of[i], len(kids)), []).append((i, kids))
     walk = sorted(order, key=lambda group: group[0])
@@ -646,6 +653,57 @@ class TestCompiledOnce:
             assert not any(array.flags.writeable for array in arrays)
             with pytest.raises(ValueError):
                 schedule.batches[0].parents[0] = 0
+
+
+# Words recur within an EDU and across EDUs, under different parents and at
+# different depths, so parse_sexpr hands one leaf object to several places.
+REPEATED = (
+    "(NS-elaboration (EDU (S (NP (DT the) (NN cat)) (VP (VBZ sees) (NP (DT the) (NN dog)))))"
+    " (NN-joint (EDU (NP (DT the) (NN dog)))"
+    " (EDU (S (NP (NN cat)) (VP (VBZ sees) (NN cat) (RB again))))))"
+)
+
+
+def unshared(node):
+    """A copy of the subtree with a fresh leaf at every word occurrence."""
+    if node.kind is NodeKind.WORD:
+        return TreeNode(node.label, node.kind)
+    return TreeNode(node.label, node.kind, tuple(unshared(child) for child in node.children))
+
+
+class TestSharedLeaves:
+    """A node's row is its place in the walk: a leaf object at several places
+    fills several rows, exactly as distinct leaves would."""
+
+    def test_fixture_shares_leaves_and_its_copy_does_not(self, monkeypatch):
+        monkeypatch.setattr(ling_tree, "_WORDS", {})  # a memo with room for every word
+        tree = parse_sexpr(REPEATED)
+        copy = LingTree(unshared(tree.root))
+        leaves = [n for n in iter_nodes(tree.root) if n.kind is NodeKind.WORD]
+        fresh = [n for n in iter_nodes(copy.root) if n.kind is NodeKind.WORD]
+        assert len({id(leaf) for leaf in leaves}) == len(set(leaf_words(tree))) == 5 < len(leaves) == 11
+        assert len({id(leaf) for leaf in fresh}) == len(fresh) == 11
+        assert leaf_words(tree) == leaf_words(copy)
+        assert AttributeVocab.from_trees([tree]) == AttributeVocab.from_trees([copy])
+        assert compute_tree_stats(tree) == compute_tree_stats(copy)
+        assert serialize_sexpr(tree) == serialize_sexpr(copy) == REPEATED
+
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    @pytest.mark.parametrize("ablation", list(AblationMode))
+    def test_shared_leaves_encode_and_backpropagate_as_fresh_ones(self, monkeypatch, mode, ablation):
+        monkeypatch.setattr(ling_tree, "_WORDS", {})
+        tree = parse_sexpr(REPEATED)
+        copy = LingTree(unshared(tree.root))
+        table = random_embedding_table(np.random.default_rng(64), leaf_words(tree), 8)
+        m = make_model(mode, ablation, trees=[tree], seed=65)
+        (expected,) = compile_reference([tree], m)
+        assert plain(schedule_of(m, tree)) == plain(expected) == plain(schedule_of(m, copy))
+        enc, enc_copy = encode_document(m, tree, table), encode_document(m, copy, table)
+        assert enc.h_doc.tobytes() == enc_copy.h_doc.tobytes()
+        listed = encode_document(m, [tree, copy, tree], table)
+        assert all(e.h_doc.tobytes() == enc.h_doc.tobytes() for e in listed)
+        assert backward(m, enc, 1).flat.tobytes() == backward(m, enc_copy, 1).flat.tobytes()
+        np.testing.assert_allclose(enc.h_doc, encode_reference(m, tree, table), atol=1e-10)
 
 
 class TestPredict:
