@@ -14,7 +14,8 @@ into a Schedule that it keeps: the rows of one node-vector matrix, batches
 of internal nodes that share a height and a child count, and the
 ablation's mean-pools. A batch lists its rows as segments, one per
 registry key, and runs as one kernel call over both GRU directions and
-every segment's weights; each row is multiplied on its own, so a node's
+every segment's weights; its products run in fixed blocks of nn.GEMM_ROWS
+rows, in which a row's bits do not depend on the other rows, so a node's
 vector does not depend on what else shares its batch. The backward pass
 replays the batches in reverse, and each batch's kernel call adds its
 segments' weight gradients, in row order, as it finishes: one walk, run
@@ -319,25 +320,37 @@ def _compile(tree: LingTree, params: ModelParams) -> Schedule:
 
 def merge(schedules: list[Schedule]) -> Schedule:
     """The schedule of the trees compiled together, each tree's rows shifted by
-    the rows before it (one is returned as is)."""
+    the rows before it (one is returned as is). Batches of one height and
+    child count join into one: their rows concatenated, then stably sorted
+    by registry key in first-seen order, as _batches would list them."""
     if len(schedules) == 1:
         return schedules[0]
     groups, words, means, documents, unk, offset = {}, [], (), (), (), 0
     for schedule in schedules:
         for batch in schedule.batches:
-            k = batch.children.shape[1]
-            segments = groups.setdefault((batch.height, k), {})
-            parents, children = (batch.parents + offset).tolist(), (batch.children + offset).ravel().tolist()
-            for key, rows in zip(batch.keys, batch.rows):
-                segment_parents, segment_children = segments.setdefault(key, ([], []))
-                segment_parents += parents[rows]
-                segment_children += children[rows.start * k:rows.stop * k]
+            groups.setdefault((batch.height, batch.children.shape[1]), []).append((batch, offset))
         words.append(schedule.words + offset)
         means += tuple((i + offset, _frozen(rows + offset)) for i, rows in schedule.word_means)
         documents += tuple(_frozen(rows + offset) for rows in schedule.documents)
         unk += schedule.unk
         offset += schedule.size
-    return Schedule(offset, _frozen(np.concatenate(words)), means, _batches(groups), documents, unk)
+    batches = []
+    for (h, _), members in sorted(groups.items(), key=lambda group: group[0][0]):
+        parts, offsets = zip(*members)
+        codes, segment_codes, segment_sizes = {}, [], []  # codes: key -> first-seen index
+        for batch in parts:
+            for key, rows in zip(batch.keys, batch.rows):
+                segment_codes.append(codes.setdefault(key, len(codes)))
+                segment_sizes.append(rows.stop - rows.start)
+        row_codes = np.repeat(segment_codes, segment_sizes)
+        order = np.argsort(row_codes, kind="stable")
+        shift = np.repeat(offsets, [len(batch.parents) for batch in parts])
+        parents = (np.concatenate([batch.parents for batch in parts]) + shift)[order]
+        children = (np.concatenate([batch.children for batch in parts]) + shift[:, None])[order]
+        stops = np.cumsum(np.bincount(row_codes)).tolist()
+        rows = tuple(slice(a, b) for a, b in zip([0, *stops], stops))
+        batches.append(Batch(h, tuple(codes), rows, _frozen(parents), _frozen(children), h > 1))
+    return Schedule(offset, _frozen(np.concatenate(words)), means, tuple(batches), documents, unk)
 
 
 def _batches(groups: dict) -> tuple[Batch, ...]:
@@ -383,7 +396,8 @@ def encode_document(params: ModelParams, trees, table: EmbeddingTable):
     that compile_tree closes runs as one batched pass and keeps no trace.
     One tree, as training passes it, gives its DocumentEncoding with the
     traces backward needs. Every h_doc is bit-identical to the tree's own
-    encoding, because the forward kernel multiplies each row on its own.
+    encoding, because the forward kernel's products run in fixed blocks of
+    nn.GEMM_ROWS rows, where a row's bits do not depend on its neighbours.
     """
     if table.dim != params.d:
         raise DimMismatchError(f"embedding table dim {table.dim} != model dim {params.d}")

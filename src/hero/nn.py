@@ -16,12 +16,16 @@ The kernels take one form: a GruBatch, B equal-length sequences as a
 (B, T, d) array whose rows run in segments, each segment with its own
 bidirectional pair. Both directions run in the same call, direction 1 over
 each sequence reversed; only the matrix products loop over segments. The
-forward kernel computes each row's matrix products on its own, so a
-sequence's result is bit-identical whatever else shares its batch (a single
-GEMM over the batch would make the last bits of a row depend on the other
-rows), and each segment's backward products cover its own rows, as a call
-for that segment alone would. The backward kernel adds each segment's
-weight gradients into the caller's buffers before it returns.
+forward kernel runs every product as a stack of GEMMs of exactly GEMM_ROWS
+(4) rows. A GEMM of one fixed shape computes each of its rows with the same
+operations in the same order, whatever the other rows hold and wherever
+the row sits in the block (tests/test_nn.py checks this BLAS property for
+every product shape the kernel runs), so a sequence's result is
+bit-identical whatever else shares its batch. A GEMM over the whole batch
+would not keep that: its row count, and with it the kernel's blocking,
+would vary with the batch. Each segment's backward products cover its own
+rows, as a call for that segment alone would. The backward kernel adds each
+segment's weight gradients into the caller's buffers before it returns.
 
 Adam updates a flat vector in place, one cache-sized slice at a time. Above
 a size threshold the vector is cut into up to two contiguous parts of whole
@@ -39,6 +43,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 PROB_CLAMP = 1e-12
+# Rows of every GEMM in gru_forward. Of 2, 4 and 8, 4 ran a news-sized
+# tree's forward batches fastest over unified and attribute-specific sharing
+# together (8 is a little faster unified, 11% slower attribute-specific).
+GEMM_ROWS = 4
 
 
 class ShapeMismatchError(ValueError):
@@ -130,10 +138,11 @@ class GruTrace:
         return math.prod(self.h.shape[:-1])
 
 
-def _rowwise(x: np.ndarray, wt: np.ndarray, out: np.ndarray) -> None:
-    """out = x @ wt with every row of x multiplied on its own (a stacked
-    matmul)."""
-    np.matmul(x[..., None, :], wt, out=out[..., None, :])
+def _blocks(a: np.ndarray, start: int, count: int) -> np.ndarray:
+    """Rows start .. start + count of a (2, N, ...) array, rounded up to
+    whole blocks: a (2, blocks, GEMM_ROWS, ...) view."""
+    n = -(-count // GEMM_ROWS)
+    return a[:, start:start + n * GEMM_ROWS].reshape(2, n, GEMM_ROWS, *a.shape[2:])
 
 
 def gru_forward(params: GruBatch, inputs) -> GruTrace:
@@ -141,6 +150,13 @@ def gru_forward(params: GruBatch, inputs) -> GruTrace:
     vectors, keeping all activations. Direction 1 runs over x[:, ::-1]; only
     the matrix products loop over segments, the gate arithmetic runs once
     per step for both directions and every segment.
+
+    Every product is a stack of GEMM_ROWS-row GEMMs, one np.matmul per
+    segment for both directions. A segment's blocks start at its first row,
+    and its last block runs on past the segment: over rows of the next
+    segment, which that segment's own products overwrite, or over the
+    zeroed rows each buffer keeps past its end. A row's bits depend on
+    neither its neighbours in a block nor its place there.
     """
     x = np.ascontiguousarray(inputs, dtype=np.float64)
     if x.ndim != 3 or x.shape[0] == 0 or x.shape[1] == 0:
@@ -148,33 +164,49 @@ def gru_forward(params: GruBatch, inputs) -> GruTrace:
     if x.shape[2] != params.input_dim:
         raise ShapeMismatchError(f"input width {x.shape[2]} != parameter width {params.input_dim}")
     segments = _segments(params, x.shape[0])
-    (batch, steps, _), hd = x.shape, params.hidden_dim
-    # The input contributions do not depend on the recurrence. The buffer
+    (batch, steps, d), hd, pad = x.shape, params.hidden_dim, GEMM_ROWS - 1
+    # The input contributions do not depend on the recurrence: one row per
+    # (sequence, step), direction 1's steps reversed. The output buffer
     # holds pre-activations and is turned into [r, z, hhat] in place.
-    gates = np.empty((2, batch, steps, 3 * hd))
+    xs = np.empty((2, batch * steps + pad, d))
+    xs[0, :batch * steps] = x.reshape(-1, d)
+    xs[1, :batch * steps].reshape(x.shape)[...] = x[:, ::-1]
+    xs[:, batch * steps:] = 0.0
+    gates = np.empty((2, batch * steps + pad, 3 * hd))
     for w, _, rows in segments:
-        for k, x_k in enumerate((x, x[:, ::-1])):
-            _rowwise(x_k[rows], w[k].T, gates[k, rows])
-    h = np.empty((2, batch, steps, hd))
+        start, n = rows.start * steps, (rows.stop - rows.start) * steps
+        np.matmul(_blocks(xs, start, n), w.swapaxes(1, 2)[:, None], out=_blocks(gates, start, n))
+    del xs
+    gates = gates[:, :batch * steps].reshape(2, batch, steps, 3 * hd)
+    h = np.empty((2, batch + pad, steps, hd))
     if steps > 1:
-        # Per segment, U_rz^T and U_h^T of each direction, shaped to
-        # broadcast over the rows of a (2, B, d/2) step; scratch for the
-        # recurrent products and the gated state.
-        recurrence = [(rows, u[:, :2 * hd].swapaxes(1, 2)[:, None], u[:, 2 * hd:].swapaxes(1, 2)[:, None])
-                      for _, u, rows in segments]
-        recurrent, gated = np.empty((2, batch, 2 * hd)), np.empty((2, batch, hd))
+        # Per segment, the blocks of each product's input (the state with
+        # each step's on a leading axis, and the gated state) and output,
+        # with U_rz^T and U_h^T of each direction shaped to broadcast over
+        # the blocks.
+        h[:, batch:] = 0.0
+        recurrent, gated = np.empty((2, batch + pad, 2 * hd)), np.zeros((2, batch + pad, hd))
+        rz_products, h_products = [], []
+        for _, u, rows in segments:
+            start, n = rows.start, rows.stop - rows.start
+            rz_products.append((_blocks(h, start, n).transpose(3, 0, 1, 2, 4),
+                                u[:, :2 * hd].swapaxes(1, 2)[:, None], _blocks(recurrent, start, n)))
+            h_products.append((_blocks(gated, start, n),
+                               u[:, 2 * hd:].swapaxes(1, 2)[:, None], _blocks(recurrent[..., :hd], start, n)))
+        recurrent, gated = recurrent[:, :batch], gated[:, :batch]
+    h = h[:, :batch]
     for i in range(steps):
         a_rz, a_h, h_i = gates[:, :, i, :2 * hd], gates[:, :, i, 2 * hd:], h[:, :, i]
         h_prev = h[:, :, i - 1]
         if i:  # h_0 = 0, so the first step has no recurrent terms
-            for rows, u_rz, _ in recurrence:
-                _rowwise(h_prev[:, rows], u_rz, recurrent[:, rows])
+            for states, u_rz, out in rz_products:
+                np.matmul(states[i - 1], u_rz, out=out)
             a_rz += recurrent
         r_i, z_i = sigmoid(a_rz, out=a_rz)[..., :hd], a_rz[..., hd:]
         if i:
             np.multiply(h_prev, r_i, out=gated)
-            for rows, _, u_h in recurrence:
-                _rowwise(gated[:, rows], u_h, recurrent[:, rows, :hd])
+            for blocks, u_h, out in h_products:
+                np.matmul(blocks, u_h, out=out)
             a_h += recurrent[..., :hd]
         c_i = np.tanh(a_h, out=a_h)
         np.multiply(z_i, c_i, out=h_i)

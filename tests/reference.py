@@ -38,6 +38,76 @@ def gru_sequence(mats, inputs):
     return out
 
 
+# How far gru_forward may stray from gru_forward_rowwise, and an h_doc
+# encoded with one from the same h_doc encoded with the other. Both sum each
+# product of k <= 100 terms of magnitude < 1 (inputs in [-1, 1], weights
+# within 1/sqrt(fan-in)), each in its own order: the sums differ by at most
+# about 2 * k * eps * sum|terms| < 1e-13. The gates are 1-Lipschitz and the
+# recurrent weights shrink what they carry, so neither the steps nor the
+# tree's levels amplify that difference by much.
+ROWWISE_ATOL = 1e-12
+
+
+def _rowwise(x, wt, out):
+    """out = x @ wt with every row of x multiplied on its own (a stacked
+    matmul)."""
+    import numpy as np
+
+    np.matmul(x[..., None, :], wt, out=out[..., None, :])
+
+
+def gru_forward_rowwise(params, inputs):
+    """hero.nn.gru_forward as it was before its products ran as fixed-size
+    GEMM blocks: one matrix-vector product per row. Its arithmetic is the
+    kernel's except for the products' summation order, so the two agree to
+    within rounding."""
+    import numpy as np
+
+    from hero.nn import GruTrace, ShapeMismatchError, _segments, sigmoid
+
+    x = np.ascontiguousarray(inputs, dtype=np.float64)
+    if x.ndim != 3 or x.shape[0] == 0 or x.shape[1] == 0:
+        raise ShapeMismatchError(f"inputs must be a non-empty (B, T, d) array, got {x.shape}")
+    if x.shape[2] != params.input_dim:
+        raise ShapeMismatchError(f"input width {x.shape[2]} != parameter width {params.input_dim}")
+    segments = _segments(params, x.shape[0])
+    (batch, steps, _), hd = x.shape, params.hidden_dim
+    # The input contributions do not depend on the recurrence. The buffer
+    # holds pre-activations and is turned into [r, z, hhat] in place.
+    gates = np.empty((2, batch, steps, 3 * hd))
+    for w, _, rows in segments:
+        for k, x_k in enumerate((x, x[:, ::-1])):
+            _rowwise(x_k[rows], w[k].T, gates[k, rows])
+    h = np.empty((2, batch, steps, hd))
+    if steps > 1:
+        # Per segment, U_rz^T and U_h^T of each direction, shaped to
+        # broadcast over the rows of a (2, B, d/2) step; scratch for the
+        # recurrent products and the gated state.
+        recurrence = [(rows, u[:, :2 * hd].swapaxes(1, 2)[:, None], u[:, 2 * hd:].swapaxes(1, 2)[:, None])
+                      for _, u, rows in segments]
+        recurrent, gated = np.empty((2, batch, 2 * hd)), np.empty((2, batch, hd))
+    for i in range(steps):
+        a_rz, a_h, h_i = gates[:, :, i, :2 * hd], gates[:, :, i, 2 * hd:], h[:, :, i]
+        h_prev = h[:, :, i - 1]
+        if i:  # h_0 = 0, so the first step has no recurrent terms
+            for rows, u_rz, _ in recurrence:
+                _rowwise(h_prev[:, rows], u_rz, recurrent[:, rows])
+            a_rz += recurrent
+        r_i, z_i = sigmoid(a_rz, out=a_rz)[..., :hd], a_rz[..., hd:]
+        if i:
+            np.multiply(h_prev, r_i, out=gated)
+            for rows, _, u_h in recurrence:
+                _rowwise(gated[:, rows], u_h, recurrent[:, rows, :hd])
+            a_h += recurrent[..., :hd]
+        c_i = np.tanh(a_h, out=a_h)
+        np.multiply(z_i, c_i, out=h_i)
+        if i:  # h_i += (1 - z_i) * h_prev
+            carry = np.subtract(1.0, z_i, out=gated)
+            carry *= h_prev
+            h_i += carry
+    return GruTrace(x, gates[..., :hd], gates[..., hd:2 * hd], gates[..., 2 * hd:], h)
+
+
 def _gru_mats(gru_params):
     return tuple(m.tolist() for m in gru_params.matrices())
 

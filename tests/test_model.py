@@ -26,7 +26,7 @@ from hero.model import (
 )
 from hero.stats import compute_tree_stats
 from hero.synthetic import gradcheck_fixture, random_embedding_table, random_tree
-from reference import compile_reference, encode_reference
+from reference import ROWWISE_ATOL, compile_reference, encode_reference, gru_forward_rowwise
 
 TWO_EDU = "(NS-elaboration (EDU (S (NP (NNP a)) (VP (VBZ runs)))) (EDU (NP (DT the) (NN end))))"
 # Constituency labels spelled like the old UNK keys: each is a label like any other.
@@ -465,6 +465,18 @@ class TestBatchesAcrossKeys:
             m = make_model(mode, ablation, d=d, trees=[tree], seed=61)
             enc, old_order = replay_backward(m, tree, table, 1, first_seen=True)
             np.testing.assert_allclose(backward(m, enc, 1).flat, old_order.flat, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    @pytest.mark.parametrize("ablation", list(AblationMode))
+    def test_h_doc_is_within_rounding_of_the_rowwise_kernel(self, mode, ablation, monkeypatch):
+        rng = np.random.default_rng(62)
+        gen = random_tree(rng, n_edus=25, edu_words=(10, 17), rr_arity=(2, 3))
+        table = random_embedding_table(rng, gen.words, 100)
+        m = make_model(mode, ablation, d=100, trees=[gen.tree], seed=63)
+        (got,) = encode_document(m, [gen.tree], table)
+        monkeypatch.setattr(nn, "gru_forward", gru_forward_rowwise)
+        (want,) = encode_document(m, [gen.tree], table)
+        np.testing.assert_allclose(got.h_doc, want.h_doc, rtol=0, atol=ROWWISE_ATOL)
 
     @pytest.mark.parametrize("single", [True, False])
     def test_attribute_encode_calls_the_kernel_once_per_height_and_child_count(self, monkeypatch, single):

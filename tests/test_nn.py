@@ -9,11 +9,11 @@ import pytest
 
 from hero import nn
 from hero.nn import (
-    ADAM_BLOCK, AdamState, ClassifierParams, GruBatch, GruParams, ShapeMismatchError,
+    ADAM_BLOCK, GEMM_ROWS, AdamState, ClassifierParams, GruBatch, GruParams, ShapeMismatchError,
     adam_step, finite_diff_check, gru_backward, gru_forward,
     sigmoid, softmax_ce, softmax_ce_backward,
 )
-from reference import adam_reference, gru_sequence
+from reference import ROWWISE_ATOL, adam_reference, gru_forward_rowwise, gru_sequence
 
 
 def flatten_gru(params):
@@ -314,6 +314,61 @@ class TestSegmentedPairs:
         pairs = stacked_pairs(rng, 8, len(rows))
         with pytest.raises(ShapeMismatchError):
             gru_forward(GruBatch(pairs, rows), np.zeros((4, 2, 8)))
+
+
+class TestGemmBlocks:
+    """The rule that makes a row's forward bits independent of its batch:
+    gru_forward runs every product as a stack of GEMM_ROWS-row GEMMs, and in
+    such a stack a row's product depends neither on the other rows of its
+    block nor on its place there, whether the weights are a model's strided
+    pair views or contiguous copies. A row alone is a block padded with
+    zeros."""
+
+    @pytest.mark.parametrize("d", [8, 100])
+    @pytest.mark.parametrize("product", ["W", "U_rz", "U_h"])
+    def test_a_rows_product_ignores_its_block(self, d, product):
+        rng = np.random.default_rng(26)
+        hd = d // 2
+        (pair,) = stacked_pairs(rng, d, 1)
+        copy = GruParams(np.ascontiguousarray(pair.w), np.ascontiguousarray(pair.u))
+        assert not pair.w.flags.c_contiguous and not pair.u.flags.c_contiguous
+
+        def transposed(p):  # as gru_forward passes it: (2, 1, k, m), broadcast over the blocks
+            m = {"W": p.w, "U_rz": p.u[:, :2 * hd], "U_h": p.u[:, 2 * hd:]}[product]
+            return m.swapaxes(1, 2)[:, None]
+
+        view, contiguous = transposed(pair), transposed(copy)
+        width = view.shape[-2]
+        row = rng.uniform(-1, 1, (2, width))
+        alone = np.zeros((2, 1, GEMM_ROWS, width))
+        alone[:, 0, 0] = row
+        want = np.matmul(alone, view)[:, 0, 0]
+        assert np.array_equal(np.matmul(alone, contiguous)[:, 0, 0], want)
+        for place in range(GEMM_ROWS):
+            blocks = rng.uniform(-1, 1, (2, 3, GEMM_ROWS, width))
+            blocks[:, 1, place] = row
+            for weights in (view, contiguous):
+                assert np.array_equal(np.matmul(blocks, weights)[:, 1, place], want)
+
+
+class TestRowwiseOracle:
+    """gru_forward against the row-wise kernel it replaced: the same
+    arithmetic but for the products' summation order."""
+
+    @pytest.mark.parametrize("d", [8, 100])
+    @pytest.mark.parametrize("steps", [1, 2, 3, 5])
+    @pytest.mark.parametrize("sizes", [
+        (1,), (GEMM_ROWS - 1,), (GEMM_ROWS,), (GEMM_ROWS + 1,), (1, GEMM_ROWS - 1, GEMM_ROWS, GEMM_ROWS + 1),
+    ])
+    def test_matches_the_rowwise_kernel(self, d, steps, sizes):
+        rng = np.random.default_rng(27)
+        batch = GruBatch(stacked_pairs(rng, d, len(sizes)), tiling(sizes))
+        x = rng.uniform(-1, 1, (sum(sizes), steps, d))
+        got, want = gru_forward(batch, x), gru_forward_rowwise(batch, x)
+        for name in ("h", "r", "z", "hhat"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape == (2, sum(sizes), steps, d // 2)
+            np.testing.assert_allclose(a, b, rtol=0, atol=ROWWISE_ATOL, err_msg=name)
 
 
 def test_sigmoid_saturates_without_warnings():
