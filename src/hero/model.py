@@ -16,12 +16,15 @@ ablation's mean-pools. A batch lists its rows as segments, one per
 registry key, and runs as one kernel call over both GRU directions and
 every segment's weights; its products run in fixed blocks of nn.GEMM_ROWS
 rows, in which a row's bits do not depend on the other rows, so a node's
-vector does not depend on what else shares its batch. The backward pass
-replays the batches in reverse, and each batch's kernel call adds its
-segments' weight gradients, in row order, as it finishes: one walk, run
-forward and then backward, fixes every sum's order. For inference, the
-schedules of consecutive trees merge by row offset into schedules whose
-batches span documents, and they run forward only.
+vector does not depend on what else shares its batch. A traced encoding
+gathers every batch's children, batch after batch, into one document-wide
+buffer in the kernel's direction-stacked layout. The backward pass replays
+the batches in reverse into a matching buffer of pre-activation gradients,
+then forms each registry key's weight gradients from one GEMM over all the
+rows its segments ran, in the buffers' order: the walk fixes every sum's
+order. A training run keeps those buffers in one Workspace from step to
+step. For inference, the schedules of consecutive trees merge by row offset
+into schedules whose batches span documents, and they run forward only.
 """
 
 from __future__ import annotations
@@ -184,18 +187,23 @@ def init_model(
 ) -> ModelParams:
     """Fresh parameters drawn straight into ``flat``: per key, fwd then bwd
     GRU, w then u, uniform in +-1/sqrt(fan-in); the classifier stays zero
-    unless ``random_classifier`` (for gradient checking) draws its w then b."""
+    unless ``random_classifier`` (for gradient checking) draws its w then b.
+
+    Each matrix is drawn in place as numpy's ``uniform(low, high)`` forms
+    its values, low + (high - low) * u from ``random``: the same generator
+    calls and the same bits, without a temporary per matrix."""
     if rng is None:
         rng = np.random.default_rng(seed)
     params = ModelParams(d, mode, ablation, vocab)
     sw, su = 1.0 / math.sqrt(d), 1.0 / math.sqrt(d // 2)
-    for pair in params.registry.values():
-        for gru in (pair.fwd, pair.bwd):
-            gru.w[...] = rng.uniform(-sw, sw, gru.w.shape)
-            gru.u[...] = rng.uniform(-su, su, gru.u.shape)
+    views = [(view, s) for pair in params.registry.values() for gru in (pair.fwd, pair.bwd)
+             for view, s in ((gru.w, sw), (gru.u, su))]
     if random_classifier:
-        for view in (params.classifier.w, params.classifier.b):
-            view[...] = rng.uniform(-sw, sw, view.shape)
+        views += [(params.classifier.w, sw), (params.classifier.b, sw)]
+    for view, bound in views:
+        rng.random(out=view)
+        view *= bound - -bound
+        view += -bound
     return params
 
 
@@ -375,6 +383,33 @@ def _frozen(rows) -> np.ndarray:
     return array
 
 
+class Workspace:
+    """Document-wide buffers, kept from one training step to the next: a
+    traced encoding's direction-stacked Bi-GRU inputs, the pre-activation
+    gradients its backward pass writes, and the rows that pass gathers for
+    a registry key whose rows are not one run of the buffers (never under
+    unified sharing). A buffer too small for a document is replaced by one
+    of the document's size, so each grows to the largest document seen;
+    otherwise it is reused as it is, and a gather buffer's rows past what
+    one key needs are never written.
+
+    ``uses`` counts the encodings and backward passes that have written the
+    buffers. An encoding records the count it left, and backward refuses an
+    encoding once the count has moved on: a later encoding has reused the
+    buffers, or its own backward pass has overwritten what it read."""
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+        self.uses = 0
+
+    def take(self, name: str, rows: int, width: int) -> np.ndarray:
+        """The first ``rows`` rows of buffer ``name``, a (2, rows, width) view."""
+        buffer = self.buffers.get(name)
+        if buffer is None or buffer.shape[1] < rows or buffer.shape[2] != width:
+            buffer = self.buffers[name] = np.empty((2, rows, width))
+        return buffer[:, :rows]
+
+
 @dataclass
 class DocumentEncoding:
     """Document vector, its OOV leaves and UNK-routed nodes, and, for a tree
@@ -387,9 +422,22 @@ class DocumentEncoding:
     traces: list[nn.GruTrace] | None = None  # one per batch, with a direction axis
     oov: int = 0
     unk: int = 0
+    # The workspace whose "inputs" buffer holds every batch's stacked inputs,
+    # batch after batch, and its count of uses when this encoding ran.
+    workspace: Workspace | None = None
+    stamp: int = 0
 
 
-def encode_document(params: ModelParams, trees, table: EmbeddingTable):
+def _input_rows(schedule: Schedule) -> list[int]:
+    """Each batch's first row in the document-wide buffers, then their total:
+    a batch of B sequences of T steps holds B * T rows."""
+    starts = [0]
+    for batch in schedule.batches:
+        starts.append(starts[-1] + batch.children.size)
+    return starts
+
+
+def encode_document(params: ModelParams, trees, table: EmbeddingTable, workspace: Workspace | None = None):
     """Embed documents bottom-up under the model's sharing mode and ablation.
 
     A list of trees gives one forward-only encoding per tree: each schedule
@@ -398,13 +446,22 @@ def encode_document(params: ModelParams, trees, table: EmbeddingTable):
     traces backward needs. Every h_doc is bit-identical to the tree's own
     encoding, because the forward kernel's products run in fixed blocks of
     nn.GEMM_ROWS rows, where a row's bits do not depend on its neighbours.
+
+    Each batch's children are gathered straight into the kernel's
+    direction-stacked layout. A traced encoding places the batches one after
+    another in a buffer of ``workspace`` (a new one when not given) and
+    keeps it for backward; a forward-only one gathers each batch into an
+    array of its own, and ignores ``workspace``.
     """
     if table.dim != params.d:
         raise DimMismatchError(f"embedding table dim {table.dim} != model dim {params.d}")
     single = isinstance(trees, LingTree)
     trees = [trees] if single else trees
     leaves = (embed_leaves(table, tree) for tree in trees)
-    hd = params.d // 2
+    if single:
+        work = Workspace() if workspace is None else workspace
+        work.uses += 1
+    hd, pad = params.d // 2, nn.GEMM_ROWS - 1
     encodings = []
     for schedule in compile_tree(trees, params):
         chunk = list(islice(leaves, len(schedule.documents)))
@@ -412,9 +469,21 @@ def encode_document(params: ModelParams, trees, table: EmbeddingTable):
         vectors[schedule.words] = np.concatenate([leaf.vectors for leaf in chunk])
         for i, words in schedule.word_means:
             vectors[i] = vectors[words].mean(axis=0)
+        starts = _input_rows(schedule)
+        if single:
+            inputs = work.take("inputs", starts[-1] + pad, params.d)
         traces = []
-        for batch in schedule.batches:
-            trace = nn.gru_forward(_weights(params, batch), vectors[batch.children])
+        for batch, start, stop in zip(schedule.batches, starts, starts[1:]):
+            # This batch's rows and the slack its last block reads: in the
+            # document buffer, the next batch's rows (not gathered yet) or
+            # the buffer's last rows.
+            n = stop - start
+            xs = inputs[:, start:stop + pad] if single else np.empty((2, n + pad, params.d))
+            # mode="clip" takes straight into ``out``; the default mode buffers it.
+            np.take(vectors, batch.children.ravel(), axis=0, out=xs[0, :n], mode="clip")
+            np.take(vectors, batch.children[:, ::-1].ravel(), axis=0, out=xs[1, :n], mode="clip")
+            xs[:, n:] = 0.0
+            trace = nn.gru_forward(_weights(params, batch), xs, batch.children.shape[1])
             # Mean over positions of [fwd_i (+) bwd_i]; the mean is order-free,
             # so each half is just that direction's average hidden state.
             fwd, bwd = trace.h.mean(axis=2)
@@ -424,7 +493,8 @@ def encode_document(params: ModelParams, trees, table: EmbeddingTable):
                 traces.append(trace)
         h_docs = [vectors[rows].mean(axis=0) for rows in schedule.documents]
         if single:
-            return DocumentEncoding(h_docs[0], schedule, vectors, traces, chunk[0].oov, schedule.unk[0])
+            return DocumentEncoding(h_docs[0], schedule, vectors, traces, chunk[0].oov, schedule.unk[0],
+                                    work, work.uses)
         encodings += [
             DocumentEncoding(h, oov=leaf.oov, unk=unk) for h, leaf, unk in zip(h_docs, chunk, schedule.unk)
         ]
@@ -450,13 +520,23 @@ def copy_model(params: ModelParams) -> ModelParams:
 def backward(params: ModelParams, enc: DocumentEncoding, y: int) -> ModelParams:
     """Gradients of the document's cross-entropy loss w.r.t. all parameters.
 
-    Replays the schedule's batches in reverse. Each batch's kernel call adds
-    its segments' weight gradients, in row order, as soon as it has them,
-    so the contributions of a registry key used by several segments
-    accumulate in the reverse of the batches' forward order. Word-embedding
-    gradients are dropped (embeddings are frozen). The result is a new
-    ModelParams of the model's layout holding gradients instead of weights.
-    Its buffer is calloc'ed, so the pages of keys the document does not
+    Replays the schedule's batches in reverse. Each batch's kernel call runs
+    the recurrence and the children's gradient, and writes its rows'
+    pre-activation gradients into a document-wide buffer of the encoding's
+    workspace, beside the stacked inputs the forward pass gathered there.
+    After the walk, each registry key's dW is one GEMM over every row its
+    segments ran, in the buffers' order (batches in forward order, a batch's
+    segments in row order), and its dU one GEMM for U_rz and one for U_h over
+    those rows past their sequence's first step. The key's rows are read in
+    place when they are one run of the buffers (always so under unified
+    sharing), and gathered into workspace buffers otherwise; once dW is
+    formed, the dU operands are packed over them. So the pass consumes the
+    encoding: a second backward of it raises MissingTraceError.
+    Word-embedding gradients are dropped (embeddings are frozen).
+
+    The result is a new ModelParams of the model's layout holding gradients
+    instead of weights. Its buffer is calloc'ed, and each key's products are
+    written into its views once, so the pages of keys the document does not
     reach are never written.
     """
     schedule = enc.schedule
@@ -466,24 +546,71 @@ def backward(params: ModelParams, enc: DocumentEncoding, y: int) -> ModelParams:
         raise MissingTraceError(
             f"{len(enc.traces)} forward traces for {len(schedule.batches)} schedule batches"
         )
+    work = enc.workspace
+    if work.uses != enc.stamp:
+        raise MissingTraceError("this encoding's workspace was reused, or its backward pass has run")
+    work.uses += 1  # the pass overwrites the buffers it reads
     grads = replace(params, flat=np.zeros(params.flat.size))
     dw, db, dh = nn.softmax_ce_backward(params.classifier, enc.h_doc, y)
     grads.classifier.w += dw
     grads.classifier.b += db
 
     hd = params.d // 2
+    starts = _input_rows(schedule)
+    da = work.take("da", starts[-1], 3 * hd)
     d_vectors = np.zeros_like(enc.vectors)
     (document,) = schedule.documents
     d_vectors[document] = dh / len(document)
-    for batch, trace in zip(reversed(schedule.batches), reversed(enc.traces)):
+    for batch, trace, start, stop in reversed(list(zip(schedule.batches, enc.traces, starts, starts[1:]))):
         up = d_vectors[batch.parents] / batch.children.shape[1]
         # (B, d) -> (2, B, 1, d/2): each direction's half, for every step.
         up = up.reshape(-1, 2, hd).swapaxes(0, 1)[:, :, None]
         dx = nn.gru_backward(_weights(params, batch), trace, np.broadcast_to(up, trace.h.shape),
-                             _weights(grads, batch), batch.input_grad)
+                             da[:, start:stop], batch.input_grad)
         if batch.input_grad:
             d_vectors[batch.children] += dx
+    _weight_grads(grads, schedule, enc.traces, starts, da, work)
     return grads
+
+
+def _weight_grads(grads: ModelParams, schedule: Schedule, traces, starts, da, work: Workspace) -> None:
+    """Each registry key's weight gradients, from the rows its segments ran:
+    see backward."""
+    hd, inputs = grads.d // 2, work.take("inputs", starts[-1], grads.d)  # as encode_document gathered them
+    uses = {}  # registry key -> (trace, sequences, first row in the buffers, steps) per segment
+    for batch, trace, start in zip(schedule.batches, traces, starts):
+        steps = batch.children.shape[1]
+        for key, seqs in zip(batch.keys, batch.rows):
+            uses.setdefault(key, []).append((trace, seqs, start + seqs.start * steps, steps))
+    for key, segments in uses.items():
+        runs = [(first, first + (seqs.stop - seqs.start) * steps) for _, seqs, first, steps in segments]
+        if all(a == b for (_, b), (a, _) in zip(runs, runs[1:])):  # one run of the buffers
+            key_da, key_inputs = da[:, runs[0][0]:runs[-1][1]], inputs[:, runs[0][0]:runs[-1][1]]
+        else:
+            n = sum(b - a for a, b in runs)
+            key_da = work.take("key_da", starts[-1], 3 * hd)[:, :n]
+            key_inputs = work.take("key_inputs", starts[-1], grads.d)[:, :n]
+            np.concatenate([da[:, a:b] for a, b in runs], axis=1, out=key_da)
+            np.concatenate([inputs[:, a:b] for a, b in runs], axis=1, out=key_inputs)
+        pair = grads.registry[key]
+        nn.gru_weight_grads(pair, key_da, key_inputs)
+        # The key's rows are read for dU only now: the rows past their
+        # sequence's first step move to the front of its pre-activation
+        # gradients (never past a row still to be read), and their states
+        # [h_prev, h_prev * r] overwrite its inputs.
+        m = row = 0
+        for trace, seqs, _, steps in segments:
+            n, k = seqs.stop - seqs.start, (seqs.stop - seqs.start) * (steps - 1)
+            if k:
+                later = key_da[:, row:row + n * steps].reshape(2, n, steps, -1)[:, :, 1:]
+                key_da[:, m:m + k].reshape(2, n, steps - 1, -1)[...] = later  # numpy copies an overlap first
+                states = key_inputs[:, m:m + k].reshape(2, n, steps - 1, -1)
+                states[..., :hd] = trace.h[:, seqs, :-1]
+                np.multiply(states[..., :hd], trace.r[:, seqs, 1:], out=states[..., hd:])
+                m += k
+            row += n * steps
+        if m:
+            nn.gru_recurrent_grads(pair, key_da[:, :m], key_inputs[:, :m])
 
 
 def param_count(params: ModelParams) -> int:

@@ -12,20 +12,26 @@ There are no bias terms. The six matrices, the only learnable tensors, are
 stored stacked by gate as W = [W_r; W_z; W_h] and U = [U_r; U_z; U_h], and
 the kernels multiply by W and U as stored.
 
-The kernels take one form: a GruBatch, B equal-length sequences as a
-(B, T, d) array whose rows run in segments, each segment with its own
-bidirectional pair. Both directions run in the same call, direction 1 over
-each sequence reversed; only the matrix products loop over segments. The
-forward kernel runs every product as a stack of GEMMs of exactly GEMM_ROWS
-(4) rows. A GEMM of one fixed shape computes each of its rows with the same
-operations in the same order, whatever the other rows hold and wherever
-the row sits in the block (tests/test_nn.py checks this BLAS property for
-every product shape the kernel runs), so a sequence's result is
-bit-identical whatever else shares its batch. A GEMM over the whole batch
-would not keep that: its row count, and with it the kernel's blocking,
-would vary with the batch. Each segment's backward products cover its own
-rows, as a call for that segment alone would. The backward kernel adds each
-segment's weight gradients into the caller's buffers before it returns.
+The kernels take one form: a GruBatch, B equal-length sequences whose rows
+run in segments, each segment with its own bidirectional pair. Both
+directions run in the same call, direction 1 over each sequence reversed;
+only the matrix products loop over segments. The forward kernel reads its
+sequences direction-stacked, as the caller gathered them: one row per
+(sequence, step) for each direction, direction 1's steps reversed. It runs
+every product as a stack of GEMMs of exactly GEMM_ROWS (4) rows. A GEMM of
+one fixed shape computes each of its rows with the same operations in the
+same order, whatever the other rows hold and wherever the row sits in the
+block (tests/test_nn.py checks this BLAS property for every product shape
+the kernel runs), so a sequence's result is bit-identical whatever else
+shares its batch. A GEMM over the whole batch would not keep that: its row
+count, and with it the kernel's blocking, would vary with the batch.
+
+The backward kernel runs the recurrence and the input gradient, each
+segment's products over its own rows, and writes every row's
+pre-activation gradients into the caller's buffer. It adds no weight
+gradients: gru_weight_grads and gru_recurrent_grads form a pair's dW and
+dU afterwards, each from one GEMM over every row the pair ran, in whatever
+batches the caller ran them.
 
 Adam updates a flat vector in place, one cache-sized slice at a time. Above
 a size threshold the vector is cut into up to two contiguous parts of whole
@@ -127,7 +133,6 @@ class GruTrace:
     i+1 of sequence b in direction k, and direction 1 holds the steps over
     each sequence reversed."""
 
-    inputs: np.ndarray  # (B, T, d), as passed
     r: np.ndarray       # (2, B, T, d/2)
     z: np.ndarray
     hhat: np.ndarray
@@ -145,38 +150,41 @@ def _blocks(a: np.ndarray, start: int, count: int) -> np.ndarray:
     return a[:, start:start + n * GEMM_ROWS].reshape(2, n, GEMM_ROWS, *a.shape[2:])
 
 
-def gru_forward(params: GruBatch, inputs) -> GruTrace:
-    """Run each segment's pair over its rows of B sequences of T d-wide
-    vectors, keeping all activations. Direction 1 runs over x[:, ::-1]; only
-    the matrix products loop over segments, the gate arithmetic runs once
-    per step for both directions and every segment.
+def gru_forward(params: GruBatch, inputs: np.ndarray, steps: int) -> GruTrace:
+    """Run each segment's pair over its rows of B sequences of ``steps``
+    d-wide vectors, keeping all activations. Only the matrix products loop
+    over segments; the gate arithmetic runs once per step for both
+    directions and every segment.
+
+    ``inputs`` holds the sequences direction-stacked, (2, B * steps +
+    GEMM_ROWS - 1, d): row b * steps + i of [0] is step i + 1 of sequence
+    b, and of [1] step steps - i, each sequence reversed for direction 1.
+    The last GEMM_ROWS - 1 rows are slack, read but never used; they must
+    hold finite values.
 
     Every product is a stack of GEMM_ROWS-row GEMMs, one np.matmul per
     segment for both directions. A segment's blocks start at its first row,
     and its last block runs on past the segment: over rows of the next
-    segment, which that segment's own products overwrite, or over the
-    zeroed rows each buffer keeps past its end. A row's bits depend on
-    neither its neighbours in a block nor its place there.
+    segment, which that segment's own products overwrite, or over the slack
+    rows (and the zeroed rows each state buffer keeps past its end). A
+    row's bits depend on neither its neighbours in a block nor its place
+    there.
     """
-    x = np.ascontiguousarray(inputs, dtype=np.float64)
-    if x.ndim != 3 or x.shape[0] == 0 or x.shape[1] == 0:
-        raise ShapeMismatchError(f"inputs must be a non-empty (B, T, d) array, got {x.shape}")
-    if x.shape[2] != params.input_dim:
-        raise ShapeMismatchError(f"input width {x.shape[2]} != parameter width {params.input_dim}")
-    segments = _segments(params, x.shape[0])
-    (batch, steps, d), hd, pad = x.shape, params.hidden_dim, GEMM_ROWS - 1
-    # The input contributions do not depend on the recurrence: one row per
-    # (sequence, step), direction 1's steps reversed. The output buffer
-    # holds pre-activations and is turned into [r, z, hhat] in place.
-    xs = np.empty((2, batch * steps + pad, d))
-    xs[0, :batch * steps] = x.reshape(-1, d)
-    xs[1, :batch * steps].reshape(x.shape)[...] = x[:, ::-1]
-    xs[:, batch * steps:] = 0.0
+    xs, pad = inputs, GEMM_ROWS - 1
+    if not isinstance(xs, np.ndarray) or xs.dtype != np.float64 or xs.ndim != 3 or xs.shape[0] != 2:
+        raise ShapeMismatchError(f"inputs must be a (2, rows, d) float64 array, got {np.shape(xs)}")
+    if steps < 1 or xs.shape[1] <= pad or (xs.shape[1] - pad) % steps:
+        raise ShapeMismatchError(f"{xs.shape[1]} input rows are not sequences of {steps} steps and the slack")
+    if xs.shape[2] != params.input_dim:
+        raise ShapeMismatchError(f"input width {xs.shape[2]} != parameter width {params.input_dim}")
+    batch, hd = (xs.shape[1] - pad) // steps, params.hidden_dim
+    segments = _segments(params, batch)
+    # The input contributions do not depend on the recurrence. The output
+    # buffer holds pre-activations and is turned into [r, z, hhat] in place.
     gates = np.empty((2, batch * steps + pad, 3 * hd))
     for w, _, rows in segments:
         start, n = rows.start * steps, (rows.stop - rows.start) * steps
         np.matmul(_blocks(xs, start, n), w.swapaxes(1, 2)[:, None], out=_blocks(gates, start, n))
-    del xs
     gates = gates[:, :batch * steps].reshape(2, batch, steps, 3 * hd)
     h = np.empty((2, batch + pad, steps, hd))
     if steps > 1:
@@ -214,32 +222,29 @@ def gru_forward(params: GruBatch, inputs) -> GruTrace:
             carry = np.subtract(1.0, z_i, out=gated)
             carry *= h_prev
             h_i += carry
-    return GruTrace(x, gates[..., :hd], gates[..., hd:2 * hd], gates[..., 2 * hd:], h)
+    return GruTrace(gates[..., :hd], gates[..., hd:2 * hd], gates[..., 2 * hd:], h)
 
 
-def gru_backward(
-    params: GruBatch, trace: GruTrace, grad_h, grads: GruBatch, input_grad: bool = True
-) -> np.ndarray | None:
-    """Exact reverse-mode pass given an upstream gradient for every h_i of
-    both directions.
+def gru_backward(params: GruBatch, trace: GruTrace, grad_h, da: np.ndarray, input_grad: bool = True):
+    """Exact reverse-mode pass through the recurrence given an upstream
+    gradient for every h_i of both directions.
 
-    Segment by segment, in row order, adds the weight gradients summed over
-    the segment's rows into the matching pair of ``grads``, buffers with the
-    rows and pair shapes of ``params``: dW, and dU unless the sequences are
-    one step long (h_0 = 0 then gives U no gradient). Returns a (B, T, d)
-    array of gradients w.r.t. the inputs as passed to gru_forward (the two
-    directions summed), or None without ``input_grad`` (inputs that are
-    constants).
+    Writes the pre-activation gradients [r, z, hhat] of every row into
+    ``da``, a writable (2, B * T, 3d/2) array whose rows are those of the
+    forward pass's stacked inputs, for gru_weight_grads and
+    gru_recurrent_grads.
+    Returns a (B, T, d) array of gradients w.r.t. the sequences (the two
+    directions summed, direction 1 read back in time), or None without
+    ``input_grad`` (inputs that are constants).
     """
     gh = np.asarray(grad_h, dtype=np.float64)
     if gh.shape != trace.h.shape:
         raise ShapeMismatchError(f"grad_h shape {gh.shape} != trace shape {trace.h.shape}")
-    segments = _segments(params, gh.shape[1])
-    shapes = [(g.w.shape, g.u.shape) for g in params.grus]
-    if list(grads.rows) != list(params.rows) or [(g.w.shape, g.u.shape) for g in grads.grus] != shapes:
-        raise ShapeMismatchError("gradient buffers must have the rows and pair shapes of the parameters")
     _, batch, steps, hd = gh.shape
-    da = np.empty((2, batch, steps, 3 * hd))  # pre-activation gradients [r, z, hhat]
+    segments = _segments(params, batch)
+    if da.shape != (2, batch * steps, 3 * hd):
+        raise ShapeMismatchError(f"da shape {da.shape} != {(2, batch * steps, 3 * hd)}")
+    da = da.reshape(2, batch, steps, 3 * hd)  # splits an axis: always a view
     dgated, recurrent = np.empty((2, 2, batch, hd))
     g = gh[:, :, -1]
     for i in range(steps - 1, -1, -1):
@@ -257,24 +262,32 @@ def gru_backward(
         for _, u, rows in segments:
             np.matmul(da[:, rows, i, :2 * hd], u[:, :2 * hd], out=recurrent[:, rows])
         g = gh[:, :, i - 1] + (g * (1.0 - z_i) + dgated * r_i + recurrent)
-    dw, du = np.empty((2, 3 * hd, trace.inputs.shape[-1])), np.empty((2, 3 * hd, hd))
-    for (_, _, rows), acc in zip(segments, grads.grus):
-        seg, x = da[:, rows], trace.inputs[rows]
-        for k, xs in enumerate((x, x[:, ::-1])):
-            np.matmul(seg[k].reshape(-1, 3 * hd).T, xs.reshape(-1, x.shape[-1]), out=dw[k])
-        acc.w += dw
-        if steps > 1:  # h_prev = 0 at the first step, so only later steps reach U
-            later = seg[:, :, 1:].reshape(2, -1, 3 * hd).swapaxes(1, 2)
-            h_prev = trace.h[:, rows, :-1].reshape(2, -1, hd)
-            np.matmul(later[:, :2 * hd], h_prev, out=du[:, :2 * hd])
-            np.matmul(later[:, 2 * hd:], h_prev * trace.r[:, rows, 1:].reshape(2, -1, hd), out=du[:, 2 * hd:])
-            acc.u += du
     if not input_grad:
         return None
-    dx = np.empty((2, *trace.inputs.shape))
+    d = params.input_dim
+    dx = np.empty((2, batch, steps, d))
     for w, _, rows in segments:
-        np.matmul(da[:, rows].reshape(2, -1, 3 * hd), w, out=dx[:, rows].reshape(2, -1, w.shape[2]))
+        np.matmul(da[:, rows].reshape(2, -1, 3 * hd), w, out=dx[:, rows].reshape(2, -1, d))
     return dx[0] + dx[1][:, ::-1]
+
+
+def gru_weight_grads(grads: GruParams, da: np.ndarray, inputs: np.ndarray) -> None:
+    """Write one pair's dW, summed over every row it ran, into ``grads.w``
+    ((2, 3d/2, d)): dW = da^T x for both directions in one stacked
+    np.matmul, from the (2, n, 3d/2) pre-activation gradients and the
+    (2, n, d) direction-stacked inputs of the same rows."""
+    np.matmul(da.swapaxes(1, 2), inputs, out=grads.w)
+
+
+def gru_recurrent_grads(grads: GruParams, da: np.ndarray, states: np.ndarray) -> None:
+    """Write one pair's dU into ``grads.u`` ((2, 3d/2, d/2)) from the rows
+    past their sequence's first step (h_0 = 0 gives the first step no U
+    gradient): their (2, m, 3d/2) pre-activation gradients, and their
+    (2, m, d) states [h_prev, h_prev * r]. dU_rz = da_rz^T h_prev and
+    dU_h = da_h^T (h_prev * r), each one stacked np.matmul."""
+    hd = grads.u.shape[-1]
+    np.matmul(da[..., :2 * hd].swapaxes(1, 2), states[..., :hd], out=grads.u[:, :2 * hd])
+    np.matmul(da[..., 2 * hd:].swapaxes(1, 2), states[..., hd:], out=grads.u[:, 2 * hd:])
 
 
 @dataclass

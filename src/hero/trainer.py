@@ -355,9 +355,14 @@ def train(split: Split, config: TrainConfig, table: EmbeddingTable) -> tuple[Mod
     between steps. The best epoch's weights go to one snapshot buffer,
     allocated at the first improvement and refilled at each later one. The
     moments are released once the final epoch's updates are done, before
-    its snapshot is taken.
+    its snapshot is taken. One model.Workspace serves every step: the
+    document-wide Bi-GRU inputs, pre-activation gradients and per-key
+    gathers of a step are written over the last step's, in buffers that
+    grow to the largest training document.
 
-    An empty training split raises TooFewDocumentsError before any work.
+    An empty training split raises TooFewDocumentsError before any work. A
+    step whose loss, document vector or gradient holds a non-finite value
+    raises NonFiniteLossError naming that document, before the update.
     """
     if not split.train:
         raise TooFewDocumentsError("need at least 1 training document, got 0")
@@ -368,6 +373,7 @@ def train(split: Split, config: TrainConfig, table: EmbeddingTable) -> tuple[Mod
         vocab = AttributeVocab()
     params = init_model(config.d, config.mode, config.ablation, vocab, rng=rng)
     adam = nn.AdamState(lr=config.lr)
+    workspace = hero_model.Workspace()
 
     logs: list[EpochLog] = []
     best_epoch = 0
@@ -378,11 +384,19 @@ def train(split: Split, config: TrainConfig, table: EmbeddingTable) -> tuple[Mod
         total_loss = 0.0
         for i in rng.permutation(len(split.train)):
             doc = split.train[i]
-            enc = encode_document(params, doc.tree, table)
+            enc = encode_document(params, doc.tree, table, workspace)
             _, loss = nn.softmax_ce(params.classifier, enc.h_doc, doc.y)
             if not math.isfinite(loss) or not np.all(np.isfinite(enc.h_doc)):
                 raise NonFiniteLossError(epoch, doc.doc_id, f"loss={loss!r}")
-            nn.adam_step(adam, params.flat, backward(params, enc, doc.y).flat)
+            grads = backward(params, enc, doc.y).flat
+            # One pass over the gradient: its squared norm is finite only if
+            # every entry is (and none is beyond ~1e154, where Adam's g * g
+            # would overflow anyway).
+            norm2 = float(np.dot(grads, grads))
+            if not math.isfinite(norm2):
+                raise NonFiniteLossError(epoch, doc.doc_id, f"gradient squared norm={norm2!r}")
+            nn.adam_step(adam, params.flat, grads)
+            del grads  # the next step's backward would otherwise hold two gradient buffers
             total_loss += loss
         if epoch == config.max_epochs:
             adam = None  # training is over: free the moments before the snapshot

@@ -56,22 +56,41 @@ def _rowwise(x, wt, out):
     np.matmul(x[..., None, :], wt, out=out[..., None, :])
 
 
-def gru_forward_rowwise(params, inputs):
+def stack_inputs(x):
+    """B sequences of T d-wide vectors, (B, T, d), in the layout
+    hero.nn.gru_forward reads: (2, B * T + GEMM_ROWS - 1, d), direction 0's
+    rows in (sequence, step) order, direction 1's with each sequence's steps
+    reversed, then zeroed slack rows. Returns it with T."""
+    import numpy as np
+
+    from hero.nn import GEMM_ROWS
+
+    x = np.asarray(x, dtype=np.float64)
+    batch, steps, d = x.shape
+    xs = np.zeros((2, batch * steps + GEMM_ROWS - 1, d))
+    xs[0, :batch * steps] = x.reshape(-1, d)
+    xs[1, :batch * steps] = x[:, ::-1].reshape(-1, d)
+    return xs, steps
+
+
+def gru_forward_rowwise(params, inputs, steps):
     """hero.nn.gru_forward as it was before its products ran as fixed-size
     GEMM blocks: one matrix-vector product per row. Its arithmetic is the
     kernel's except for the products' summation order, so the two agree to
-    within rounding."""
+    within rounding. Takes the kernel's direction-stacked inputs, and reads
+    direction 0's rows only."""
     import numpy as np
 
-    from hero.nn import GruTrace, ShapeMismatchError, _segments, sigmoid
+    from hero.nn import GEMM_ROWS, GruTrace, ShapeMismatchError, _segments, sigmoid
 
-    x = np.ascontiguousarray(inputs, dtype=np.float64)
-    if x.ndim != 3 or x.shape[0] == 0 or x.shape[1] == 0:
-        raise ShapeMismatchError(f"inputs must be a non-empty (B, T, d) array, got {x.shape}")
-    if x.shape[2] != params.input_dim:
-        raise ShapeMismatchError(f"input width {x.shape[2]} != parameter width {params.input_dim}")
-    segments = _segments(params, x.shape[0])
-    (batch, steps, _), hd = x.shape, params.hidden_dim
+    pad = GEMM_ROWS - 1
+    if inputs.ndim != 3 or inputs.shape[0] != 2 or steps < 1 or (inputs.shape[1] - pad) % steps:
+        raise ShapeMismatchError(f"inputs {inputs.shape} are not stacked sequences of {steps} steps")
+    if inputs.shape[2] != params.input_dim:
+        raise ShapeMismatchError(f"input width {inputs.shape[2]} != parameter width {params.input_dim}")
+    batch, hd = (inputs.shape[1] - pad) // steps, params.hidden_dim
+    x = inputs[0, :batch * steps].reshape(batch, steps, -1)
+    segments = _segments(params, batch)
     # The input contributions do not depend on the recurrence. The buffer
     # holds pre-activations and is turned into [r, z, hhat] in place.
     gates = np.empty((2, batch, steps, 3 * hd))
@@ -105,7 +124,26 @@ def gru_forward_rowwise(params, inputs):
             carry = np.subtract(1.0, z_i, out=gated)
             carry *= h_prev
             h_i += carry
-    return GruTrace(x, gates[..., :hd], gates[..., hd:2 * hd], gates[..., 2 * hd:], h)
+    return GruTrace(gates[..., :hd], gates[..., hd:2 * hd], gates[..., 2 * hd:], h)
+
+
+def init_reference(d, n_keys, rng, random_classifier):
+    """hero.model.init_model's flat vector by its old per-matrix loop: key by
+    key, the fwd then the bwd GRU, each its w (fan-in d) then its u (fan-in
+    d/2) as one rng.uniform(-s, s, shape) with s = 1/sqrt(fan-in); then the
+    classifier's w and b the same way at 1/sqrt(d), or zeros."""
+    import numpy as np
+
+    sw, su = 1 / math.sqrt(d), 1 / math.sqrt(d / 2)
+    drawn = []
+    for _ in range(2 * n_keys):
+        drawn.append(rng.uniform(-sw, sw, (3 * d // 2, d)))
+        drawn.append(rng.uniform(-su, su, (3 * d // 2, d // 2)))
+    if random_classifier:
+        drawn += [rng.uniform(-sw, sw, (2, d)), rng.uniform(-sw, sw, 2)]
+    else:
+        drawn.append(np.zeros(2 * d + 2))
+    return np.concatenate([a.ravel() for a in drawn])
 
 
 def _gru_mats(gru_params):

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hero.trainer
 from cli_contract import assert_one_line_exit, read_checkpoint, run_cli, write_checkpoint
 from hero.cli import run
 from hero.embed import load_table
@@ -487,6 +488,28 @@ def test_numeric_failure_exit_code(workspace, tmp_path, capsys):
     ])
     assert code == 3
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_non_finite_gradient_exit_code(workspace, tmp_path, monkeypatch):
+    """A gradient with a NaN ends ``hero train`` with exit 3 and a last
+    stderr line naming the document, and writes no checkpoint."""
+    backward = hero.trainer.backward
+
+    def planting_backward(params, enc, y):
+        grads = backward(params, enc, y)
+        grads.flat[0] = float("nan")
+        return grads
+
+    monkeypatch.setattr(hero.trainer, "backward", planting_backward)
+    code, _, err = run_cli([
+        "train", "--data", str(workspace["data"]), "--embeddings", str(workspace["emb"]),
+        "--config", str(workspace["config"]),
+        "--out", str(tmp_path / "m.json"), "--report", str(tmp_path / "r.json"),
+    ])
+    assert code == 3 and "Traceback" not in err
+    assert err.splitlines()[-1].startswith("numeric failure: non-finite loss at epoch 1, document 'doc")
+    assert "gradient" in err.splitlines()[-1]
+    assert not (tmp_path / "m.json").exists()
 
 
 def test_single_class_stats_is_input_error(tmp_path, capsys):

@@ -26,7 +26,9 @@ from hero.model import (
 )
 from hero.stats import compute_tree_stats
 from hero.synthetic import gradcheck_fixture, random_embedding_table, random_tree
-from reference import ROWWISE_ATOL, compile_reference, encode_reference, gru_forward_rowwise
+from reference import (
+    ROWWISE_ATOL, compile_reference, encode_reference, gru_forward_rowwise, init_reference, stack_inputs,
+)
 
 TWO_EDU = "(NS-elaboration (EDU (S (NP (NNP a)) (VP (VBZ runs)))) (EDU (NP (DT the) (NN end))))"
 # Constituency labels spelled like the old UNK keys: each is a label like any other.
@@ -197,7 +199,7 @@ class TestEncode:
         enc = encode_document(m, tree, table)
         pair = m.registry[UNIFIED_KEY]
         x_word = table.vectors["word"][None, None, :]
-        trace = nn.gru_forward(nn.GruBatch([pair], [slice(0, 1)]), x_word)
+        trace = nn.gru_forward(nn.GruBatch([pair], [slice(0, 1)]), *stack_inputs(x_word))
         pos_node = tree.root.children[0]
         np.testing.assert_array_equal(
             enc.vectors[row_of(tree, pos_node)], np.concatenate([trace.h[0, 0, 0], trace.h[1, 0, 0]])
@@ -381,12 +383,16 @@ CROSSED = "(EDU (S (NP (NP (DT a) (NN b)) (VP (VBZ c))) (VP (VP (VBZ d) (RB e)) 
 def replay_backward(m, tree, table, y, first_seen=False):
     """The per-group path, as a test-local oracle: internal nodes grouped by
     (height, registry key, child count), one one-segment kernel call per
-    group. The groups of one height and child count form a batch, and the
-    gradients are added in batch order: batches reversed, each batch's
-    groups in the order the post-order walk first reaches them. With
-    ``first_seen``, they are added group by group by descending height,
-    and within a height in the reverse of the order the walk first reaches
-    each group.
+    group, forward and backward. The groups of one height and child count
+    form a batch; the backward calls run batches reversed, each batch's
+    groups in the order the post-order walk first reaches them. Then each
+    key's weight gradients are single products over the rows of all its
+    groups, taken in forward batch order: per direction dW = da^T x, and,
+    over the rows past their sequence's first step, dU_rz = da_rz^T h_prev
+    and dU_h = da_h^T (h_prev * r). With ``first_seen``, each group's
+    products are formed over its own rows and added group by group by
+    descending height, and within a height in the reverse of the order the
+    walk first reaches each group.
     Checks the encoder's node vectors on the way; returns the gradients."""
     enc = encode_document(m, tree, table)
     schedule, hd = enc.schedule, m.d // 2
@@ -415,16 +421,12 @@ def replay_backward(m, tree, table, y, first_seen=False):
             parents = np.array([i for i, _ in order[h, key, k]])
             children = np.array([kids for _, kids in order[h, key, k]])
             group = nn.GruBatch([m.registry[key]], [slice(0, len(parents))])
-            trace = nn.gru_forward(group, vectors[children])
+            trace = nn.gru_forward(group, *stack_inputs(vectors[children]))
             vectors[parents, :hd], vectors[parents, hd:] = trace.h.mean(axis=2)
             replayed[h, key, k] = (key, parents, children, group, trace)
     assert np.array_equal(vectors, enc.vectors)
     assert [(key, list(parents)) for key, parents, *_ in replayed.values()] == \
         [(key, list(parents)) for key, parents, _ in groups(schedule)]
-    if first_seen:
-        backward_order = reversed(walk)
-    else:
-        backward_order = [(h, key, k) for h, k in reversed(batches) for key in batches[h, k]]
 
     (document,) = schedule.documents
     grads = replace(m, flat=np.zeros_like(m.flat))
@@ -433,18 +435,43 @@ def replay_backward(m, tree, table, y, first_seen=False):
     grads.classifier.b += db
     d_vectors = np.zeros_like(vectors)
     d_vectors[document] = dh / len(document)
-    for key, parents, children, group, trace in (replayed[g] for g in backward_order):
-        up = d_vectors[parents] / children.shape[1]
+    operands = {}  # group -> its rows' (da, x) and, past the first step, (da, h_prev, h_prev * r)
+    for g in [(h, key, k) for h, k in reversed(batches) for key in batches[h, k]]:
+        key, parents, children, group, trace = replayed[g]
+        n, k = children.shape
+        up = d_vectors[parents] / k
         upstream = np.stack([up[:, None, :hd], up[:, None, hd:]])
-        acc = nn.GruBatch([grads.registry[key]], group.rows)
-        d_vectors[children] += nn.gru_backward(group, trace, np.broadcast_to(upstream, trace.h.shape), acc)
+        da = np.empty((2, n * k, 3 * hd))
+        d_vectors[children] += nn.gru_backward(group, trace, np.broadcast_to(upstream, trace.h.shape), da)
+        x = np.stack([vectors[children].reshape(n * k, -1), vectors[children[:, ::-1]].reshape(n * k, -1)])
+        h_prev = trace.h[:, :, :-1].reshape(2, -1, hd)
+        gated = (trace.h[:, :, :-1] * trace.r[:, :, 1:]).reshape(2, -1, hd)
+        operands[g] = (da, x, da.reshape(2, n, k, -1)[:, :, 1:].reshape(2, -1, 3 * hd), h_prev, gated)
+
+    def products(pair, parts):
+        da, x, later, h_prev, gated = (np.concatenate(op, axis=1) for op in zip(*parts))
+        for k in range(2):
+            pair.w[k] = da[k].T @ x[k]
+            if later.shape[1]:
+                pair.u[k, :2 * hd] = later[k, :, :2 * hd].T @ h_prev[k]
+                pair.u[k, 2 * hd:] = later[k, :, 2 * hd:].T @ gated[k]
+
+    if first_seen:
+        for g in reversed(walk):
+            alone = nn.GruParams(np.zeros((2, 3 * hd, m.d)), np.zeros((2, 3 * hd, hd)))
+            products(alone, [operands[g]])
+            grads.registry[g[1]].w += alone.w
+            grads.registry[g[1]].u += alone.u
+    else:
+        for key in dict.fromkeys(g[1] for g in replayed):
+            products(grads.registry[key], [operands[g] for g in replayed if g[1] == key])
     return enc, grads
 
 
 class TestBatchesAcrossKeys:
     @pytest.mark.parametrize("mode", list(SharingMode))
     @pytest.mark.parametrize("ablation", list(AblationMode))
-    def test_backward_equals_a_per_group_replay_bit_for_bit(self, mode, ablation):
+    def test_backward_equals_a_per_key_replay_bit_for_bit(self, mode, ablation):
         rng = np.random.default_rng(60)
         news = random_tree(rng, n_edus=12, edu_words=(6, 12), rr_arity=(2, 3)).tree
         for d, tree in ((8, parse_sexpr(CROSSED)), (8, parse_sexpr(MIXED)), (100, news)):
@@ -456,8 +483,8 @@ class TestBatchesAcrossKeys:
     @pytest.mark.parametrize("mode", list(SharingMode))
     @pytest.mark.parametrize("ablation", list(AblationMode))
     def test_backward_agrees_with_a_first_seen_group_order_within_rtol_1e_10(self, mode, ablation):
-        """Batch order and first-seen group order add the same terms: a
-        key's sums differ by rounding only."""
+        """One product per key and group-by-group sums in first-seen
+        order add the same terms: a key's sums differ by rounding only."""
         rng = np.random.default_rng(60)
         news = random_tree(rng, n_edus=12, edu_words=(6, 12), rr_arity=(2, 3)).tree
         for d, tree in ((8, parse_sexpr(CROSSED)), (8, parse_sexpr(MIXED)), (100, news)):
@@ -489,11 +516,12 @@ class TestBatchesAcrossKeys:
                   for n in found}
         calls = []
         kernel = nn.gru_forward
-        monkeypatch.setattr(nn, "gru_forward", lambda params, x: calls.append(x.shape) or kernel(params, x))
+        monkeypatch.setattr(nn, "gru_forward",
+                            lambda params, x, steps: calls.append(steps) or kernel(params, x, steps))
         encode_document(m, trees[0] if single else trees, table)
         (schedule,) = compile_tree(encoded, m)
         assert len(calls) == len(shapes) == len(schedule.batches) < len(list(groups(schedule)))
-        assert sorted(shape[1] for shape in calls) == sorted(k for _, k in shapes)
+        assert sorted(calls) == sorted(k for _, k in shapes)
 
 
 class TestBatchedEncoding:
@@ -817,6 +845,7 @@ class TestBackward:
             # The children's gradient is needed iff some child is a Bi-GRU node.
             assert b.input_grad == any(c in gru_rows for c in b.children.ravel())
         grads = backward(m, enc, 0)
+        enc = encode_document(m, gen.tree, table)  # backward consumes its encoding
         enc.schedule = replace(enc.schedule, batches=[replace(b, input_grad=True) for b in enc.schedule.batches])
         assert np.array_equal(backward(m, enc, 0).flat, grads.flat)
 
@@ -842,6 +871,23 @@ class TestBackward:
         enc.traces.clear()
         with pytest.raises(MissingTraceError):
             backward(m, enc, 1)
+
+    def test_an_encoding_whose_workspace_was_reused_or_consumed_is_refused(self):
+        rng = np.random.default_rng(16)
+        first, table = gradcheck_fixture(rng, 8)
+        second = random_tree(rng, n_edus=2, vocab=tuple(first.words))
+        m = make_model(SharingMode.ATTRIBUTE_SPECIFIC, trees=[first.tree, second.tree], seed=5)
+        alone = backward(m, encode_document(m, first.tree, table), 1).flat.tobytes()
+        work = model.Workspace()
+        stale = encode_document(m, first.tree, table, work)
+        fresh = encode_document(m, second.tree, table, work)
+        with pytest.raises(MissingTraceError, match="reused"):
+            backward(m, stale, 1)
+        backward(m, fresh, 0)
+        with pytest.raises(MissingTraceError, match="backward pass has run"):
+            backward(m, fresh, 0)
+        again = encode_document(m, first.tree, table, work)
+        assert backward(m, again, 1).flat.tobytes() == alone
 
     def test_no_structure_has_zero_gru_grads(self):
         tree = parse_sexpr(TWO_EDU)
@@ -1201,23 +1247,14 @@ class TestFlatLayout:
     @pytest.mark.parametrize("ablation", list(AblationMode))
     @pytest.mark.parametrize("mode", list(SharingMode))
     def test_init_equals_sequential_per_matrix_draws(self, mode, ablation, d, random_classifier):
-        """Key by key, the fwd then the bwd GRU, each its w (fan-in d) then its
-        u (fan-in d/2), uniform in +-1/sqrt(fan-in); then the classifier's w
-        and b in +-1/sqrt(d), or zeros. Nothing else is drawn."""
+        """Drawn in place, the bytes of the old per-matrix rng.uniform loop
+        (tests/reference.py), and the generator left where it left it.
+        Nothing else is drawn."""
         vocab = AttributeVocab(("NP", "VP"), ("NS-elaboration",))
         rng = np.random.default_rng(4)
         m = init_model(d, mode, ablation, vocab, rng=rng, random_classifier=random_classifier)
         ref = np.random.default_rng(4)
-        sw, su = 1 / math.sqrt(d), 1 / math.sqrt(d / 2)
-        drawn = []
-        for _ in range(2 * len(registry_keys(mode, ablation, vocab))):
-            drawn.append(ref.uniform(-sw, sw, (3 * d // 2, d)))
-            drawn.append(ref.uniform(-su, su, (3 * d // 2, d // 2)))
-        if random_classifier:
-            drawn += [ref.uniform(-sw, sw, (2, d)), ref.uniform(-sw, sw, 2)]
-        else:
-            drawn.append(np.zeros(2 * d + 2))
-        expected = np.concatenate([a.ravel() for a in drawn])
+        expected = init_reference(d, len(registry_keys(mode, ablation, vocab)), ref, random_classifier)
         assert m.flat.dtype == np.float64
         assert m.flat.tobytes() == expected.tobytes()
         assert rng.bit_generator.state == ref.bit_generator.state

@@ -10,10 +10,10 @@ import pytest
 from hero import nn
 from hero.nn import (
     ADAM_BLOCK, GEMM_ROWS, AdamState, ClassifierParams, GruBatch, GruParams, ShapeMismatchError,
-    adam_step, finite_diff_check, gru_backward, gru_forward,
+    adam_step, finite_diff_check, gru_backward, gru_forward, gru_recurrent_grads, gru_weight_grads,
     sigmoid, softmax_ce, softmax_ce_backward,
 )
-from reference import ROWWISE_ATOL, adam_reference, gru_forward_rowwise, gru_sequence
+from reference import ROWWISE_ATOL, adam_reference, gru_forward_rowwise, gru_sequence, stack_inputs
 
 
 def flatten_gru(params):
@@ -49,6 +49,36 @@ def zero_grads(batch):
     return GruBatch([GruParams(np.zeros(g.w.shape), np.zeros(g.u.shape)) for g in batch.grus], batch.rows)
 
 
+def forward(batch, x):
+    """gru_forward over (B, T, d) sequences, stacked as the kernel reads them."""
+    return gru_forward(batch, *stack_inputs(x))
+
+
+def segment_grads(batch, trace, da, xs):
+    """Each segment's weight gradients from gru_weight_grads and
+    gru_recurrent_grads over the segment's own rows of ``da`` and the
+    stacked inputs ``xs``, as a GruBatch of new buffers."""
+    hd, steps = batch.hidden_dim, trace.h.shape[2]
+    grads = zero_grads(batch)
+    for pair, rows in zip(grads.grus, batch.rows):
+        n, cut = rows.stop - rows.start, slice(rows.start * steps, rows.stop * steps)
+        gru_weight_grads(pair, da[:, cut], xs[:, cut])
+        if steps > 1:
+            later = da[:, cut].reshape(2, n, steps, 3 * hd)[:, :, 1:].reshape(2, -1, 3 * hd)
+            h_prev = trace.h[:, rows, :-1].reshape(2, -1, hd)
+            gated = (trace.h[:, rows, :-1] * trace.r[:, rows, 1:]).reshape(2, -1, hd)
+            gru_recurrent_grads(pair, later, np.concatenate([h_prev, gated], axis=2))
+    return grads
+
+
+def backward(batch, trace, upstream, x):
+    """gru_backward into a new pre-activation buffer, then each segment's
+    weight gradients over the sequences ``x`` the trace ran: (dx, grads)."""
+    da = np.empty((2, trace.h.shape[1] * trace.h.shape[2], 3 * batch.hidden_dim))
+    dx = gru_backward(batch, trace, upstream, da)
+    return dx, segment_grads(batch, trace, da, stack_inputs(x)[0])
+
+
 def tiling(sizes):
     stops = np.cumsum((0, *sizes))
     return [slice(a, b) for a, b in zip(stops, stops[1:])]
@@ -57,7 +87,7 @@ def tiling(sizes):
 class TestGruForward:
     def test_zero_params_fix_point(self):
         rng = np.random.default_rng(0)
-        trace = gru_forward(whole(zero_pair(6), 2), rng.uniform(-2, 2, (2, 4, 6)))
+        trace = forward(whole(zero_pair(6), 2), rng.uniform(-2, 2, (2, 4, 6)))
         np.testing.assert_array_equal(trace.h, np.zeros((2, 2, 4, 3)))
 
     def test_zero_input_zero_u_gives_half_gates(self):
@@ -65,7 +95,7 @@ class TestGruForward:
         pair = zero_pair(6)
         for m in pair.matrices()[:3]:
             m[...] = rng.uniform(-1, 1, m.shape)
-        trace = gru_forward(whole(pair, 1), np.zeros((1, 1, 6)))
+        trace = forward(whole(pair, 1), np.zeros((1, 1, 6)))
         np.testing.assert_allclose(trace.r[:, 0, 0], 0.5)
         np.testing.assert_allclose(trace.z[:, 0, 0], 0.5)
         np.testing.assert_array_equal(trace.h[:, 0, 0], np.zeros((2, 3)))
@@ -76,7 +106,7 @@ class TestGruForward:
         rng = np.random.default_rng(2)
         pairs, rows = [init_pair(4, rng), init_pair(4, rng)], tiling((1, 2))
         inputs = rng.uniform(-1, 1, (3, 3, 4))
-        trace = gru_forward(GruBatch(pairs, rows), inputs)
+        trace = forward(GruBatch(pairs, rows), inputs)
         for pair, seg in zip(pairs, rows):
             for b in range(seg.start, seg.stop):
                 for k, seq in enumerate((inputs[b], inputs[b, ::-1])):
@@ -87,30 +117,41 @@ class TestGruForward:
         rng = np.random.default_rng(3)
         batch = whole(init_pair(8, rng), 2)
         inputs = rng.uniform(-1, 1, (2, 5, 8))
-        a = gru_forward(batch, inputs)
-        b = gru_forward(batch, inputs)
+        a = forward(batch, inputs)
+        b = forward(batch, inputs)
         assert np.array_equal(a.h, b.h)
 
     def test_shape_errors(self):
         batch = whole(zero_pair(6), 1)
-        with pytest.raises(ShapeMismatchError):
-            gru_forward(batch, np.zeros((1, 2, 5)))
-        with pytest.raises(ShapeMismatchError):
-            gru_forward(batch, np.zeros((1, 0, 6)))
-        with pytest.raises(ShapeMismatchError):
-            gru_forward(batch, np.zeros((0, 2, 6)))
-        with pytest.raises(ShapeMismatchError):
-            gru_forward(batch, np.zeros((2, 6)))
+        xs, _ = stack_inputs(np.zeros((1, 2, 6)))
+        for inputs, steps in (
+            (stack_inputs(np.zeros((1, 2, 5)))[0], 2),  # another width
+            (xs, 0),                                     # no steps
+            (xs, 3),                                     # rows that are not whole sequences
+            (xs[:, :-1], 2),                             # no room for the slack rows
+            (xs[:, GEMM_ROWS - 1:], 2),                  # no sequence
+            (xs[0], 2),                                  # no direction axis
+            (stack_inputs(np.zeros((3, 2, 6)))[0], 2),   # three sequences for a batch of one
+        ):
+            with pytest.raises(ShapeMismatchError):
+                gru_forward(batch, inputs, steps)
+        gru_forward(batch, xs, 2)
+
+    def test_slack_rows_do_not_reach_the_result(self):
+        rng = np.random.default_rng(11)
+        batch = whole(init_pair(8, rng), 2)
+        xs, steps = stack_inputs(rng.uniform(-1, 1, (2, 3, 8)))
+        want = gru_forward(batch, xs, steps).h
+        xs[:, 2 * steps:] = rng.uniform(-1, 1, xs[:, 2 * steps:].shape)
+        assert np.array_equal(gru_forward(batch, xs, steps).h, want)
 
 
-def gru_loss_and_grads(batch, inputs, weights, grads=None):
+def gru_loss_and_grads(batch, inputs, weights):
     """Scalar objective sum_{k,i} <weights_{k,i}, h_{k,i}> and its analytic
-    gradients, the weights' added into ``grads`` (new zeroed buffers when
-    not given)."""
-    trace = gru_forward(batch, inputs)
+    gradients: each segment's, as a GruBatch, and the inputs'."""
+    trace = forward(batch, inputs)
     loss = float((trace.h * weights).sum())
-    grads = zero_grads(batch) if grads is None else grads
-    dx = gru_backward(batch, trace, weights, grads)
+    dx, grads = backward(batch, trace, weights, inputs)
     return loss, grads, dx
 
 
@@ -118,9 +159,9 @@ class TestGruBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(4)
         batch = whole(init_pair(6, rng), 2)
-        trace = gru_forward(batch, rng.uniform(-1, 1, (2, 3, 6)))
-        grads = zero_grads(batch)
-        dx = gru_backward(batch, trace, np.zeros((2, 2, 3, 3)), grads)
+        inputs = rng.uniform(-1, 1, (2, 3, 6))
+        trace = forward(batch, inputs)
+        dx, grads = backward(batch, trace, np.zeros((2, 2, 3, 3)), inputs)
         for m in grads.grus[0].matrices():
             np.testing.assert_array_equal(m, np.zeros_like(m))
         np.testing.assert_array_equal(dx, np.zeros((2, 3, 6)))
@@ -137,7 +178,7 @@ class TestGruBackward:
 
         def f(vec):
             unflatten_gru(work, vec)
-            return float((gru_forward(whole(work, 1), inputs).h * weights).sum())
+            return float((forward(whole(work, 1), inputs).h * weights).sum())
 
         err = finite_diff_check(f, flatten_gru(pair), flatten_gru(grads.grus[0]))
         assert err < bound
@@ -150,49 +191,90 @@ class TestGruBackward:
         _, _, dx = gru_loss_and_grads(batch, inputs, weights)
 
         def f(vec):
-            return float((gru_forward(batch, vec.reshape(1, 4, 6)).h * weights).sum())
+            return float((forward(batch, vec.reshape(1, 4, 6)).h * weights).sum())
 
         err = finite_diff_check(f, inputs.ravel(), dx.ravel())
         assert err < 1e-6
 
-    def test_without_input_grad_param_grads_are_bit_identical(self):
+    def test_without_input_grad_the_pre_activation_gradients_are_bit_identical(self):
         rng = np.random.default_rng(8)
         rows = tiling((1, 2))
         batch = GruBatch([init_pair(6, rng), init_pair(6, rng)], rows)
-        trace = gru_forward(batch, rng.uniform(-1, 1, (3, 4, 6)))
+        trace = forward(batch, rng.uniform(-1, 1, (3, 4, 6)))
         upstream = rng.uniform(-1, 1, (2, 3, 4, 3))
-        grads, only = zero_grads(batch), zero_grads(batch)
-        dx = gru_backward(batch, trace, upstream, grads)
+        da, only = np.empty((2, 2, 12, 9))
+        dx = gru_backward(batch, trace, upstream, da)
         assert dx.shape == (3, 4, 6)
         assert gru_backward(batch, trace, upstream, only, input_grad=False) is None
-        for a, b in zip(grads.grus, only.grus):
-            np.testing.assert_array_equal(a.w, b.w)
-            np.testing.assert_array_equal(a.u, b.u)
+        assert np.array_equal(da, only)
 
     def test_grad_h_shape_checked(self):
         rng = np.random.default_rng(7)
         batch = whole(init_pair(6, rng), 1)
-        trace = gru_forward(batch, rng.uniform(-1, 1, (1, 3, 6)))
+        trace = forward(batch, rng.uniform(-1, 1, (1, 3, 6)))
         for shape in ((2, 1, 2, 3), (1, 3, 3), (1, 1, 3, 3)):
             with pytest.raises(ShapeMismatchError):
-                gru_backward(batch, trace, np.zeros(shape), zero_grads(batch))
+                gru_backward(batch, trace, np.zeros(shape), np.empty((2, 3, 9)))
 
-    def test_grads_must_match_the_parameter_batch(self):
+    def test_da_must_hold_the_batch_rows(self):
         rng = np.random.default_rng(9)
-        pairs, rows = [init_pair(6, rng), init_pair(6, rng)], tiling((1, 2))
-        batch = GruBatch(pairs, rows)
-        trace = gru_forward(batch, rng.uniform(-1, 1, (3, 2, 6)))
+        batch = GruBatch([init_pair(6, rng), init_pair(6, rng)], tiling((1, 2)))
+        trace = forward(batch, rng.uniform(-1, 1, (3, 2, 6)))
         upstream = rng.uniform(-1, 1, (2, 3, 2, 3))
-        good = zero_grads(batch).grus
-        for grads in (
-            GruBatch(good, tiling((2, 1))),                          # other rows
-            GruBatch(good[:1], rows[:1]),                            # a segment short
-            GruBatch([good[0], zero_pair(8)], rows),                 # another width
-            GruBatch([good[0], GruParams(good[1].w[0], good[1].u[0])], rows),  # no direction axis
-        ):
+        for shape in ((2, 5, 9), (2, 6, 6), (6, 9), (2, 3, 2, 9)):
             with pytest.raises(ShapeMismatchError):
-                gru_backward(batch, trace, upstream, grads)
-        assert all(not g.w.any() and not g.u.any() for g in good)
+                gru_backward(batch, trace, upstream, np.empty(shape))
+
+    def test_pre_activation_gradients_land_in_the_callers_rows(self):
+        """A view of a larger buffer is written in place, and nothing
+        outside it."""
+        rng = np.random.default_rng(12)
+        batch = whole(init_pair(6, rng), 2)
+        trace = forward(batch, rng.uniform(-1, 1, (2, 3, 6)))
+        upstream = rng.uniform(-1, 1, (2, 2, 3, 3))
+        alone = np.empty((2, 6, 9))
+        gru_backward(batch, trace, upstream, alone)
+        buffer = np.full((2, 10, 9), 7.0)
+        gru_backward(batch, trace, upstream, buffer[:, 2:8])
+        assert np.array_equal(buffer[:, 2:8], alone)
+        assert (buffer[:, :2] == 7.0).all() and (buffer[:, 8:] == 7.0).all()
+
+
+class TestWeightGrads:
+    def test_dw_is_written_and_u_left_alone(self):
+        rng = np.random.default_rng(13)
+        d, hd, n = 6, 3, 5
+        da, x = rng.uniform(-1, 1, (2, n, 3 * hd)), rng.uniform(-1, 1, (2, n, d))
+        grads = GruParams(np.full((2, 3 * hd, d), 9.0), np.full((2, 3 * hd, hd), 9.0))
+        gru_weight_grads(grads, da, x)
+        for k in range(2):
+            np.testing.assert_allclose(grads.w[k], da[k].T @ x[k], rtol=1e-14)
+        assert (grads.u == 9.0).all()
+
+    def test_du_is_written_and_w_left_alone(self):
+        rng = np.random.default_rng(14)
+        d, hd, m = 6, 3, 3
+        later_da, states = rng.uniform(-1, 1, (2, m, 3 * hd)), rng.uniform(-1, 1, (2, m, 2 * hd))
+        grads = GruParams(np.full((2, 3 * hd, d), 9.0), np.full((2, 3 * hd, hd), 9.0))
+        gru_recurrent_grads(grads, later_da, states)
+        for k in range(2):
+            rz, h = later_da[k, :, :2 * hd], later_da[k, :, 2 * hd:]
+            np.testing.assert_allclose(grads.u[k, :2 * hd], rz.T @ states[k, :, :hd], rtol=1e-14)
+            np.testing.assert_allclose(grads.u[k, 2 * hd:], h.T @ states[k, :, hd:], rtol=1e-14)
+        assert (grads.w == 9.0).all()
+
+    def test_writes_into_a_models_strided_pair_views(self):
+        """A model's pair is two strided views of one block: the products
+        land there, bit for bit as in contiguous buffers."""
+        rng = np.random.default_rng(15)
+        (pair,) = stacked_pairs(rng, 8, 1)
+        copy = GruParams(np.zeros(pair.w.shape), np.zeros(pair.u.shape))
+        da, x = rng.uniform(-1, 1, (2, 7, 12)), rng.uniform(-1, 1, (2, 7, 8))
+        later_da, states = rng.uniform(-1, 1, (2, 4, 12)), rng.uniform(-1, 1, (2, 4, 8))
+        for grads in (pair, copy):
+            gru_weight_grads(grads, da, x)
+            gru_recurrent_grads(grads, later_da, states)
+        assert np.array_equal(pair.w, copy.w) and np.array_equal(pair.u, copy.u)
 
 
 class TestGruBatch:
@@ -200,10 +282,10 @@ class TestGruBatch:
         rng = np.random.default_rng(20)
         pair = init_pair(100, rng)
         inputs = rng.uniform(-1, 1, (7, 3, 100))
-        batch = gru_forward(whole(pair, 7), inputs)
+        batch = forward(whole(pair, 7), inputs)
         assert len(batch) == 2 * 7 * 3
         for b in range(7):
-            alone = gru_forward(whole(pair, 1), inputs[b:b + 1])
+            alone = forward(whole(pair, 1), inputs[b:b + 1])
             np.testing.assert_array_equal(batch.h[:, b], alone.h[:, 0])
 
     def test_backward_sums_per_sequence_gradients(self):
@@ -212,13 +294,15 @@ class TestGruBatch:
         inputs = rng.uniform(-1, 1, (4, 3, 8))
         weights = rng.uniform(-1, 1, (2, 4, 3, 4))
         _, grads, dx = gru_loss_and_grads(whole(pair, 4), inputs, weights)
-        total = zero_grads(whole(pair, 1))  # each call adds its sequence's gradients
+        total_w, total_u = 0.0, 0.0
         for b in range(4):
-            _, _, dx_b = gru_loss_and_grads(whole(pair, 1), inputs[b:b + 1], weights[:, b:b + 1], total)
+            _, grads_b, dx_b = gru_loss_and_grads(whole(pair, 1), inputs[b:b + 1], weights[:, b:b + 1])
             np.testing.assert_allclose(dx[b], dx_b[0], atol=1e-14)
-        (got,), (want,) = grads.grus, total.grus
-        np.testing.assert_allclose(got.w, want.w, atol=1e-13)
-        np.testing.assert_allclose(got.u, want.u, atol=1e-13)
+            (alone,) = grads_b.grus
+            total_w, total_u = total_w + alone.w, total_u + alone.u
+        (got,) = grads.grus
+        np.testing.assert_allclose(got.w, total_w, atol=1e-13)
+        np.testing.assert_allclose(got.u, total_u, atol=1e-13)
 
 
 def stacked_pairs(rng, d, n):
@@ -234,12 +318,11 @@ def stacked_pairs(rng, d, n):
 
 
 def run_batch(pairs, rows, x, upstream):
-    """Forward and backward of one GruBatch into zeroed buffers: the trace,
-    each segment's (dW, dU) and dx."""
+    """Forward and backward of one GruBatch: the trace, each segment's
+    (dW, dU) over its own rows, and dx."""
     batch = GruBatch(pairs, rows)
-    trace = gru_forward(batch, x)
-    grads = zero_grads(batch)
-    dx = gru_backward(batch, trace, upstream, grads)
+    trace = forward(batch, x)
+    dx, grads = backward(batch, trace, upstream, x)
     return trace, [(g.w, g.u) for g in grads.grus], dx
 
 
@@ -313,7 +396,7 @@ class TestSegmentedPairs:
         rng = np.random.default_rng(24)
         pairs = stacked_pairs(rng, 8, len(rows))
         with pytest.raises(ShapeMismatchError):
-            gru_forward(GruBatch(pairs, rows), np.zeros((4, 2, 8)))
+            gru_forward(GruBatch(pairs, rows), *stack_inputs(np.zeros((4, 2, 8))))
 
 
 class TestGemmBlocks:
@@ -364,7 +447,7 @@ class TestRowwiseOracle:
         rng = np.random.default_rng(27)
         batch = GruBatch(stacked_pairs(rng, d, len(sizes)), tiling(sizes))
         x = rng.uniform(-1, 1, (sum(sizes), steps, d))
-        got, want = gru_forward(batch, x), gru_forward_rowwise(batch, x)
+        got, want = forward(batch, x), gru_forward_rowwise(batch, *stack_inputs(x))
         for name in ("h", "r", "z", "hhat"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.shape == b.shape == (2, sum(sizes), steps, d // 2)

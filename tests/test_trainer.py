@@ -495,6 +495,78 @@ class TestNonFiniteLoss:
         assert err.value.epoch == 1
         assert err.value.doc_id
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("step", ["first", "last"])
+    def test_a_non_finite_gradient_names_its_document_before_the_update(self, monkeypatch, value, step):
+        """The check runs on the step's own gradient: the error names the
+        document just encoded, and Adam never sees the gradient. On the
+        last step of the last epoch it is this error, not a NaN score in the
+        validation metrics."""
+        docs, table = marker_corpus(np.random.default_rng(8), 20, 8)
+        split = split_dataset(docs, seed=8)
+        plant_at = 1 if step == "first" else len(split.train)
+        encoded, steps = [], []
+        encode, backward = hero.trainer.encode_document, hero.trainer.backward
+        adam_step = hero.trainer.nn.adam_step
+
+        def recording_encode(params, tree, table, *rest):
+            encoded.append(tree)
+            return encode(params, tree, table, *rest)
+
+        def planting_backward(params, enc, y):
+            grads = backward(params, enc, y)
+            if len(encoded) == plant_at:
+                grads.flat[len(grads.flat) // 2] = value
+            return grads
+
+        monkeypatch.setattr(hero.trainer, "encode_document", recording_encode)
+        monkeypatch.setattr(hero.trainer, "backward", planting_backward)
+        monkeypatch.setattr(hero.trainer.nn, "adam_step", lambda *args: steps.append(1) or adam_step(*args))
+        cfg = TrainConfig(lr=1e-3, max_epochs=1, seed=8, d=8)
+        with pytest.raises(NonFiniteLossError, match="gradient") as err:
+            train(split, cfg, table)
+        (doc,) = [doc for doc in split.train if doc.tree is encoded[-1]]
+        assert (err.value.epoch, err.value.doc_id) == (1, doc.doc_id)
+        assert len(steps) == plant_at - 1
+
+
+class TestTrainingWorkspace:
+    @pytest.mark.parametrize("mode", list(SharingMode))
+    def test_a_step_no_larger_than_an_earlier_one_allocates_no_buffer(self, monkeypatch, mode):
+        """train keeps one Workspace for all its steps, and a step on a
+        document no larger than an earlier step's makes no new buffer."""
+        rng = np.random.default_rng(9)
+        big, small = (random_tree(rng, n_edus=n, rr_arity=(2, 3)) for n in (6, 2))
+        table = random_embedding_table(rng, sorted({*big.words, *small.words}), 8)
+        train_docs = [LabeledDocument("big", big.tree, 1), LabeledDocument("small", small.tree, 0)]
+        split = hero.trainer.Split(train_docs, [LabeledDocument("v", small.tree, 1)],
+                                   [LabeledDocument("t", big.tree, 0)])
+        steps = []  # per training step: its tree, its workspace, the buffers it made
+        take, encode = hero.trainer.hero_model.Workspace.take, hero.trainer.encode_document
+
+        def recording_take(self, name, rows, width):
+            before = self.buffers.get(name)
+            view = take(self, name, rows, width)
+            if steps and self is steps[-1][1] and self.buffers[name] is not before:
+                steps[-1][2].append(name)
+            return view
+
+        def recording_encode(params, trees, table, *rest):
+            if rest:
+                steps.append((trees, rest[0], []))
+            return encode(params, trees, table, *rest)
+
+        monkeypatch.setattr(hero.trainer.hero_model.Workspace, "take", recording_take)
+        monkeypatch.setattr(hero.trainer, "encode_document", recording_encode)
+        cfg = TrainConfig(lr=1e-3, max_epochs=3, seed=9, d=8, mode=mode)
+        train(split, cfg, table)
+        assert len(steps) == 6 and all(work is steps[0][1] for _, work, _ in steps)
+        assert {"inputs", "da"} <= set(steps[0][2])
+        first_big = next(i for i, (tree, _, _) in enumerate(steps) if tree is big.tree)
+        for i, (_, _, made) in enumerate(steps):
+            if i not in (0, first_big):  # a document no larger than an earlier step's
+                assert made == [], f"step {i} made {made}"
+
 
 class TestGridSearch:
     def test_singleton_grid(self):
