@@ -225,7 +225,9 @@ def gru_forward(params: GruBatch, inputs: np.ndarray, steps: int) -> GruTrace:
     return GruTrace(gates[..., :hd], gates[..., hd:2 * hd], gates[..., 2 * hd:], h)
 
 
-def gru_backward(params: GruBatch, trace: GruTrace, grad_h, da: np.ndarray, input_grad: bool = True):
+def gru_backward(
+    params: GruBatch, trace: GruTrace, grad_h, da: np.ndarray, input_grad: bool = True
+) -> np.ndarray | None:
     """Exact reverse-mode pass through the recurrence given an upstream
     gradient for every h_i of both directions.
 
